@@ -60,32 +60,66 @@ func substituteChainPrev(args, prev []any) []any {
 	return out
 }
 
-// chainStepWire is ChainStep's wire form (args pre-marshalled).
+// chainStepWire is ChainStep's wire form. Args is the step's encoded argument
+// vector: what a decoder fills in and what a forwarder re-sends as it stands.
+// An origin, which holds values rather than bytes, leaves Args nil and sets
+// vals; the vector is then encoded in place.
 type chainStepWire struct {
 	Obj    gaddr.Addr
 	Method string
 	Args   []byte
+	vals   []any
 }
 
-// chainMsg rides routedMsg.Args for opChain: the remaining steps plus the
+// chainMsg is routedMsg.Args for opChain: the remaining steps plus the
 // previous step's results (for ChainPrev substitution at the next executor).
+// Prev, like a step's Args, is bytes on the decode side and values (prevVals)
+// on the encode side — the previous results are always at hand as values.
 type chainMsg struct {
-	Steps []chainStepWire
-	Prev  []byte
+	Steps    []chainStepWire
+	Prev     []byte
+	prevVals []any
 }
 
-// AppendWire implements wire.Codec.
-func (m *chainMsg) AppendWire(b []byte) []byte {
+// sizeHint estimates the encoding's size for frame presizing.
+func (m *chainMsg) sizeHint() int {
+	n := 16 + wire.SizeHint(m.prevVals)
+	for i := range m.Steps {
+		s := &m.Steps[i]
+		n += 16 + len(s.Method) + len(s.Args) + wire.SizeHint(s.vals)
+	}
+	return n
+}
+
+// appendTo appends the chain behind a routedMsg header (see assemble): each
+// vector sits behind a length prefix, encoded in place.
+func (m *chainMsg) appendTo(b []byte) ([]byte, error) {
+	var err error
 	b = wire.AppendUvarint(b, uint64(len(m.Steps)))
-	for _, s := range m.Steps {
+	for i := range m.Steps {
+		s := &m.Steps[i]
 		b = wire.AppendUvarint(b, uint64(s.Obj))
 		b = wire.AppendString(b, s.Method)
-		b = wire.AppendBytes(b, s.Args)
+		if s.Args != nil {
+			b = wire.AppendBytes(b, s.Args)
+		} else if b, err = appendVecSized(b, s.vals); err != nil {
+			return nil, err
+		}
 	}
-	return wire.AppendBytes(b, m.Prev)
+	return appendVecSized(b, m.prevVals)
 }
 
-// DecodeWire implements wire.Codec. Step args and Prev alias b; the executor
+// appendVecSized appends an argument vector behind its byte length.
+func appendVecSized(b []byte, vec []any) ([]byte, error) {
+	b, mark := wire.BeginSized(b)
+	b, err := wire.AppendArgs(b, vec)
+	if err != nil {
+		return nil, err
+	}
+	return wire.EndSized(b, mark), nil
+}
+
+// DecodeWire consumes a chain. Step args and Prev alias b; the executor
 // decodes values out of them before the enclosing payload is recycled.
 func (m *chainMsg) DecodeWire(b []byte) ([]byte, error) {
 	var err error
@@ -210,26 +244,12 @@ func (n *Node) chainInvoke(c *Ctx, steps []ChainStep, o callOpts) ([]any, error)
 // whichever node executes the last step sends back.
 func (n *Node) shipChain(c *Ctx, steps []ChainStep, prev []any, to gaddr.NodeID, o callOpts) ([]any, error) {
 	start := time.Now()
-	cm := chainMsg{Steps: make([]chainStepWire, len(steps))}
+	cm := chainMsg{Steps: make([]chainStepWire, len(steps)), prevVals: prev}
 	for i, s := range steps {
-		ab, err := wire.MarshalArgs(s.Args)
-		if err != nil {
-			return nil, err
-		}
-		cm.Steps[i] = chainStepWire{Obj: s.Obj, Method: s.Method, Args: ab}
+		cm.Steps[i] = chainStepWire{Obj: s.Obj, Method: s.Method, vals: s.Args}
 	}
-	pb, err := wire.MarshalArgs(prev)
-	if err != nil {
-		return nil, err
-	}
-	cm.Prev = pb
-	cmBody, err := wire.MarshalInto(&cm)
-	if err != nil {
-		return nil, err
-	}
-	msg := routedMsg{Op: opChain, Obj: steps[0].Obj, Thread: c.rec, Args: cmBody,
-		Chain: []gaddr.NodeID{n.id}}
-	body, err := wire.MarshalInto(&msg)
+	msg := routedMsg{Op: opChain, Obj: steps[0].Obj, Thread: c.rec, Chain: []gaddr.NodeID{n.id}}
+	body, err := assemble(&msg, cm.sizeHint(), cm.appendTo)
 	if err != nil {
 		return nil, err
 	}
@@ -249,18 +269,9 @@ func (n *Node) shipChain(c *Ctx, steps []ChainStep, prev []any, to gaddr.NodeID,
 	if rerr != nil {
 		return nil, mapRemoteError(rerr)
 	}
-	var ir invokeReply
-	if err := wire.UnmarshalFrom(resp, &ir); err != nil {
-		wire.PutBuf(resp)
-		return nil, err
-	}
-	n.counts.Inc("return_checks")
 	// The reply reports where the LAST step executed; that is the freshest
 	// location fact the chain produced.
-	n.learnLocation(steps[len(steps)-1].Obj, ir.Node, ir.Epoch)
-	out, err := wire.UnmarshalArgs(ir.Results)
-	wire.PutBuf(resp)
-	return out, err
+	return n.acceptReply(steps[len(steps)-1].Obj, resp)
 }
 
 // executeChain services an arriving opChain. Lock contract: d (the first
@@ -270,7 +281,7 @@ func (n *Node) shipChain(c *Ctx, steps []ChainStep, prev []any, to gaddr.NodeID,
 // the last step's executor replies directly to the origin.
 func (n *Node) executeChain(rc *rpc.Ctx, d *descriptor, msg *routedMsg) error {
 	var cm chainMsg
-	if err := wire.UnmarshalFrom(msg.Args, &cm); err != nil {
+	if _, err := cm.DecodeWire(msg.Args); err != nil {
 		n.unpin(d)
 		return err
 	}
@@ -316,14 +327,7 @@ func (n *Node) executeChain(rc *rpc.Ctx, d *descriptor, msg *routedMsg) error {
 		prev = res
 		steps = steps[1:]
 		if len(steps) == 0 {
-			rb, err := wire.MarshalArgs(prev)
-			if err != nil {
-				rc.Reply(nil, err)
-				return nil
-			}
-			ir := invokeReply{Results: rb, Node: n.id, Epoch: epoch}
-			body, err := wire.MarshalInto(&ir)
-			rc.Reply(body, err)
+			rc.Reply(assembleVec(&invokeReply{Node: n.id, Epoch: epoch}, prev))
 			n.sendChainUpdates(step.Obj, epoch, msg.Chain, rc.Origin)
 			return nil
 		}
@@ -357,20 +361,10 @@ func (n *Node) executeChain(rc *rpc.Ctx, d *descriptor, msg *routedMsg) error {
 					return nil
 				}
 				n.ep.WatchPeer(to)
-				pb, merr := wire.MarshalArgs(prev)
-				if merr != nil {
-					rc.Reply(nil, merr)
-					return nil
-				}
-				ncm := chainMsg{Steps: steps, Prev: pb}
-				cmBody, merr := wire.MarshalInto(&ncm)
-				if merr != nil {
-					rc.Reply(nil, merr)
-					return nil
-				}
+				ncm := chainMsg{Steps: steps, prevVals: prev}
 				fmsg := routedMsg{Op: opChain, Obj: steps[0].Obj, Thread: tc.rec,
-					Args: cmBody, Chain: append(msg.Chain, n.id)}
-				fbody, merr := wire.MarshalInto(&fmsg)
+					Chain: append(msg.Chain, n.id)}
+				fbody, merr := assemble(&fmsg, ncm.sizeHint(), ncm.appendTo)
 				if merr != nil {
 					rc.Reply(nil, merr)
 					return nil

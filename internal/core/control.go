@@ -18,7 +18,7 @@ import (
 // happens on the receiving side.
 func (n *Node) handleInstall(rc *rpc.Ctx) {
 	var msg installMsg
-	if err := wire.UnmarshalFrom(rc.Body, &msg); err != nil {
+	if _, err := msg.DecodeWire(rc.Body); err != nil {
 		rc.Reply(nil, err)
 		return
 	}
@@ -261,10 +261,7 @@ func (n *Node) shipControl(c *Ctx, msg *routedMsg, to gaddr.NodeID, o callOpts) 
 	if len(msg.Chain) > n.cfg.MaxHops {
 		return nil, ErrRoutingLost
 	}
-	body, err := wire.MarshalInto(msg)
-	if err != nil {
-		return nil, err
-	}
+	body := encode(msg, 0)
 	var resp []byte
 	var rerr error
 	c.Block(func() { resp, rerr = n.callWith(to, procRouted, body, rpc.TraceInfo{}, o) })

@@ -113,16 +113,19 @@ func (c *Ctx) AsyncInvoke(obj Ref, method string, args ...any) *Future {
 // futureCall is one pipelined invocation's control block: everything needed
 // to (re)issue the request and to finish the journey when the reply lands.
 type futureCall struct {
-	f      *Future
-	rec    ThreadRec
-	obj    gaddr.Addr
-	method string
-	args   []byte // wire.MarshalArgs encoding (retries re-use it)
-	o      callOpts
-	to     gaddr.NodeID
-	ti     rpc.TraceInfo
-	idem   uint64 // idempotency token shared by every attempt (0 = no retry)
-	start  time.Time
+	f   *Future
+	rec ThreadRec
+	obj gaddr.Addr
+	// body is the request — routedMsg and argument vector, encoded when the
+	// call was made, since the caller is free to reuse its arguments as soon
+	// as AsyncInvoke returns. Every attempt sends a copy; finish returns it
+	// to the pool.
+	body  []byte
+	o     callOpts
+	to    gaddr.NodeID
+	ti    rpc.TraceInfo
+	idem  uint64 // idempotency token shared by every attempt (0 = no retry)
+	start time.Time
 
 	// failure-path state, mirroring the blocking invoke() loop
 	timeout     time.Duration
@@ -153,7 +156,15 @@ func (n *Node) asyncInvoke(c *Ctx, obj gaddr.Addr, method string, args []any, o 
 		n.counts.Inc("async_invokes_local")
 		go n.runAsyncLocal(d, rec, obj, method, args, o.readOnly, f)
 	case actForward:
-		ab, merr := wire.MarshalArgs(args)
+		// Encoded from a heap copy, as in invoke(): sharing the variable would
+		// make every resident AsyncInvoke pay for a routedMsg it never ships.
+		smsg := msg
+		smsg.Chain = append(smsg.Chain, n.id)
+		if n.replicaOn {
+			smsg.SnapMax = n.replicaMax
+			smsg.Flags |= rmFlagLeaseOK
+		}
+		body, merr := assembleVec(&smsg, args)
 		if merr != nil {
 			f.complete(nil, merr)
 			return f
@@ -176,7 +187,7 @@ func (n *Node) asyncInvoke(c *Ctx, obj gaddr.Addr, method string, args []any, o 
 		if n.tracer.OnFor(rec.ID) {
 			ti = rpc.TraceInfo{TraceID: rec.ID}
 		}
-		fc := &futureCall{f: f, rec: rec, obj: obj, method: method, args: ab, o: o,
+		fc := &futureCall{f: f, rec: rec, obj: obj, body: body, o: o,
 			to: to, ti: ti, idem: idem, timeout: timeout, backoff: o.retry.Backoff,
 			start: time.Now()}
 		n.pipeFor(to).enqueue(c, fc)
@@ -212,22 +223,26 @@ func (n *Node) runAsyncLocal(d *descriptor, rec ThreadRec, obj gaddr.Addr, metho
 // on the now-believed peer's pipe. Always runs on its own goroutine —
 // resolve may block on a move in progress, and requeue never blocks.
 func (n *Node) asyncDispatch(fc *futureCall) {
-	msg := routedMsg{Op: opInvoke, Obj: fc.obj, Thread: fc.rec, Method: fc.method}
-	if fc.o.readOnly {
-		msg.Flags |= rmFlagReadOnly
+	var msg routedMsg
+	if _, err := msg.DecodeWire(fc.body); err != nil {
+		fc.finish(nil, err)
+		return
 	}
+	msg.Chain = nil // a local origin: resolve may serve it from a lease copy
 	d, act, to, err := n.resolve(&msg)
 	switch act {
 	case actError:
-		fc.f.complete(nil, err)
+		fc.finish(nil, err)
 	case actExecute:
-		args, uerr := wire.UnmarshalArgsScratch(fc.args)
+		args, uerr := wire.UnmarshalArgsScratch(msg.Args)
 		if uerr != nil {
 			n.unpin(d)
-			fc.f.complete(nil, uerr)
+			fc.finish(nil, uerr)
 			return
 		}
-		n.runAsyncLocal(d, fc.rec, fc.obj, fc.method, args, fc.o.readOnly, fc.f)
+		wire.PutBuf(fc.body) // the decoded arguments own their memory
+		fc.body = nil
+		n.runAsyncLocal(d, fc.rec, fc.obj, msg.Method, args, fc.o.readOnly, fc.f)
 		wire.PutArgs(args)
 	case actForward:
 		fc.to = to
@@ -235,26 +250,20 @@ func (n *Node) asyncDispatch(fc *futureCall) {
 	}
 }
 
+// finish completes the call's future and returns the request body to the
+// pool. Attempts are strictly sequential and each resolves exactly once, so
+// nothing can still be reading the body here.
+func (fc *futureCall) finish(res []any, err error) {
+	wire.PutBuf(fc.body)
+	fc.body = nil
+	fc.f.complete(res, err)
+}
+
 // issueAsync puts one pipelined call on the wire. Called from a pipe's drain
 // loop with an inflight slot already charged; the completion callback
 // releases it. NoFlush batches the burst — the drain loop kicks one flush
 // when it finishes issuing.
 func (n *Node) issueAsync(fc *futureCall) {
-	msg := routedMsg{Op: opInvoke, Obj: fc.obj, Thread: fc.rec, Method: fc.method, Args: fc.args}
-	msg.Chain = append(msg.Chain, n.id)
-	if fc.o.readOnly {
-		msg.Flags |= rmFlagReadOnly
-	}
-	if n.replicaOn {
-		msg.SnapMax = n.replicaMax
-		msg.Flags |= rmFlagLeaseOK
-	}
-	body, err := wire.MarshalInto(&msg)
-	if err != nil {
-		n.pipeFor(fc.to).release()
-		fc.f.complete(nil, err)
-		return
-	}
 	n.counts.Inc("invokes_shipped")
 	ao := rpc.AsyncOpts{
 		Timeout:      fc.timeout,
@@ -264,54 +273,30 @@ func (n *Node) issueAsync(fc *futureCall) {
 		NoFlush:      true,
 	}
 	to := fc.to
-	n.ep.StartCall(to, procRouted, body, ao, func(resp []byte, rerr error) {
+	// The attempt's frame is a copy: the stale-hint, routing-restart and
+	// retry ladders may all need the body again after this one is sent.
+	n.ep.StartCall(to, procRouted, rpc.FrameCopy(fc.body), ao, func(resp []byte, rerr error) {
 		n.asyncComplete(fc, to, resp, rerr)
 	})
 }
 
 // asyncComplete finishes one attempt: release the pipeline slot, then either
-// unpack the reply (location learning, replica piggyback, result decode —
-// the same bookkeeping as shipInvoke's return leg) or route the failure. It
-// runs on a transport delivery or timer goroutine and never blocks.
+// unpack the reply (acceptReply, the return leg shared with shipInvoke) or
+// route the failure. It runs on a transport delivery or timer goroutine and
+// never blocks.
 func (n *Node) asyncComplete(fc *futureCall, to gaddr.NodeID, resp []byte, rerr error) {
 	n.pipeFor(to).release()
 	if rerr != nil {
 		n.asyncFail(fc, to, mapRemoteError(rerr))
 		return
 	}
-	var ir invokeReply
-	if err := wire.UnmarshalFrom(resp, &ir); err != nil {
-		wire.PutBuf(resp)
-		fc.f.complete(nil, err)
-		return
-	}
-	n.counts.Inc("return_checks")
-	n.learnLocation(fc.obj, ir.Node, ir.Epoch)
-	if ir.Immutable {
-		n.cReplicaMiss.Inc()
-		if n.replicaOn && ir.SnapType != "" {
-			owned := append([]byte(nil), ir.SnapState...)
-			n.queueReplicaInstall(replicaInstall{
-				obj: fc.obj, from: ir.Node, typ: ir.SnapType, state: owned, epoch: ir.Epoch,
-			})
-		}
-	} else if ir.Lease {
-		if n.replicaOn && ir.SnapType != "" && ir.LeaseNs > 0 {
-			owned := append([]byte(nil), ir.SnapState...)
-			n.queueReplicaInstall(replicaInstall{
-				obj: fc.obj, from: ir.Node, typ: ir.SnapType, state: owned, epoch: ir.Epoch,
-				lease: true, ttl: int64(ir.LeaseNs),
-			})
-		}
-	}
-	out, err := wire.UnmarshalArgs(ir.Results)
-	wire.PutBuf(resp)
+	out, err := n.acceptReply(fc.obj, resp)
 	elapsed := time.Since(fc.start)
 	n.histRemote.Observe(elapsed)
 	if fc.ti.TraceID != 0 {
 		n.exRemote.Note(elapsed, fc.ti.TraceID)
 	}
-	fc.f.complete(out, err)
+	fc.finish(out, err)
 }
 
 // asyncFail routes a failed attempt through the same recovery ladder as the
@@ -355,7 +340,7 @@ func (n *Node) asyncFail(fc *futureCall, to gaddr.NodeID, err error) {
 	}
 	ro := rpc.CallOpts{Timeout: fc.timeout, MaxAttempts: fc.o.retry.MaxAttempts}
 	n.noteCallAnomaly(to, procRouted, ro, err)
-	fc.f.complete(nil, err)
+	fc.finish(nil, err)
 }
 
 // --- per-peer request pipeline ---

@@ -256,11 +256,6 @@ func staleRouteError(err error) bool {
 // present on this node during that window.
 func (n *Node) shipInvoke(c *Ctx, msg *routedMsg, to gaddr.NodeID, args []any, o callOpts) ([]any, error) {
 	start := time.Now()
-	ab, err := wire.MarshalArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	msg.Args = ab
 	msg.Thread = c.rec // pins travel with the thread (§3.5)
 	msg.Chain = append(msg.Chain, n.id)
 	if msg.Op == opInvoke && n.replicaOn {
@@ -271,7 +266,7 @@ func (n *Node) shipInvoke(c *Ctx, msg *routedMsg, to gaddr.NodeID, args []any, o
 		msg.SnapMax = n.replicaMax
 		msg.Flags |= rmFlagLeaseOK
 	}
-	body, err := wire.MarshalInto(msg)
+	body, err := assembleVec(msg, args)
 	if err != nil {
 		return nil, err
 	}
@@ -301,9 +296,19 @@ func (n *Node) shipInvoke(c *Ctx, msg *routedMsg, to gaddr.NodeID, args []any, o
 		tr.Emit(trace.Event{Kind: trace.KMigrateIn, Trace: c.rec.ID, Span: c.span,
 			Thread: c.rec.ID, Obj: uint64(msg.Obj), Arg: int64(n.id)})
 	}
+	return n.acceptReply(msg.Obj, resp)
+}
+
+// acceptReply is the return leg every shipped invocation shares — blocking,
+// async or chain: decode the invokeReply, learn where the object was found,
+// queue any piggybacked replica or lease for installation, decode the
+// results, and return the reply buffer to the pool.
+func (n *Node) acceptReply(obj gaddr.Addr, resp []byte) ([]any, error) {
+	// Results and SnapState alias resp: it is recycled only once the values
+	// are copied out, on every path.
+	defer wire.PutBuf(resp)
 	var ir invokeReply
-	if err := wire.UnmarshalFrom(resp, &ir); err != nil {
-		wire.PutBuf(resp)
+	if _, err := ir.DecodeWire(resp); err != nil {
 		return nil, err
 	}
 	// Return-time check accounting (§3.5): the thread returns to this node;
@@ -311,36 +316,24 @@ func (n *Node) shipInvoke(c *Ctx, msg *routedMsg, to gaddr.NodeID, args []any, o
 	// therefore still resident — under the drain protocol the check cannot
 	// fail, which is exactly why the protocol is safe.
 	n.counts.Inc("return_checks")
-	n.learnLocation(msg.Obj, ir.Node, ir.Epoch)
+	n.learnLocation(obj, ir.Node, ir.Epoch)
 	if ir.Immutable {
-		// The call shipped to an immutable object: a miss this replica layer
-		// could have absorbed. Install asynchronously so the decode is not
-		// charged to this (cold) call's latency; ir.SnapState aliases resp, so
-		// hand the goroutine an owned copy before the buffer is pooled.
+		// The call shipped to an immutable object: a miss the replica layer
+		// could have absorbed.
 		n.cReplicaMiss.Inc()
-		if n.replicaOn && ir.SnapType != "" {
-			owned := append([]byte(nil), ir.SnapState...)
-			n.queueReplicaInstall(replicaInstall{
-				obj: msg.Obj, from: ir.Node, typ: ir.SnapType, state: owned, epoch: ir.Epoch,
-			})
-		}
-	} else if ir.Lease {
-		// The executor granted a reader lease on a cacheable mutable object:
-		// install the copy so subsequent read-only invokes stay local until
-		// the grantor's next write revokes it (or the TTL runs out).
-		if n.replicaOn && ir.SnapType != "" && ir.LeaseNs > 0 {
-			owned := append([]byte(nil), ir.SnapState...)
-			n.queueReplicaInstall(replicaInstall{
-				obj: msg.Obj, from: ir.Node, typ: ir.SnapType, state: owned,
-				epoch: ir.Epoch, lease: true, ttl: int64(ir.LeaseNs),
-			})
-		}
 	}
-	// ir.Results aliases resp; UnmarshalArgs copies the values out, after
-	// which the reply buffer can go back to the pool.
-	out, err := wire.UnmarshalArgs(ir.Results)
-	wire.PutBuf(resp)
-	return out, err
+	if n.replicaOn && ir.SnapType != "" && (ir.Immutable || (ir.Lease && ir.LeaseNs > 0)) {
+		// The executor piggybacked the object's snapshot: an immutable replica,
+		// or a reader lease on a cacheable mutable object that keeps read-only
+		// invokes local until the grantor's next write revokes it (or the TTL
+		// runs out). Install asynchronously so the decode is not charged to
+		// this (cold) call's latency, from a copy the installer owns.
+		n.queueReplicaInstall(replicaInstall{
+			obj: obj, from: ir.Node, typ: ir.SnapType, state: append([]byte(nil), ir.SnapState...),
+			epoch: ir.Epoch, lease: !ir.Immutable, ttl: int64(ir.LeaseNs),
+		})
+	}
+	return wire.UnmarshalArgs(ir.Results)
 }
 
 // learnLocation caches where an object was last seen (the originating node's
@@ -458,7 +451,7 @@ func (n *Node) unpin(d *descriptor) {
 // here, or forward along the chain with a detached reply (§3.3).
 func (n *Node) handleRouted(rc *rpc.Ctx) {
 	var msg routedMsg
-	if err := wire.UnmarshalFrom(rc.Body, &msg); err != nil {
+	if _, err := msg.DecodeWire(rc.Body); err != nil {
 		rc.Reply(nil, err)
 		return
 	}
@@ -529,11 +522,7 @@ func (n *Node) handleRouted(rc *rpc.Ctx) {
 			// MaxHops bounds the chase; the origin restarts it with a fresh
 			// chain if the history is longer than that.
 			msg.Chain = append(msg.Chain, n.id)
-			body, merr := wire.MarshalInto(&msg)
-			if merr != nil {
-				rc.Reply(nil, merr)
-				return
-			}
+			body := encode(&msg, 0)
 			n.counts.Inc("forwards")
 			if n.tracer.On() {
 				n.tracer.Emit(trace.Event{Kind: trace.KForward, Trace: rc.Trace.TraceID,
@@ -628,27 +617,24 @@ func (n *Node) executeRouted(rc *rpc.Ctx, d *descriptor, msg *routedMsg) error {
 			n.sendChainUpdates(msg.Obj, epoch, msg.Chain, rc.Origin)
 			return nil
 		}
-		rb, err := wire.MarshalArgs(results)
-		if err != nil {
-			rc.Reply(nil, err)
-			return nil
-		}
 		// Read-path replication (§2.3): if the origin asked for a snapshot and
 		// the object is immutable, piggyback its encoding on this reply so the
 		// origin installs a local replica in the same round trip. The mutable
 		// generalization: a read-only invoke on a cacheable object piggybacks
 		// a reader lease instead (state + epoch + lifetime).
-		ir := invokeReply{Results: rb, Node: n.id, Epoch: epoch, Immutable: d.Immutable()}
+		ir := invokeReply{Node: n.id, Epoch: epoch, Immutable: d.Immutable()}
 		if msg.SnapMax > 0 && ir.Immutable {
 			ir.SnapType, ir.SnapState = n.replicaSnapshot(d, msg.SnapMax)
 		} else if grantable {
 			n.leaseGrantTo(rc.Origin, d, msg.Obj, msg.SnapMax, &ir)
 			if ir.Lease {
 				epoch = ir.Epoch // the grant's residency claim (may be newer)
+				// The grant's state sits in a pooled buffer until the reply
+				// frame below has copied it in.
+				defer wire.PutBuf(ir.SnapState)
 			}
 		}
-		body, err := wire.MarshalInto(&ir)
-		rc.Reply(body, err)
+		rc.Reply(assembleVec(&ir, results))
 		n.sendChainUpdates(msg.Obj, epoch, msg.Chain, rc.Origin)
 		return nil
 
@@ -701,11 +687,7 @@ func (n *Node) executeRouted(rc *rpc.Ctx, d *descriptor, msg *routedMsg) error {
 		}
 		if fwd != gaddr.NoNode {
 			msg.Chain = append(msg.Chain, n.id)
-			body, merr := wire.MarshalInto(msg)
-			if merr != nil {
-				return merr
-			}
-			return rc.Forward(fwd, procRouted, body)
+			return rc.Forward(fwd, procRouted, encode(msg, 0))
 		}
 		rc.Reply(nil, nil)
 		return nil

@@ -93,6 +93,8 @@ func (n *Node) leaseRecord(obj gaddr.Addr, peer gaddr.NodeID, d *descriptor) uin
 // (move, eviction) and the grant is silently abandoned — the origin just
 // stays cold.
 //
+// On a grant ir.SnapState is a pooled buffer the caller owns.
+//
 // A grant recorded here is NEVER unrecorded on a later failure: the entry
 // may also cover an earlier, still-live lease at the same peer, and erasing
 // it would let the next write skip that peer's revoke. A spurious entry only
@@ -121,10 +123,9 @@ func (n *Node) leaseGrantTo(peer gaddr.NodeID, d *descriptor, obj gaddr.Addr, ma
 			n.counts.Inc("lease_snaps_oversize")
 			return
 		}
-		// Owned copy: ir outlives this call, and the pooled encode buffer
-		// must go back to the wire pool now rather than ride the reply.
-		state = append(make([]byte, 0, len(b)), b...)
-		wire.PutBuf(b)
+		// The pooled encode buffer itself rides in ir until the reply frame
+		// has copied it; the caller returns it to the pool then.
+		state = b
 	}
 	ir.Lease = true
 	ir.LeaseNs = uint64(n.leaseTTL)
@@ -273,7 +274,10 @@ func (n *Node) handleLease(rc *rpc.Ctx) {
 		if d.Lease() {
 			// Stop serving immediately — even a pinned copy refuses new
 			// reads once the expiry is zeroed — and advance the epoch so a
-			// queued stale install cannot resurrect the old value.
+			// queued stale install cannot resurrect the old value. The zero
+			// expiry also marks the copy dead for installLease: the next
+			// grant carries this same epoch with post-write state, and must
+			// replace the copy rather than renew it.
 			d.SetLeaseExpiry(0)
 			if msg.Epoch > d.Epoch() {
 				d.SetEpochLocked(msg.Epoch)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -454,5 +455,115 @@ func TestLeasePurgeOnPeerDeath(t *testing.T) {
 	}
 	if cl.Node(0).Stats().Value("lease_hits") != before {
 		t.Error("read after purge was served by the purged lease copy")
+	}
+}
+
+// GatedCounter is a LeasedCounter whose HeldGet can be parked mid-call, so a
+// test can keep a lease copy pinned by a reader for as long as it likes.
+type GatedCounter struct{ N int }
+
+// heldGate, when set, parks every HeldGet between entered and release.
+var heldGate atomic.Pointer[struct{ entered, release chan struct{} }]
+
+func (c *GatedCounter) Add(n int) int { c.N += n; return c.N }
+func (c *GatedCounter) Get() int      { return c.N }
+func (c *GatedCounter) HeldGet() int {
+	if g := heldGate.Load(); g != nil {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+	return c.N
+}
+func (c *GatedCounter) AmberReadOnly() []string { return []string{"Get", "HeldGet"} }
+
+// TestLeaseRevokedWhilePinnedIsNotRenewed is read-your-writes for two threads
+// sharing one cacheable counter from one node. Thread A is parked inside a
+// leased read when thread B's write revokes the lease: the copy cannot be torn
+// down under A, so it stays resident — dead, at the revoke's epoch, with
+// pre-write state. B's next read is granted a fresh lease at that same epoch.
+// Treating the grant as a renewal ("same epoch, same state") re-armed the
+// stale copy, and B then read a value older than the one its own Add returned.
+func TestLeaseRevokedWhilePinnedIsNotRenewed(t *testing.T) {
+	cl := newLeaseCluster(t, 2, 30*time.Second)
+	if err := cl.Register(&GatedCounter{}); err != nil {
+		t.Fatal(err)
+	}
+	owner := cl.Node(1).Root()
+	ref, err := owner.New(&GatedCounter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.SetCacheable(ref); err != nil {
+		t.Fatal(err)
+	}
+	reader := cl.Node(0)
+	a, b := reader.Root(), reader.Root()
+	get := func(c *Ctx, method string) int {
+		t.Helper()
+		out, err := c.Invoke(ref, method)
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		return out[0].(int)
+	}
+	readUntilLeaseHit(t, cl, 0, ref, 0)
+
+	// A parks inside the lease copy, pinning it.
+	gate := &struct{ entered, release chan struct{} }{make(chan struct{}), make(chan struct{})}
+	heldGate.Store(gate)
+	defer heldGate.Store(nil)
+	aSaw := make(chan int, 1)
+	go func() { aSaw <- get(a, "HeldGet") }()
+	<-gate.entered
+
+	// B writes: the fence's revoke finds the copy pinned.
+	out, err := b.Invoke(ref, "Add", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := out[0].(int)
+	if seen != 1 {
+		t.Fatalf("Add returned %d", seen)
+	}
+	if reader.Objects()["lease"] != 1 {
+		t.Fatalf("the pinned copy should still be resident: %v", reader.Objects())
+	}
+
+	// B reads until the installer has dealt with the grant its read brought
+	// back — refused (the copy is still pinned) or, before the fix, renewed —
+	// and then once more. Every read must show B its own write.
+	settled := func() int64 {
+		s := reader.Stats()
+		return s.Value("lease_installs_dropped") + s.Value("lease_renewals")
+	}
+	before := settled()
+	for deadline := time.Now().Add(5 * time.Second); settled() == before; {
+		if v := get(b, "Get"); v < seen {
+			t.Fatalf("B read %d after its own Add returned %d", v, seen)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the grant was never offered to the installer")
+		}
+	}
+	if n := reader.Stats().Value("lease_renewals"); n != 0 {
+		t.Errorf("a revoked copy was renewed %d times", n)
+	}
+	for i := 0; i < 3; i++ {
+		if v := get(b, "Get"); v < seen {
+			t.Fatalf("B read %d after its own Add returned %d", v, seen)
+		}
+	}
+
+	// A's read began before the write and may return either value; once it
+	// leaves, the next grant replaces the dead copy and both threads read the
+	// new value locally again.
+	close(gate.release)
+	if v := <-aSaw; v != 0 && v != 1 {
+		t.Fatalf("A read %d", v)
+	}
+	heldGate.Store(nil)
+	readUntilLeaseHit(t, cl, 0, ref, 1)
+	if v := get(a, "Get"); v != 1 {
+		t.Fatalf("A read %d after the lease was replaced", v)
 	}
 }

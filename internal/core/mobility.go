@@ -8,6 +8,7 @@ import (
 
 	"amber/internal/gaddr"
 	"amber/internal/objspace"
+	"amber/internal/rpc"
 	"amber/internal/wire"
 )
 
@@ -76,22 +77,34 @@ func (op *moveOp) shippedEpoch() uint64 {
 // objects revert to resident.
 func (op *moveOp) ship() error {
 	n := op.node
-	snaps := make([]snapshot, len(op.mems))
+	// The install frame is assembled in place, member by member: each object's
+	// state is encoded straight into it under that member's lock.
+	epochs := make([]uint64, len(op.mems))
+	leasable := make([]bool, len(op.mems))
+	hint := 0
+	for _, m := range op.mems {
+		m.Lock()
+		hint += snapHint(m)
+		m.Unlock()
+	}
+	frame := n.installFrame(false, len(op.mems), hint)
 	for i, m := range op.mems {
 		m.Lock()
-		s, err := n.snapshotLocked(op.addrs[i], m)
+		epochs[i] = m.Epoch() + 1 // the residency version after this move
+		leasable[i] = m.Leasable()
+		next, err := n.appendSnapshot(frame, op.addrs[i], m, epochs[i])
 		m.Unlock()
 		if err != nil {
+			wire.PutBuf(frame)
 			op.revert()
 			return err
 		}
-		s.Epoch = m.Epoch() + 1 // the residency version after this move
-		snaps[i] = s
+		frame = next
 	}
 	op.mu.Lock()
-	op.epoch = snaps[0].Epoch // addrs[0] is the component root
+	op.epoch = epochs[0] // addrs[0] is the component root
 	op.mu.Unlock()
-	if err := n.installRemote(op.dest, &installMsg{From: n.id, Objects: snaps}); err != nil {
+	if err := n.installRemote(op.dest, frame); err != nil {
 		op.revert()
 		return err
 	}
@@ -114,7 +127,7 @@ func (op *moveOp) ship() error {
 		// version Epoch, and only gossip newer than that may retarget it.
 		m.SetStateLocked(stateForwarded)
 		m.Fwd = op.dest
-		m.SetEpochLocked(snaps[i].Epoch)
+		m.SetEpochLocked(epochs[i])
 		m.Payload = payload{}
 		m.ClearAttachLocked()
 		m.Mv = nil
@@ -130,8 +143,8 @@ func (op *moveOp) ship() error {
 	// from the new residency. Runs after the flips: a reader racing the fence
 	// chases a tombstone either way.
 	for i := range op.mems {
-		if snaps[i].Leasable {
-			n.leaseFence(nil, op.addrs[i], snaps[i].Epoch, op.dest)
+		if leasable[i] {
+			n.leaseFence(nil, op.addrs[i], epochs[i], op.dest)
 			n.leaseDropGrants(op.addrs[i])
 		}
 	}
@@ -152,49 +165,65 @@ func (op *moveOp) revert() {
 	}
 }
 
-// snapshotLocked captures one object's migrating state; d.mu held.
-func (n *Node) snapshotLocked(a gaddr.Addr, d *descriptor) (snapshot, error) {
+// installFrame opens an install batch of count snapshots in a pooled buffer
+// presized for hint bytes of them (see snapHint).
+func (n *Node) installFrame(isCopy bool, count, hint int) []byte {
+	return appendInstallHeader(wire.GetBufCap(16+hint+rpc.FrameRoom), n.id, isCopy, count)
+}
+
+// snapHint estimates d's snapshot size from what its class encoded to last
+// time; d.mu held.
+func snapHint(d *descriptor) int {
+	if ti := d.Payload.ti; ti != nil {
+		return 64 + int(ti.snapSize.Load())
+	}
+	return 64
+}
+
+// appendSnapshot appends one object's migrating state to an install frame,
+// to arrive with residency version epoch; d.mu held. The state is encoded in
+// place — or copied from the payload's snap cell when an immutable object
+// already carries its encoding (filled by the read-replication path; the
+// state cannot have changed since).
+func (n *Node) appendSnapshot(b []byte, a gaddr.Addr, d *descriptor, epoch uint64) ([]byte, error) {
 	ti := d.Payload.ti
 	if ti == nil || !ti.serializable {
-		return snapshot{}, fmt.Errorf("%w: %#x is not serializable", ErrNotMovable, uint64(a))
+		return nil, fmt.Errorf("%w: %#x is not serializable", ErrNotMovable, uint64(a))
 	}
-	var state []byte
-	if ti.hasState {
-		// An immutable object may already carry its encoding in the payload's
-		// snap cell (filled by the read-replication path); reuse it — the
-		// state cannot have changed since.
-		if cell := d.Payload.snap; cell != nil {
-			if enc := cell.v.Load(); enc != nil {
-				state = *enc
-			}
-		}
-		if state == nil {
-			var err error
-			state, err = wire.Marshal(d.Payload.obj.Elem().Interface())
-			if err != nil {
-				return snapshot{}, fmt.Errorf("amber: snapshot %#x: %w", uint64(a), err)
-			}
-		}
-	}
-	return snapshot{
+	s := snapshot{
 		Addr:      a,
 		TypeName:  ti.name,
-		State:     state,
 		Immutable: d.Immutable(),
 		Leasable:  d.Leasable(),
+		Epoch:     epoch,
 		Attached:  d.AttachPeers(),
-	}, nil
+	}
+	var obj any
+	if ti.hasState {
+		if cell := d.Payload.snap; cell != nil {
+			if enc := cell.v.Load(); enc != nil {
+				s.State = *enc
+			}
+		}
+		if s.State == nil {
+			obj = d.Payload.obj.Elem().Interface()
+		}
+	}
+	mark := len(b)
+	b, err := s.appendWire(b, obj)
+	if err != nil {
+		return nil, fmt.Errorf("amber: snapshot %#x: %w", uint64(a), err)
+	}
+	ti.snapSize.Store(int64(len(b) - mark))
+	return b, nil
 }
 
 // installRemote ships an install batch and waits for the acknowledgement.
 // The bulk-transfer path of §4.2: one network transaction regardless of the
 // objects' size or layout.
-func (n *Node) installRemote(dest gaddr.NodeID, msg *installMsg) error {
-	body, err := wire.MarshalInto(msg)
-	if err != nil {
-		return err
-	}
-	_, err = n.call(dest, procInstall, body)
+func (n *Node) installRemote(dest gaddr.NodeID, frame []byte) error {
+	resp, err := n.call(dest, procInstall, frame)
+	wire.PutBuf(resp)
 	return err
 }
 
@@ -217,13 +246,15 @@ func (n *Node) executeMove(d *descriptor, msg *routedMsg, noDefer bool) (moveRep
 			d.Unlock()
 			return moveReply{Node: n.id}, nil
 		}
-		snap, err := n.snapshotLocked(msg.Obj, d)
-		snap.Epoch = d.Epoch() // a copy, not a move: the version stands
+		frame := n.installFrame(true, 1, snapHint(d))
+		// A copy, not a move: the residency version stands.
+		next, err := n.appendSnapshot(frame, msg.Obj, d, d.Epoch())
 		d.Unlock()
 		if err != nil {
+			wire.PutBuf(frame)
 			return moveReply{}, err
 		}
-		if err := n.installRemote(dest, &installMsg{From: n.id, Copy: true, Objects: []snapshot{snap}}); err != nil {
+		if err := n.installRemote(dest, next); err != nil {
 			return moveReply{}, err
 		}
 		n.counts.Inc("replicas_sent")
@@ -694,12 +725,19 @@ func (n *Node) executeUnattach(d *descriptor, msg *routedMsg) error {
 	if second != nil && second != first {
 		second.Lock()
 	}
-	if !d.HasAttach(msg.Peer) {
+	if d.State() != stateResident || !d.HasAttach(msg.Peer) {
+		// The descriptor was unlocked while the move locks were taken: if the
+		// component shipped out in that window its edges went with it, and
+		// the answer is to chase it, not to report the pair unattached.
+		err := errRetryRoute
+		if d.State() == stateResident {
+			err = fmt.Errorf("%w: %#x and %#x", ErrNotAttached, uint64(msg.Obj), uint64(msg.Peer))
+		}
 		if second != nil && second != first {
 			second.Unlock()
 		}
 		first.Unlock()
-		return fmt.Errorf("%w: %#x and %#x", ErrNotAttached, uint64(msg.Obj), uint64(msg.Peer))
+		return err
 	}
 	d.RemoveAttach(msg.Peer)
 	if pd != nil {
@@ -731,11 +769,7 @@ func (n *Node) locateInternal(obj gaddr.Addr) (gaddr.NodeID, bool, error) {
 			if len(msg.Chain) > n.cfg.MaxHops {
 				return gaddr.NoNode, false, ErrRoutingLost
 			}
-			body, merr := wire.MarshalInto(&msg)
-			if merr != nil {
-				return gaddr.NoNode, false, merr
-			}
-			resp, cerr := n.call(to, procRouted, body)
+			resp, cerr := n.call(to, procRouted, encode(&msg, 0))
 			if cerr != nil {
 				return gaddr.NoNode, false, mapRemoteError(cerr)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"amber/internal/wire"
 )
@@ -58,6 +59,9 @@ type typeInfo struct {
 	// the interface and the Dispatch method itself is excluded from the
 	// operation table (it is plumbing, not an operation).
 	selfDispatch bool
+	// snapSize remembers how large this class's last state encoding was, so
+	// the next install frame carrying one is presized to hold it.
+	snapSize atomic.Int64
 }
 
 // methodInfo describes one operation.

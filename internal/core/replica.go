@@ -222,10 +222,14 @@ func (n *Node) replicaTrackEvicting(obj gaddr.Addr, from gaddr.NodeID, lease boo
 }
 
 // installLease installs a piggybacked snapshot of a mutable cacheable object
-// as a local reader lease, or — when a live lease at the same residency epoch
-// is already resident — just extends its expiry (a renewal: the same epoch
-// means the same state, since every write bumps the epoch). state must be
-// owned by the caller. Runs on the installer worker, like installReplica.
+// as a local reader lease, or — when a lease at the same residency epoch is
+// already resident — just extends its expiry (a renewal: the same epoch means
+// the same state, since every write bumps the epoch). The one exception is a
+// copy that was revoked while a reader had it pinned: handleLease could not
+// tear it down, so it stands at the revoke's epoch with pre-write state and a
+// zeroed expiry. A zero expiry marks a copy dead — it is never renewed, only
+// replaced by the grant's state. state must be owned by the caller. Runs on
+// the installer worker, like installReplica.
 func (n *Node) installLease(r replicaInstall) {
 	if r.from == n.id || r.epoch == 0 || r.ttl <= 0 {
 		return
@@ -236,9 +240,9 @@ func (n *Node) installLease(r replicaInstall) {
 	expiry := time.Now().UnixNano() + r.ttl
 	// Renewal fast path, and a cheap pre-check before paying for the decode.
 	if d := n.desc(r.obj); d != nil {
-		if d.State() == stateResident && d.Lease() && d.Epoch() == r.epoch {
+		if d.State() == stateResident && d.Lease() && d.Epoch() == r.epoch && d.LeaseExpiry() != 0 {
 			d.Lock()
-			if d.State() == stateResident && d.Lease() && d.Epoch() == r.epoch {
+			if d.State() == stateResident && d.Lease() && d.Epoch() == r.epoch && d.LeaseExpiry() != 0 {
 				if expiry > d.LeaseExpiry() {
 					d.SetLeaseExpiry(expiry)
 				}
@@ -286,7 +290,7 @@ func (n *Node) installLease(r replicaInstall) {
 	switch d.State() {
 	case stateResident:
 		switch {
-		case d.Lease() && d.Epoch() == r.epoch:
+		case d.Lease() && d.Epoch() == r.epoch && d.LeaseExpiry() != 0:
 			// Renewal that raced the pre-check.
 			if expiry > d.LeaseExpiry() {
 				d.SetLeaseExpiry(expiry)
@@ -294,10 +298,11 @@ func (n *Node) installLease(r replicaInstall) {
 			d.Unlock()
 			n.counts.Inc("lease_renewals")
 			return
-		case d.Lease() && r.epoch > d.Epoch():
-			// A fresher grant replaces the stale copy — but only once no
-			// pinned reader is still executing against the old value.
-			// Mark-then-check as everywhere: moving refuses new pins.
+		case d.Lease() && r.epoch >= d.Epoch():
+			// A fresher grant — or one at the epoch a revoke left on a dead
+			// copy — replaces the stale state, but only once no pinned reader
+			// is still executing against the old value. Mark-then-check as
+			// everywhere: moving refuses new pins.
 			if pins := d.SetStateLocked(stateMoving); pins > 0 {
 				d.SetStateLocked(stateResident)
 				d.Broadcast()

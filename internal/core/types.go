@@ -230,9 +230,13 @@ type routedMsg struct {
 	Op     routedOp
 	Obj    gaddr.Addr
 	Thread ThreadRec
-	// Method and Args apply to opInvoke.
+	// Method applies to opInvoke.
 	Method string
-	Args   []byte
+	// Args is the operation's payload — the argument vector for opInvoke, the
+	// chainMsg for opChain — and the last thing in the encoding: it runs to
+	// the end of the message, so a sender appends it in place behind the
+	// fields above instead of marshalling it apart and copying it in.
+	Args []byte
 	// Dest applies to opMove (target node), opAttach (parent object is in
 	// Peer), opUnattach (peer in Peer).
 	Dest gaddr.NodeID
@@ -265,6 +269,8 @@ const (
 
 // invokeReply is the wire form of an invocation result.
 type invokeReply struct {
+	// Results is the result vector and, like routedMsg.Args, the tail of the
+	// encoding, appended in place by the executor.
 	Results []byte
 	// Node is the node that executed, so the caller can update its cache.
 	Node gaddr.NodeID
@@ -361,7 +367,8 @@ type leaseMsg struct {
 
 // traceDumpMsg requests a node's buffered trace events (Last <= 0 = all).
 // Both dump messages deliberately ride the gob fallback: introspection is
-// not a hot path and exercising the fallback keeps it honest.
+// not a hot path, and they are what keeps the fallback exercised now that
+// every message on a paper mechanism's path has a codec.
 type traceDumpMsg struct {
 	Last int
 }
@@ -399,11 +406,23 @@ type regionReply struct {
 // --- fast-path wire codecs (see internal/wire) ---
 //
 // The routed-operation protocol is the hot path of the whole system: every
-// remote invocation, locate, and move crosses the wire as one of the structs
-// below. They implement wire.Codec so MarshalInto/UnmarshalFrom bypass gob
-// and its per-message type descriptors. installMsg/snapshot deliberately stay
-// on the gob fallback: installs are the bulk path, carry arbitrary user state
-// anyway, and exercise the fallback in production.
+// remote invocation, locate, move and install crosses the wire as one of the
+// structs below. They implement wire.Codec so MarshalInto/UnmarshalFrom bypass
+// gob and its per-message type descriptors. Only the introspection pairs
+// (trace dump, stats pull) stay on the gob fallback.
+//
+// routedMsg and invokeReply are frame headers (see frame.go): their bulk
+// field comes last and runs to the end of the message, so the sender's
+// AppendWire is followed by the vector appended in place. sizeHint is the
+// header's share of the frame's presizing.
+
+func (m *routedMsg) sizeHint() int {
+	return 48 + len(m.Method) + len(m.Args) + 10*len(m.Thread.Pins) + 5*len(m.Chain)
+}
+
+func (m *invokeReply) sizeHint() int {
+	return 32 + len(m.Results) + len(m.SnapType) + len(m.SnapState)
+}
 
 func (t *ThreadRec) appendWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, t.ID)
@@ -457,7 +476,6 @@ func (m *routedMsg) AppendWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(m.Obj))
 	b = m.Thread.appendWire(b)
 	b = wire.AppendString(b, m.Method)
-	b = wire.AppendBytes(b, m.Args)
 	b = wire.AppendVarint(b, int64(m.Dest))
 	b = wire.AppendUvarint(b, uint64(m.Peer))
 	b = wire.AppendUvarint(b, uint64(len(m.Chain)))
@@ -465,12 +483,13 @@ func (m *routedMsg) AppendWire(b []byte) []byte {
 		b = wire.AppendVarint(b, int64(hop))
 	}
 	b = wire.AppendUvarint(b, m.SnapMax)
-	return append(b, m.Flags)
+	b = append(b, m.Flags)
+	return append(b, m.Args...)
 }
 
-// DecodeWire implements wire.Codec. Args aliases b (zero copy) and is only
-// valid while the enclosing request payload is; UnmarshalArgs copies out of
-// it before the handler returns.
+// DecodeWire implements wire.Codec. Args is the rest of b (zero copy) and is
+// only valid while the enclosing request payload is; UnmarshalArgs copies out
+// of it before the handler returns.
 func (m *routedMsg) DecodeWire(b []byte) ([]byte, error) {
 	if len(b) < 1 {
 		return nil, wire.ErrShortBuffer
@@ -487,9 +506,6 @@ func (m *routedMsg) DecodeWire(b []byte) ([]byte, error) {
 		return nil, err
 	}
 	if m.Method, b, err = wire.ReadString(b); err != nil {
-		return nil, err
-	}
-	if m.Args, b, err = wire.ReadBytes(b); err != nil {
 		return nil, err
 	}
 	if v, b, err = wire.ReadVarint(b); err != nil {
@@ -523,8 +539,8 @@ func (m *routedMsg) DecodeWire(b []byte) ([]byte, error) {
 	if len(b) < 1 {
 		return nil, wire.ErrShortBuffer
 	}
-	m.Flags, b = b[0], b[1:]
-	return b, nil
+	m.Flags, m.Args = b[0], b[1:]
+	return nil, nil
 }
 
 // invokeReply flag bits (one byte after Epoch on the wire).
@@ -536,7 +552,6 @@ const (
 
 // AppendWire implements wire.Codec.
 func (m *invokeReply) AppendWire(b []byte) []byte {
-	b = wire.AppendBytes(b, m.Results)
 	b = wire.AppendVarint(b, int64(m.Node))
 	b = wire.AppendUvarint(b, m.Epoch)
 	var flags byte
@@ -557,17 +572,15 @@ func (m *invokeReply) AppendWire(b []byte) []byte {
 		b = wire.AppendString(b, m.SnapType)
 		b = wire.AppendBytes(b, m.SnapState)
 	}
-	return b
+	return append(b, m.Results...)
 }
 
-// DecodeWire implements wire.Codec. Results and SnapState alias b; the caller
-// recycles the reply payload only after copying the values out.
+// DecodeWire implements wire.Codec. Results (the rest of b) and SnapState
+// alias b; the caller recycles the reply payload only after copying the
+// values out.
 func (m *invokeReply) DecodeWire(b []byte) ([]byte, error) {
 	var err error
 	var v int64
-	if m.Results, b, err = wire.ReadBytes(b); err != nil {
-		return nil, err
-	}
 	if v, b, err = wire.ReadVarint(b); err != nil {
 		return nil, err
 	}
@@ -596,6 +609,144 @@ func (m *invokeReply) DecodeWire(b []byte) ([]byte, error) {
 		if m.SnapState, b, err = wire.ReadBytes(b); err != nil {
 			return nil, err
 		}
+	}
+	m.Results = b
+	return nil, nil
+}
+
+// snapshot flag bits.
+const (
+	snapFlagImmutable = 1 << 0
+	snapFlagLeasable  = 1 << 1
+)
+
+// snapshotMinWire is the shortest possible snapshot encoding (six one-byte
+// fields), which bounds the object count a decoder will believe.
+const snapshotMinWire = 6
+
+// appendWire appends the snapshot: its fields, then the object's state behind
+// a length prefix — s.State when that is set (a cached or received encoding),
+// otherwise obj encoded in place (a nil obj is a stateless type).
+func (s *snapshot) appendWire(b []byte, obj any) ([]byte, error) {
+	b = wire.AppendUvarint(b, uint64(s.Addr))
+	b = wire.AppendString(b, s.TypeName)
+	var flags byte
+	if s.Immutable {
+		flags |= snapFlagImmutable
+	}
+	if s.Leasable {
+		flags |= snapFlagLeasable
+	}
+	b = append(b, flags)
+	b = wire.AppendUvarint(b, s.Epoch)
+	b = wire.AppendUvarint(b, uint64(len(s.Attached)))
+	for _, a := range s.Attached {
+		b = wire.AppendUvarint(b, uint64(a))
+	}
+	if s.State != nil || obj == nil {
+		return wire.AppendBytes(b, s.State), nil
+	}
+	b, mark := wire.BeginSized(b)
+	b, err := wire.AppendValue(b, obj)
+	if err != nil {
+		return nil, err
+	}
+	return wire.EndSized(b, mark), nil
+}
+
+// decodeWire consumes one snapshot. State aliases b.
+func (s *snapshot) decodeWire(b []byte) ([]byte, error) {
+	var err error
+	var u, cnt uint64
+	if u, b, err = wire.ReadUvarint(b); err != nil {
+		return nil, err
+	}
+	s.Addr = gaddr.Addr(u)
+	if s.TypeName, b, err = wire.ReadString(b); err != nil {
+		return nil, err
+	}
+	if len(b) < 1 {
+		return nil, wire.ErrShortBuffer
+	}
+	s.Immutable, s.Leasable = b[0]&snapFlagImmutable != 0, b[0]&snapFlagLeasable != 0
+	if s.Epoch, b, err = wire.ReadUvarint(b[1:]); err != nil {
+		return nil, err
+	}
+	if cnt, b, err = wire.ReadUvarint(b); err != nil {
+		return nil, err
+	}
+	s.Attached = nil
+	if cnt > 0 {
+		if cnt > uint64(len(b)) {
+			return nil, wire.ErrShortBuffer
+		}
+		s.Attached = make([]gaddr.Addr, cnt)
+		for i := range s.Attached {
+			if u, b, err = wire.ReadUvarint(b); err != nil {
+				return nil, err
+			}
+			s.Attached[i] = gaddr.Addr(u)
+		}
+	}
+	if s.State, b, err = wire.ReadBytes(b); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// appendInstallHeader opens an install batch of count snapshots; the sender
+// appends them one by one behind it (snapshot.appendWire).
+func appendInstallHeader(b []byte, from gaddr.NodeID, isCopy bool, count int) []byte {
+	b = wire.AppendVarint(b, int64(from))
+	if isCopy {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	return wire.AppendUvarint(b, uint64(count))
+}
+
+// AppendWire implements wire.Codec for a batch whose snapshots carry their
+// State as bytes. The migration path encodes live objects and so builds the
+// same encoding piecewise (moveOp.ship).
+func (m *installMsg) AppendWire(b []byte) []byte {
+	b = appendInstallHeader(b, m.From, m.Copy, len(m.Objects))
+	for i := range m.Objects {
+		b, _ = m.Objects[i].appendWire(b, nil) // no object to encode: cannot fail
+	}
+	return b
+}
+
+// DecodeWire implements wire.Codec. Each snapshot's State aliases b; the
+// install handler decodes the objects out of it before the request payload is
+// recycled.
+func (m *installMsg) DecodeWire(b []byte) ([]byte, error) {
+	var err error
+	var v int64
+	var cnt uint64
+	if v, b, err = wire.ReadVarint(b); err != nil {
+		return nil, err
+	}
+	m.From = gaddr.NodeID(v)
+	if len(b) < 1 {
+		return nil, wire.ErrShortBuffer
+	}
+	m.Copy = b[0] != 0
+	if cnt, b, err = wire.ReadUvarint(b[1:]); err != nil {
+		return nil, err
+	}
+	m.Objects = nil
+	if cnt > uint64(len(b)/snapshotMinWire) {
+		return nil, wire.ErrShortBuffer
+	}
+	// Grown as snapshots actually decode: a hostile count cannot reserve
+	// memory the input does not back.
+	for ; cnt > 0; cnt-- {
+		var s snapshot
+		if b, err = s.decodeWire(b); err != nil {
+			return nil, err
+		}
+		m.Objects = append(m.Objects, s)
 	}
 	return b, nil
 }

@@ -146,13 +146,14 @@ func (n *Node) faultTarget(pg *page, p int, write bool) gaddr.NodeID {
 
 // invalidateAll sends invalidations and waits for every acknowledgement.
 func (n *Node) invalidateAll(p int, members []gaddr.NodeID) error {
-	body, err := wire.MarshalInto(&invalMsg{Page: p})
-	if err != nil {
-		return err
-	}
 	for _, m := range members {
 		if m == n.id {
 			continue
+		}
+		// One body per peer: a call takes ownership of the body it sends.
+		body, err := wire.MarshalInto(&invalMsg{Page: p})
+		if err != nil {
+			return err
 		}
 		if _, err := n.ep.Call(m, procInvalidate, body); err != nil {
 			return fmt.Errorf("ivy: invalidate page %d at node %d: %w", p, m, err)

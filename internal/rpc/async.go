@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"amber/internal/gaddr"
-	"amber/internal/wire"
 )
 
 // DefaultPipelineWindow is the default per-peer cap on outstanding async
@@ -31,8 +30,8 @@ type AsyncOpts struct {
 	// the callee's dedup window suppresses double execution. Allocate with
 	// NewToken.
 	Idem uint64
-	// NoFlush sends the request without scheduling a transport flush; the
-	// caller batches several StartCalls to one peer and ends with Kick. On
+	// NoFlush leaves the request in the transport's write buffer; the caller
+	// batches several StartCalls to one peer and ends with Kick. On
 	// transports without buffering it is identical to a plain send.
 	NoFlush bool
 }
@@ -70,16 +69,17 @@ func (ep *Endpoint) Inflight(to gaddr.NodeID) int {
 	return ep.inflight[to]
 }
 
-// Kick schedules a transport flush toward peer, ending a NoFlush batch. A
-// no-op when the transport has no flush concept.
+// Kick flushes the transport's write buffer toward peer, ending a NoFlush
+// batch. A no-op when the transport does not buffer.
 func (ep *Endpoint) Kick(to gaddr.NodeID) {
 	if ep.coal != nil {
 		ep.coal.Kick(to)
 	}
 }
 
-// StartCall issues one async request attempt and returns immediately. done is
-// invoked exactly once with the outcome — the reply body (ownership included;
+// StartCall issues one async request attempt and returns immediately, taking
+// ownership of body like every sending entry point. done is invoked exactly
+// once with the outcome — the reply body (ownership included;
 // recycle with wire.PutBuf when finished) or a classified error. Failure
 // classification matches CallWith: an expired or undeliverable attempt probes
 // the peer, yielding wrapped ErrNodeDown when the probe fails and ErrTimeout
@@ -90,7 +90,7 @@ func (ep *Endpoint) Kick(to gaddr.NodeID) {
 // block; long work belongs on a goroutine done spawns.
 func (ep *Endpoint) StartCall(to gaddr.NodeID, p Proc, body []byte, opts AsyncOpts, done func([]byte, error)) {
 	id := ep.nextID.Add(1)
-	msg := requestMsg{CallID: id, Origin: ep.Self(), Proc: p, Trace: opts.Trace, Idem: opts.Idem, Body: body}
+	hdr := requestHdr{CallID: id, Origin: ep.Self(), Proc: p, Trace: opts.Trace, Idem: opts.Idem}
 
 	pc := pendingCall{peer: to, fn: func(out replyOutcome) { done(out.body, out.err) }}
 	ep.mu.Lock()
@@ -106,15 +106,7 @@ func (ep *Endpoint) StartCall(to gaddr.NodeID, p Proc, body []byte, opts AsyncOp
 	ep.mu.Unlock()
 	ep.counts.Inc("rpc_async_started")
 
-	b, err := wire.MarshalInto(&msg)
-	if err == nil {
-		ep.counts.Inc("rpc_sent")
-		if opts.NoFlush && ep.coal != nil {
-			err = ep.coal.SendNoFlush(to, kindRequest, b)
-		} else {
-			err = ep.tr.Send(to, kindRequest, b)
-		}
-	}
+	err := ep.sendRequest(to, kindRequest, &hdr, body, opts.NoFlush)
 	if err == nil {
 		return
 	}

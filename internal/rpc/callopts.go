@@ -6,6 +6,7 @@ import (
 
 	"amber/internal/gaddr"
 	"amber/internal/trace"
+	"amber/internal/wire"
 )
 
 // CallOpts shapes one logical call's failure behavior. The zero value is a
@@ -50,13 +51,20 @@ func (ep *Endpoint) CallWith(to gaddr.NodeID, p Proc, body []byte, opts CallOpts
 		ep.mu.Unlock()
 	}()
 
-	msg := requestMsg{CallID: id, Origin: ep.Self(), Proc: p, Trace: opts.Trace, Body: body}
+	hdr := requestHdr{CallID: id, Origin: ep.Self(), Proc: p, Trace: opts.Trace}
 	if opts.Idempotent {
-		msg.Idem = id
+		hdr.Idem = id
 	}
 	attempts := opts.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
+	}
+	// A single-attempt call sends body itself. A call that may retry keeps
+	// body until it returns and sends a pooled copy per attempt, since an
+	// accepted frame belongs to the transport.
+	retrying := attempts > 1
+	if retrying {
+		defer wire.PutBuf(body)
 	}
 	backoff := opts.Backoff
 	if backoff <= 0 {
@@ -86,7 +94,11 @@ func (ep *Endpoint) CallWith(to gaddr.NodeID, p Proc, body []byte, opts CallOpts
 				backoff = maxBackoff
 			}
 		}
-		if err := ep.sendRequest(to, &msg, true); err != nil {
+		frame := body
+		if retrying {
+			frame = FrameCopy(body)
+		}
+		if err := ep.sendRequest(to, kindRequest, &hdr, frame, false); err != nil {
 			// The transport refused the send (dead socket, failed dial). Worth
 			// retrying — the peer may be rebooting — but classify on the way
 			// out so exhaustion surfaces as ErrNodeDown, not a dial error.

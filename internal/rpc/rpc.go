@@ -57,8 +57,25 @@ type TraceInfo struct {
 	SpanID  uint64
 }
 
-// requestMsg is the wire form of a request or oneway.
-type requestMsg struct {
+// Envelope layout. A frame is the caller's body followed by the envelope as a
+// trailer, and the frame's last byte is the trailer's length:
+//
+//	body … | envelope fields | len(envelope fields)
+//
+// Putting the envelope behind the body is what lets a message be one buffer:
+// the layer above encodes its body at the front of a pooled buffer, this
+// layer appends a dozen bytes to the same buffer, and the transport writes
+// it. On receipt the body is the payload's prefix — it starts where the
+// pooled buffer starts, so handing it on (Ctx.Body, a reply's result) and
+// later returning it with wire.PutBuf recycles the whole buffer.
+
+// FrameRoom is the most an envelope can add to a body. A body buffer obtained
+// with wire.GetBufCap(bodySize + FrameRoom) becomes the frame without
+// reallocation.
+const FrameRoom = 48
+
+// requestHdr is the envelope of a request or oneway.
+type requestHdr struct {
 	CallID uint64
 	Origin gaddr.NodeID
 	Proc   Proc
@@ -67,24 +84,44 @@ type requestMsg struct {
 	// one logical call carry the same token, so the callee's dedup window can
 	// suppress re-execution and replay the original reply. See CallOpts.
 	Idem uint64
-	Body []byte
 }
 
-// AppendWire implements wire.Codec: requests ride the fast path.
-func (m *requestMsg) AppendWire(b []byte) []byte {
+// appendTo appends the request trailer to body.
+func (m *requestHdr) appendTo(b []byte) []byte {
+	mark := len(b)
+	b = append(b, byte(m.Proc))
 	b = wire.AppendUvarint(b, m.CallID)
 	b = wire.AppendVarint(b, int64(m.Origin))
-	b = append(b, byte(m.Proc))
 	b = wire.AppendUvarint(b, m.Trace.TraceID)
 	b = wire.AppendUvarint(b, m.Trace.SpanID)
 	b = wire.AppendUvarint(b, m.Idem)
-	return wire.AppendBytes(b, m.Body)
+	return append(b, byte(len(b)-mark))
 }
 
-// DecodeWire implements wire.Codec. Body aliases b (zero copy); it is valid
-// until the enclosing payload is recycled after the handler returns.
-func (m *requestMsg) DecodeWire(b []byte) ([]byte, error) {
-	var err error
+// splitTrailer separates a frame into its body (the prefix, sharing the
+// frame's backing array from its start) and its envelope fields.
+func splitTrailer(frame []byte) (body, env []byte, err error) {
+	if len(frame) == 0 {
+		return nil, nil, wire.ErrShortBuffer
+	}
+	n := int(frame[len(frame)-1])
+	if n+1 > len(frame) {
+		return nil, nil, wire.ErrShortBuffer
+	}
+	cut := len(frame) - 1 - n
+	return frame[:cut], frame[cut : len(frame)-1], nil
+}
+
+// decode splits a request frame, filling m and returning the body.
+func (m *requestHdr) decode(frame []byte) ([]byte, error) {
+	body, b, err := splitTrailer(frame)
+	if err != nil {
+		return nil, err
+	}
+	if len(b) < 1 {
+		return nil, wire.ErrShortBuffer
+	}
+	m.Proc, b = Proc(b[0]), b[1:]
 	var origin int64
 	if m.CallID, b, err = wire.ReadUvarint(b); err != nil {
 		return nil, err
@@ -93,53 +130,41 @@ func (m *requestMsg) DecodeWire(b []byte) ([]byte, error) {
 		return nil, err
 	}
 	m.Origin = gaddr.NodeID(origin)
-	if len(b) < 1 {
-		return nil, wire.ErrShortBuffer
-	}
-	m.Proc, b = Proc(b[0]), b[1:]
 	if m.Trace.TraceID, b, err = wire.ReadUvarint(b); err != nil {
 		return nil, err
 	}
 	if m.Trace.SpanID, b, err = wire.ReadUvarint(b); err != nil {
 		return nil, err
 	}
-	if m.Idem, b, err = wire.ReadUvarint(b); err != nil {
+	if m.Idem, _, err = wire.ReadUvarint(b); err != nil {
 		return nil, err
 	}
-	if m.Body, b, err = wire.ReadBytes(b); err != nil {
-		return nil, err
-	}
-	return b, nil
+	return body, nil
 }
 
-// replyMsg is the wire form of a reply.
-type replyMsg struct {
-	CallID uint64
-	Body   []byte
-	Err    string
+// A reply's envelope is the call ID and one flag byte; with replyErr set the
+// body is the error text instead of a result.
+const replyErr = 1
+
+func appendReplyTrailer(b []byte, callID uint64, flags byte) []byte {
+	mark := len(b)
+	b = wire.AppendUvarint(b, callID)
+	b = append(b, flags)
+	return append(b, byte(len(b)-mark))
 }
 
-// AppendWire implements wire.Codec.
-func (m *replyMsg) AppendWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.CallID)
-	b = wire.AppendBytes(b, m.Body)
-	return wire.AppendString(b, m.Err)
-}
-
-// DecodeWire implements wire.Codec. Body aliases b (zero copy); ownership of
-// the backing payload passes to whichever caller consumes the reply.
-func (m *replyMsg) DecodeWire(b []byte) ([]byte, error) {
-	var err error
-	if m.CallID, b, err = wire.ReadUvarint(b); err != nil {
-		return nil, err
+func decodeReply(frame []byte) (body []byte, callID uint64, flags byte, err error) {
+	body, b, err := splitTrailer(frame)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	if m.Body, b, err = wire.ReadBytes(b); err != nil {
-		return nil, err
+	if callID, b, err = wire.ReadUvarint(b); err != nil {
+		return nil, 0, 0, err
 	}
-	if m.Err, b, err = wire.ReadString(b); err != nil {
-		return nil, err
+	if len(b) < 1 {
+		return nil, 0, 0, wire.ErrShortBuffer
 	}
-	return b, nil
+	return body, callID, b[0], nil
 }
 
 // ErrTimeout is returned when a reply does not arrive but the callee still
@@ -181,7 +206,8 @@ type Ctx struct {
 	// Idem is the request's idempotency token (0 = none). Reply records the
 	// outcome in the dedup window under this token; Forward propagates it.
 	Idem uint64
-	// Body is the request payload.
+	// Body is the request payload, lent to the handler: it is recycled when
+	// the handler returns and must not be retained past that.
 	Body []byte
 
 	replied atomic.Bool
@@ -190,33 +216,47 @@ type Ctx struct {
 // IsCall reports whether the sender awaits a reply.
 func (c *Ctx) IsCall() bool { return c.CallID != 0 }
 
-// Reply sends the response to the origin node. It is a no-op for oneways and
-// panics if called twice.
+// Reply sends the response to the origin node, taking ownership of body (it
+// becomes the reply frame). It is a no-op for oneways and panics if called
+// twice.
 func (c *Ctx) Reply(body []byte, err error) {
 	if !c.IsCall() {
+		wire.PutBuf(body)
 		return
 	}
 	if !c.replied.CompareAndSwap(false, true) {
 		panic("rpc: double reply")
 	}
-	msg := replyMsg{CallID: c.CallID}
+	body = c.own(body)
+	errStr := ""
 	if err != nil {
-		msg.Err = err.Error()
-	} else {
-		msg.Body = body
+		errStr = err.Error()
+		wire.PutBuf(body)
+		body = nil
 	}
 	if c.Idem != 0 {
 		// Record the outcome before sending: if the reply is lost, a retry
 		// carrying the same token replays this outcome instead of re-running
-		// the handler.
-		c.ep.dedup.complete(c.Origin, c.Idem, msg.Body, msg.Err)
+		// the handler. The window keeps its own copy of body.
+		c.ep.dedup.complete(c.Origin, c.Idem, body, errStr)
 	}
-	c.ep.sendReply(c.Origin, &msg)
+	c.ep.sendReply(c.Origin, c.CallID, body, errStr)
+}
+
+// own returns body as a buffer Reply or Forward may hand to the transport. A
+// handler may pass (a slice of) the request body it was lent; that memory is
+// recycled when the handler returns, so such a body is copied. Two slices
+// share an array exactly when their capacities end on the same byte.
+func (c *Ctx) own(body []byte) []byte {
+	if n, m := cap(body), cap(c.Body); n > 0 && m > 0 && &body[:n][n-1] == &c.Body[:m][m-1] {
+		return FrameCopy(body)
+	}
+	return body
 }
 
 // Forward re-sends this request to another node, preserving origin and call
-// ID so the eventual executor replies directly to the origin. The handler
-// must not also Reply.
+// ID so the eventual executor replies directly to the origin. It takes
+// ownership of body. The handler must not also Reply.
 func (c *Ctx) Forward(to gaddr.NodeID, proc Proc, body []byte) error {
 	if !c.replied.CompareAndSwap(false, true) {
 		panic("rpc: forward after reply")
@@ -227,8 +267,12 @@ func (c *Ctx) Forward(to gaddr.NodeID, proc Proc, body []byte) error {
 		// dropped waiting for a completion that will never happen locally.
 		c.ep.dedup.abandon(c.Origin, c.Idem)
 	}
-	msg := requestMsg{CallID: c.CallID, Origin: c.Origin, Proc: proc, Trace: c.Trace, Idem: c.Idem, Body: body}
-	return c.ep.sendRequest(to, &msg, c.IsCall())
+	hdr := requestHdr{CallID: c.CallID, Origin: c.Origin, Proc: proc, Trace: c.Trace, Idem: c.Idem}
+	kind := kindOneway
+	if c.IsCall() {
+		kind = kindRequest
+	}
+	return c.ep.sendRequest(to, kind, &hdr, c.own(body), false)
 }
 
 // Handler processes one inbound request or oneway.
@@ -240,20 +284,18 @@ type Endpoint struct {
 	// coal is tr's pipelining extension, nil when the transport has none;
 	// cached once so the async send path never repeats the type assertion.
 	coal     transport.Coalescer
-	mu       sync.Mutex
+	mu       sync.Mutex // guards pending, inflight, window
 	pending  map[uint64]pendingCall
 	inflight map[gaddr.NodeID]int // outstanding async calls per peer
 	window   int                  // advertised pipeline window (see SetPipelineWindow)
-	handlers [256]Handler
+	// handlers is read once per inbound request, without a lock.
+	handlers [256]atomic.Pointer[Handler]
 	nextID   atomic.Uint64
 	counts   *stats.Set
-	health   healthState
-	dedup    dedupTable
-	// Dispatch controls how request handlers run. By default each request
-	// handler runs on its own goroutine (replies are processed inline so
-	// they can never be stuck behind a slow handler). Core overrides this to
-	// route execution through the node's scheduler.
-	Dispatch func(func())
+	// Per-message counters, cached out of counts (whose lookup takes a lock).
+	cSent, cRepliesSent, cHandled *stats.Counter
+	health                        healthState
+	dedup                         dedupTable
 }
 
 type replyOutcome struct {
@@ -273,7 +315,9 @@ type pendingCall struct {
 }
 
 // NewEndpoint wraps a transport. The endpoint installs itself as the
-// transport's handler.
+// transport's handler. Each inbound request runs its handler on a goroutine
+// of its own; replies are processed inline on the delivery goroutine, so they
+// can never be stuck behind a slow handler.
 func NewEndpoint(tr transport.Transport) *Endpoint {
 	ep := &Endpoint{
 		tr:       tr,
@@ -283,7 +327,9 @@ func NewEndpoint(tr transport.Transport) *Endpoint {
 		counts:   stats.NewSet(),
 	}
 	ep.coal, _ = tr.(transport.Coalescer)
-	ep.Dispatch = func(f func()) { go f() }
+	ep.cSent = ep.counts.Get("rpc_sent")
+	ep.cRepliesSent = ep.counts.Get("rpc_replies_sent")
+	ep.cHandled = ep.counts.Get("rpc_handled")
 	ep.health.init()
 	ep.dedup.init()
 	tr.SetHandler(ep.onMessage)
@@ -298,20 +344,17 @@ func (ep *Endpoint) Stats() *stats.Set { return ep.counts }
 
 // HandleProc registers the handler for proc. It must be called before
 // traffic arrives; re-registration replaces the handler.
-func (ep *Endpoint) HandleProc(p Proc, h Handler) {
-	ep.mu.Lock()
-	ep.handlers[p] = h
-	ep.mu.Unlock()
-}
-
-func (ep *Endpoint) handler(p Proc) Handler {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.handlers[p]
-}
+func (ep *Endpoint) HandleProc(p Proc, h Handler) { ep.handlers[p].Store(&h) }
 
 // Call sends a request and blocks until the reply arrives (from whichever
 // node finally handles it).
+//
+// Every sending entry point — Call and its variants, Oneway, StartCall,
+// Ctx.Reply, Ctx.Forward — takes ownership of body: the envelope is appended
+// to it and the result is the frame the transport writes and recycles. Size
+// body's buffer with FrameRoom to spare and the append never regrows it. A
+// reply body handed back belongs to the caller, who returns it with
+// wire.PutBuf when done.
 func (ep *Endpoint) Call(to gaddr.NodeID, p Proc, body []byte) ([]byte, error) {
 	return ep.CallTimeout(to, p, body, 0)
 }
@@ -333,50 +376,66 @@ func (ep *Endpoint) CallTraced(to gaddr.NodeID, p Proc, body []byte, timeout tim
 
 // Oneway sends a request with no reply expected.
 func (ep *Endpoint) Oneway(to gaddr.NodeID, p Proc, body []byte) error {
-	msg := requestMsg{CallID: 0, Origin: ep.Self(), Proc: p, Body: body}
-	return ep.sendRequest(to, &msg, false)
+	hdr := requestHdr{Origin: ep.Self(), Proc: p}
+	return ep.sendRequest(to, kindOneway, &hdr, body, false)
 }
 
-func (ep *Endpoint) sendRequest(to gaddr.NodeID, msg *requestMsg, isCall bool) error {
-	b, err := wire.MarshalInto(msg)
+// sendRequest appends the envelope to body and hands the frame to the
+// transport — buffered without a flush when noFlush is set and the transport
+// coalesces. The transport owns the frame once it accepts it; a refused frame
+// is recycled here, so either way the caller's body is gone.
+func (ep *Endpoint) sendRequest(to gaddr.NodeID, kind transport.Kind, hdr *requestHdr, body []byte, noFlush bool) error {
+	if body == nil {
+		body = wire.GetBuf()
+	}
+	frame := hdr.appendTo(body)
+	ep.cSent.Inc()
+	var err error
+	if noFlush && ep.coal != nil {
+		err = ep.coal.SendNoFlush(to, kind, frame)
+	} else {
+		err = ep.tr.Send(to, kind, frame)
+	}
 	if err != nil {
-		return err
+		wire.PutBuf(frame)
 	}
-	kind := kindOneway
-	if isCall {
-		kind = kindRequest
-	}
-	ep.counts.Inc("rpc_sent")
-	return ep.tr.Send(to, kind, b)
+	return err
 }
 
-func (ep *Endpoint) sendReply(to gaddr.NodeID, msg *replyMsg) {
-	b, err := wire.MarshalInto(msg)
-	if err != nil {
-		// A reply that cannot be marshalled would hang the caller; encode
-		// the failure itself instead.
-		b, _ = wire.MarshalInto(&replyMsg{CallID: msg.CallID, Err: "rpc: reply marshal: " + err.Error()})
-	}
-	ep.counts.Inc("rpc_replies_sent")
+// sendReply turns body (or, for a failure, errStr) into the reply frame and
+// sends it; it owns body.
+func (ep *Endpoint) sendReply(to gaddr.NodeID, callID uint64, body []byte, errStr string) {
+	ep.cRepliesSent.Inc()
 	if to == ep.Self() {
 		// Forwarding brought the request back to its origin; complete the
 		// pending call locally (the transport refuses self-sends).
-		var rm replyMsg
-		if err := wire.UnmarshalFrom(b, &rm); err == nil {
-			ep.completeCall(ep.Self(), &rm)
+		out := replyOutcome{body: body}
+		if errStr != "" {
+			out.err = &RemoteError{Node: to, Msg: errStr}
 		}
+		ep.completeCall(callID, out)
 		return
 	}
-	if err := ep.tr.Send(to, kindReply, b); err != nil {
+	if body == nil {
+		body = wire.GetBuf()
+	}
+	var flags byte
+	if errStr != "" {
+		flags = replyErr
+		body = append(body[:0], errStr...)
+	}
+	frame := appendReplyTrailer(body, callID, flags)
+	if err := ep.tr.Send(to, kindReply, frame); err != nil {
+		wire.PutBuf(frame)
 		ep.counts.Inc("rpc_reply_send_failed")
 	}
 }
 
 // onMessage receives inbound payloads from the transport, which hands over
-// ownership: request payloads are recycled once their handler returns (Body
-// aliases the payload, so handlers must not retain it past their return);
-// reply payloads travel onward to the pending caller, who recycles them
-// after decoding.
+// ownership. A request's body is the payload's prefix: the payload is
+// recycled once the handler returns, so handlers must not retain Body past
+// their return. A reply's body — again the payload's prefix — travels onward
+// to the pending caller, who recycles the payload by returning the body.
 func (ep *Endpoint) onMessage(m transport.Message) {
 	// Any inbound traffic proves the sender is alive; only pay the map lookup
 	// while at least one peer is marked down.
@@ -385,22 +444,28 @@ func (ep *Endpoint) onMessage(m transport.Message) {
 	}
 	switch m.Kind {
 	case kindReply:
-		var rm replyMsg
-		if err := wire.UnmarshalFrom(m.Payload, &rm); err != nil {
+		body, callID, flags, err := decodeReply(m.Payload)
+		if err != nil {
 			ep.counts.Inc("rpc_bad_reply")
 			wire.PutBuf(m.Payload)
 			return
 		}
-		ep.completeCall(m.From, &rm)
+		out := replyOutcome{body: body}
+		if flags&replyErr != 0 {
+			out = replyOutcome{err: &RemoteError{Node: m.From, Msg: string(body)}}
+			wire.PutBuf(m.Payload)
+		}
+		ep.completeCall(callID, out)
 	case kindRequest, kindOneway:
-		var rq requestMsg
-		if err := wire.UnmarshalFrom(m.Payload, &rq); err != nil {
+		var rq requestHdr
+		body, err := rq.decode(m.Payload)
+		if err != nil {
 			ep.counts.Inc("rpc_bad_request")
 			wire.PutBuf(m.Payload)
 			return
 		}
-		h := ep.handler(rq.Proc)
-		ctx := &Ctx{ep: ep, From: m.From, Origin: rq.Origin, CallID: rq.CallID, Trace: rq.Trace, Idem: rq.Idem, Body: rq.Body}
+		ctx := &Ctx{ep: ep, From: m.From, Origin: rq.Origin, CallID: rq.CallID, Trace: rq.Trace, Idem: rq.Idem, Body: body}
+		h := ep.handlers[rq.Proc].Load()
 		if h == nil {
 			ep.counts.Inc("rpc_unknown_proc")
 			ctx.Reply(nil, fmt.Errorf("rpc: node %d has no handler for proc %d", ep.Self(), rq.Proc))
@@ -411,14 +476,14 @@ func (ep *Endpoint) onMessage(m transport.Message) {
 			switch verdict, body, errStr := ep.dedup.admit(rq.Origin, rq.Idem); verdict {
 			case dedupReplay:
 				// A retry of a call that already executed here: replay the
-				// recorded outcome without re-running the handler.
+				// recorded outcome without re-running the handler. The window
+				// keeps its copy; the frame gets one of its own.
 				ep.counts.Inc("rpc_dedup_hits")
 				if trace.GlobalOn() {
 					trace.GlobalEmit(trace.Event{Kind: trace.KDedupHit,
 						Node: int32(ep.Self()), Arg: int64(rq.Origin)})
 				}
-				rm := replyMsg{CallID: rq.CallID, Body: body, Err: errStr}
-				ep.sendReply(rq.Origin, &rm)
+				ep.sendReply(rq.Origin, rq.CallID, FrameCopy(body), errStr)
 				wire.PutBuf(m.Payload)
 				return
 			case dedupInflight:
@@ -430,12 +495,12 @@ func (ep *Endpoint) onMessage(m transport.Message) {
 				return
 			}
 		}
-		ep.counts.Inc("rpc_handled")
+		ep.cHandled.Inc()
 		payload := m.Payload
-		ep.Dispatch(func() {
-			h(ctx)
+		go func() {
+			(*h)(ctx)
 			wire.PutBuf(payload)
-		})
+		}()
 	case kindPing:
 		ep.handlePing(m)
 	case kindPong:
@@ -446,11 +511,17 @@ func (ep *Endpoint) onMessage(m transport.Message) {
 	}
 }
 
-func (ep *Endpoint) completeCall(from gaddr.NodeID, rm *replyMsg) {
+// frameCopy copies body into a pooled buffer with room for the envelope: the
+// frame for a sender that must keep body (a retrying call, the dedup window).
+func FrameCopy(body []byte) []byte {
+	return append(wire.GetBufCap(len(body)+FrameRoom), body...)
+}
+
+func (ep *Endpoint) completeCall(callID uint64, out replyOutcome) {
 	ep.mu.Lock()
-	pc, ok := ep.pending[rm.CallID]
+	pc, ok := ep.pending[callID]
 	if ok {
-		delete(ep.pending, rm.CallID)
+		delete(ep.pending, callID)
 		if pc.fn != nil {
 			ep.inflight[pc.peer]--
 		}
@@ -458,11 +529,8 @@ func (ep *Endpoint) completeCall(from gaddr.NodeID, rm *replyMsg) {
 	ep.mu.Unlock()
 	if !ok {
 		ep.counts.Inc("rpc_orphan_reply")
+		wire.PutBuf(out.body)
 		return
-	}
-	out := replyOutcome{body: rm.Body}
-	if rm.Err != "" {
-		out.err = &RemoteError{Node: from, Msg: rm.Err}
 	}
 	if pc.fn != nil {
 		// Async completion: cancel the deadline first. Stop may lose the race

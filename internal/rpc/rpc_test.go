@@ -248,24 +248,3 @@ func TestOrphanReplyCounted(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
-
-func TestDispatchOverride(t *testing.T) {
-	eps, _ := testNet(t, 2)
-	var mu sync.Mutex
-	dispatched := 0
-	eps[1].Dispatch = func(f func()) {
-		mu.Lock()
-		dispatched++
-		mu.Unlock()
-		go f()
-	}
-	eps[1].HandleProc(5, func(c *Ctx) { c.Reply(nil, nil) })
-	if _, err := eps[0].Call(1, 5, nil); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if dispatched != 1 {
-		t.Fatalf("dispatched = %d, want 1", dispatched)
-	}
-}

@@ -37,40 +37,57 @@ type TCPConfig struct {
 // send and reused; inbound connections are identified by a handshake frame
 // carrying the sender's node ID. Messages on one connection are delivered in
 // order by a per-connection reader goroutine.
+//
+// The per-message path takes no transport-wide lock: the connection table and
+// the handler are read through atomic pointers, and the counters a message
+// touches are cached out of the stats set. mu serializes only the rare
+// writers (dial, drop, SetPeers, accept, Close).
 type TCP struct {
-	cfg      TCPConfig
-	ln       net.Listener
-	mu       sync.Mutex
-	outConns map[gaddr.NodeID]*tcpConn
-	inConns  map[net.Conn]struct{}
-	h        Handler
-	hmu      sync.RWMutex
-	closed   bool
-	wg       sync.WaitGroup
-	counts   *stats.Set
-	faults   atomic.Pointer[Faults]
-	// flushHist times each coalesced socket flush (cached out of counts so
-	// the flusher never pays a map lookup).
-	flushHist *stats.Histogram
+	cfg     TCPConfig
+	ln      net.Listener
+	mu      sync.Mutex
+	conns   atomic.Pointer[map[gaddr.NodeID]*tcpConn] // copy-on-write under mu
+	inConns map[net.Conn]struct{}
+	h       atomic.Pointer[Handler]
+	closed  atomic.Bool
+	wg      sync.WaitGroup
+	counts  *stats.Set
+	faults  atomic.Pointer[Faults]
+
+	// flushHist times each socket write: its count is the number of writes,
+	// which the transport tests and scripts/bench.sh hold against the number
+	// of frames.
+	flushHist                      *stats.Histogram
+	cMsgsSent, cBytesSent          *stats.Counter
+	cMsgsRecv, cBytesRecv          *stats.Counter
+	cKindSentBytes, cKindRecvBytes [256]atomic.Pointer[stats.Counter]
 }
 
+// tcpBufSize is the capacity of each connection's write buffer and of each
+// reader's buffer: a frame with up to 64 KiB of payload leaves in one write
+// and is picked up by one read. Larger frames bypass both buffers.
+const tcpBufSize = 64<<10 + frameHdrLen
+
+// frameHdrLen is the frame header: length(u32) kind(u8).
+const frameHdrLen = 5
+
+// tcpConn is one outbound connection. No goroutine stands between a sender
+// and the socket: a sender appends its whole frame to buf under mu and writes
+// buf out itself, unless another sender is already queued behind it — then the
+// flush is left to that one (flush combining: the last writer out flushes, so
+// a burst of concurrent sends still shares one write).
 type tcpConn struct {
-	mu sync.Mutex // serializes writes into w
-	c  net.Conn
-	w  *bufio.Writer
-	// flushC is the flusher goroutine's doorbell (capacity 1): Send buffers
-	// the frame and rings it; the flusher drains whatever has accumulated in
-	// one socket write. Back-to-back sends coalesce instead of paying one
-	// syscall each.
-	flushC chan struct{}
-	stop   chan struct{}
-	once   sync.Once
-}
-
-// shutdown stops the flusher and closes the socket. Safe to call repeatedly.
-func (c *tcpConn) shutdown() {
-	c.once.Do(func() { close(c.stop) })
-	c.c.Close()
+	c net.Conn
+	// queued counts senders that have announced themselves and not yet taken
+	// mu. A sender that finds it non-zero on its way out knows one of them
+	// will run the same exit check, and leaves buf to it.
+	queued atomic.Int32
+	mu     sync.Mutex
+	buf    []byte // whole frames not yet written; never a partial one
+	// flushDue records that buf holds a frame whose sender asked for a flush
+	// and left it to a queued successor.
+	flushDue bool
+	err      error // sticky first write error: the connection is dead
 }
 
 const tcpMagic = 0x414d4252 // "AMBR"
@@ -84,16 +101,31 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", cfg.Listen, err)
 	}
 	t := &TCP{
-		cfg:      cfg,
-		ln:       ln,
-		outConns: make(map[gaddr.NodeID]*tcpConn),
-		inConns:  make(map[net.Conn]struct{}),
-		counts:   stats.NewSet(),
+		cfg:     cfg,
+		ln:      ln,
+		inConns: make(map[net.Conn]struct{}),
+		counts:  stats.NewSet(),
 	}
+	t.conns.Store(&map[gaddr.NodeID]*tcpConn{})
 	t.flushHist = t.counts.Hist("flush_ns")
+	t.cMsgsSent = t.counts.Get("msgs_sent")
+	t.cBytesSent = t.counts.Get("bytes_sent")
+	t.cMsgsRecv = t.counts.Get("msgs_recv")
+	t.cBytesRecv = t.counts.Get("bytes_recv")
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
+}
+
+// kindCounter returns the per-kind byte counter, created in the stats set on
+// the kind's first message.
+func (t *TCP) kindCounter(tab *[256]atomic.Pointer[stats.Counter], names *[256]string, k Kind) *stats.Counter {
+	c := tab[k].Load()
+	if c == nil {
+		c = t.counts.Get(names[k])
+		tab[k].Store(c)
+	}
+	return c
 }
 
 // Addr returns the bound listen address (useful with ":0").
@@ -127,27 +159,14 @@ func (t *TCP) Faults() *Faults { return t.faults.Load() }
 
 func (t *TCP) Self() gaddr.NodeID { return t.cfg.Self }
 
-func (t *TCP) SetHandler(h Handler) {
-	t.hmu.Lock()
-	t.h = h
-	t.hmu.Unlock()
-}
-
-func (t *TCP) handler() Handler {
-	t.hmu.RLock()
-	defer t.hmu.RUnlock()
-	return t.h
-}
+func (t *TCP) SetHandler(h Handler) { t.h.Store(&h) }
 
 func (t *TCP) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if !t.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	t.closed = true
-	conns := t.outConns
-	t.outConns = make(map[gaddr.NodeID]*tcpConn)
+	t.mu.Lock()
+	conns := *t.conns.Swap(&map[gaddr.NodeID]*tcpConn{})
 	in := make([]net.Conn, 0, len(t.inConns))
 	for c := range t.inConns {
 		in = append(in, c)
@@ -155,7 +174,7 @@ func (t *TCP) Close() error {
 	t.mu.Unlock()
 	t.ln.Close()
 	for _, c := range conns {
-		c.shutdown()
+		c.c.Close()
 	}
 	for _, c := range in {
 		c.Close()
@@ -172,14 +191,14 @@ func (t *TCP) acceptLoop() {
 			return // listener closed
 		}
 		t.mu.Lock()
-		if t.closed {
+		if t.closed.Load() {
 			t.mu.Unlock()
 			c.Close()
 			return
 		}
 		t.inConns[c] = struct{}{}
-		t.mu.Unlock()
 		t.wg.Add(1)
+		t.mu.Unlock()
 		go t.readLoop(c)
 	}
 }
@@ -194,7 +213,7 @@ func (t *TCP) readLoop(c net.Conn) {
 		delete(t.inConns, c)
 		t.mu.Unlock()
 	}()
-	r := bufio.NewReader(c)
+	r := bufio.NewReaderSize(c, tcpBufSize)
 	var hs [8]byte
 	if _, err := io.ReadFull(r, hs[:]); err != nil {
 		return
@@ -215,11 +234,11 @@ func (t *TCP) readLoop(c net.Conn) {
 			wire.PutBuf(msg.Payload)
 			continue
 		}
-		t.counts.Inc("msgs_recv")
-		t.counts.Add("bytes_recv", int64(len(msg.Payload)+5))
-		t.counts.Add(kindRecvBytes[msg.Kind], int64(len(msg.Payload)))
-		if h := t.handler(); h != nil {
-			h(msg) // handler owns Payload now
+		t.cMsgsRecv.Inc()
+		t.cBytesRecv.Add(int64(len(msg.Payload) + frameHdrLen))
+		t.kindCounter(&t.cKindRecvBytes, &kindRecvBytes, msg.Kind).Add(int64(len(msg.Payload)))
+		if h := t.h.Load(); h != nil && *h != nil {
+			(*h)(msg) // handler owns Payload now
 		} else {
 			wire.PutBuf(msg.Payload)
 		}
@@ -227,54 +246,49 @@ func (t *TCP) readLoop(c net.Conn) {
 }
 
 // Frame layout: length(u32) kind(u8) payload. Length covers kind+payload.
-// The payload lands in a pooled buffer owned by the receiving handler.
+// The payload lands in a pooled buffer owned by the receiving handler. A
+// frame the sender wrote in one piece is already whole in r's buffer after
+// one read; a payload larger than that buffer is read from the socket
+// straight into the pooled one (bufio bypasses its own buffer for reads at
+// least as large as it).
 func readFrame(r *bufio.Reader, from, to gaddr.NodeID) (Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Message{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n < 1 || n > 1<<28 {
-		return Message{}, fmt.Errorf("transport: bad frame length %d", n)
-	}
-	kind, err := r.ReadByte()
+	hdr, err := r.Peek(frameHdrLen)
 	if err != nil {
 		return Message{}, err
 	}
+	n, kind := binary.BigEndian.Uint32(hdr[:4]), Kind(hdr[4])
+	if n < 1 || n > 1<<28 {
+		return Message{}, fmt.Errorf("transport: bad frame length %d", n)
+	}
+	r.Discard(frameHdrLen)
 	buf := wire.GetBufN(int(n) - 1)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		wire.PutBuf(buf)
 		return Message{}, err
 	}
-	return Message{From: from, To: to, Kind: Kind(kind), Payload: buf}, nil
+	return Message{From: from, To: to, Kind: kind, Payload: buf}, nil
 }
 
 func (t *TCP) Send(to gaddr.NodeID, kind Kind, payload []byte) error {
 	return t.send(to, kind, payload, true)
 }
 
-// SendNoFlush implements Coalescer: the frame is buffered into the
-// connection's writer but the flusher's doorbell is not rung — a pipelining
-// sender batches frames and rings once with Kick. Should the bufio buffer
-// fill mid-burst, it drains to the socket inline (bufio semantics), so an
-// unbounded burst cannot hold frames hostage.
+// SendNoFlush implements Coalescer: the frame joins the connection's write
+// buffer and stays there — a pipelining sender batches frames and flushes
+// once with Kick. Should the buffer fill mid-burst, what it holds is written
+// out to make room, so an unbounded burst cannot hold frames hostage.
 func (t *TCP) SendNoFlush(to gaddr.NodeID, kind Kind, payload []byte) error {
 	return t.send(to, kind, payload, false)
 }
 
-// Kick implements Coalescer: one doorbell ring for everything buffered
-// toward the peer. No connection (nothing was ever sent, or it died and
-// took its buffer with it) means nothing to flush.
+// Kick implements Coalescer: it writes out, on the caller's goroutine,
+// everything buffered toward the peer. No connection (nothing was ever sent,
+// or it died and took its buffer with it) means nothing to flush.
 func (t *TCP) Kick(to gaddr.NodeID) {
-	t.mu.Lock()
-	conn := t.outConns[to]
-	t.mu.Unlock()
-	if conn == nil {
-		return
-	}
-	select {
-	case conn.flushC <- struct{}{}:
-	default: // a flush is already scheduled
+	if conn := (*t.conns.Load())[to]; conn != nil {
+		if err := conn.write(t, 0, nil, 0, true); err != nil {
+			t.dropConn(to, conn)
+		}
 	}
 }
 
@@ -288,94 +302,126 @@ func (t *TCP) send(to gaddr.NodeID, kind Kind, payload []byte, flush bool) error
 		wire.PutBuf(payload)
 		return nil // fail-stop silence: the sender cannot tell
 	}
-	conn, err := t.getConn(to)
-	if err != nil {
-		return err
-	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = byte(kind)
-	conn.mu.Lock()
-	_, err = conn.w.Write(hdr[:])
-	if err == nil {
-		_, err = conn.w.Write(payload)
-	}
-	if err == nil && verdict.Duplicate {
-		// Two identical frames back to back on the stream; delivered in order.
-		_, err = conn.w.Write(hdr[:])
-		if err == nil {
-			_, err = conn.w.Write(payload)
+	conn := (*t.conns.Load())[to]
+	if conn == nil {
+		var err error
+		if conn, err = t.dial(to); err != nil {
+			return err
 		}
 	}
-	conn.mu.Unlock()
-	if err != nil {
+	copies := 1
+	if verdict.Duplicate {
+		copies = 2 // two identical frames back to back; delivered in order
+	}
+	if err := conn.write(t, kind, payload, copies, flush); err != nil {
 		t.dropConn(to, conn)
 		return err
 	}
-	// bufio.Writer copied the frame synchronously (flushing inline only when
-	// its buffer fills), so the payload buffer is free to recycle here.
+	// The frame was copied into the connection's buffer (or written out), so
+	// the payload buffer is free to recycle.
+	n := int64(len(payload))
 	wire.PutBuf(payload)
-	t.counts.Inc("msgs_sent")
-	t.counts.Add("bytes_sent", int64(len(payload)+len(hdr)))
-	t.counts.Add(kindSentBytes[kind], int64(len(payload)))
-	// Ring the flusher's doorbell instead of flushing per message; a burst of
-	// sends drains in one socket write. Coalesced senders (SendNoFlush) skip
-	// even the doorbell and ring once per burst via Kick.
-	if flush {
-		select {
-		case conn.flushC <- struct{}{}:
-		default: // a flush is already scheduled
-		}
-	} else {
-		t.counts.Inc("msgs_sent_noflush")
-	}
+	t.cMsgsSent.Inc()
+	t.cBytesSent.Add(n + frameHdrLen)
+	t.kindCounter(&t.cKindSentBytes, &kindSentBytes, kind).Add(n)
 	return nil
 }
 
-// flushLoop is one outbound connection's flusher: it pushes buffered frames
-// to the socket whenever Send signals, coalescing bursts. Flush errors tear
-// the connection down; the next Send redials.
-func (t *TCP) flushLoop(to gaddr.NodeID, conn *tcpConn) {
-	defer t.wg.Done()
-	for {
-		select {
-		case <-conn.stop:
-			return
-		case <-conn.flushC:
-			start := time.Now()
-			conn.mu.Lock()
-			err := conn.w.Flush()
-			conn.mu.Unlock()
-			t.flushHist.Observe(time.Since(start))
-			if err != nil {
-				t.dropConn(to, conn)
-				return
+// write appends copies whole frames of (kind, payload) to the connection —
+// zero copies is Kick — and, when flush is set or a predecessor left a flush
+// due, writes the buffer to the socket unless a queued sender will.
+func (c *tcpConn) write(t *TCP, kind Kind, payload []byte, copies int, flush bool) error {
+	c.queued.Add(1)
+	c.mu.Lock()
+	c.queued.Add(-1)
+	err := c.err
+	for ; copies > 0 && err == nil; copies-- {
+		var hdr [frameHdrLen]byte
+		binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
+		hdr[4] = byte(kind)
+		// A frame that fits the buffer is buffered whole; a payload larger
+		// than the buffer never passes through it — its header joins whatever
+		// is pending and the payload follows in the same vectored write.
+		// Either way, if what must join the buffer has no room (full
+		// mid-burst), what is pending goes out first.
+		large := frameHdrLen+len(payload) > cap(c.buf)
+		joins := frameHdrLen
+		if !large {
+			joins += len(payload)
+		}
+		if len(c.buf)+joins > cap(c.buf) {
+			err = c.flushLocked(t, nil)
+		}
+		if err == nil {
+			c.buf = append(c.buf, hdr[:]...)
+			if large {
+				err = c.flushLocked(t, payload)
+			} else {
+				c.buf = append(c.buf, payload...)
 			}
 		}
 	}
+	if err == nil && (flush || c.flushDue) {
+		if c.queued.Load() == 0 {
+			err = c.flushLocked(t, nil)
+		} else {
+			c.flushDue = true
+		}
+	}
+	if err != nil {
+		c.err = err
+	}
+	c.mu.Unlock()
+	return err
 }
 
+// flushLocked writes the buffer to the socket in one write — one vectored
+// write when tail, the payload of a frame whose header ends the buffer,
+// follows it. Caller holds c.mu.
+func (c *tcpConn) flushLocked(t *TCP, tail []byte) error {
+	c.flushDue = false
+	if len(c.buf) == 0 {
+		return nil
+	}
+	start := time.Now()
+	var err error
+	if tail == nil {
+		_, err = c.c.Write(c.buf)
+	} else {
+		bufs := net.Buffers{c.buf, tail}
+		_, err = bufs.WriteTo(c.c)
+	}
+	t.flushHist.Observe(time.Since(start))
+	c.buf = c.buf[:0]
+	return err
+}
+
+// dropConn retires a connection whose write failed; the next Send redials.
 func (t *TCP) dropConn(to gaddr.NodeID, conn *tcpConn) {
-	conn.shutdown()
+	conn.c.Close()
 	t.mu.Lock()
-	if t.outConns[to] == conn {
-		delete(t.outConns, to)
+	if old := *t.conns.Load(); old[to] == conn {
+		m := make(map[gaddr.NodeID]*tcpConn, len(old))
+		for k, v := range old {
+			if k != to {
+				m[k] = v
+			}
+		}
+		t.conns.Store(&m)
 	}
 	t.mu.Unlock()
 }
 
-func (t *TCP) getConn(to gaddr.NodeID) (*tcpConn, error) {
+// dial establishes (or finds, if another sender won the race) the connection
+// to a peer. The handshake is not written here: it is the first thing in the
+// new connection's buffer and leaves with the first frame.
+func (t *TCP) dial(to gaddr.NodeID) (*tcpConn, error) {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if c, ok := t.outConns[to]; ok {
-		t.mu.Unlock()
-		return c, nil
-	}
 	addr, ok := t.cfg.Peers[to]
 	t.mu.Unlock()
+	if t.closed.Load() {
+		return nil, ErrClosed
+	}
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, to)
 	}
@@ -398,14 +444,10 @@ func (t *TCP) getConn(to gaddr.NodeID) (*tcpConn, error) {
 		if i > 0 {
 			time.Sleep(backoff)
 			backoff *= 2
-			t.mu.Lock()
-			closed := t.closed
-			c := t.outConns[to]
-			t.mu.Unlock()
-			if closed {
+			if t.closed.Load() {
 				return nil, ErrClosed
 			}
-			if c != nil {
+			if c := (*t.conns.Load())[to]; c != nil {
 				return c, nil
 			}
 			t.counts.Inc("dial_retries")
@@ -422,38 +464,26 @@ func (t *TCP) getConn(to gaddr.NodeID) (*tcpConn, error) {
 		return nil, fmt.Errorf("transport: dial node %d (%s) after %d attempts: %w", to, addr, attempts, err)
 	}
 
-	conn := &tcpConn{
-		c:      raw,
-		w:      bufio.NewWriter(raw),
-		flushC: make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-	}
-	var hs [8]byte
-	binary.BigEndian.PutUint32(hs[:4], tcpMagic)
-	binary.BigEndian.PutUint32(hs[4:], uint32(t.cfg.Self))
-	if _, err := conn.w.Write(hs[:]); err != nil {
-		raw.Close()
-		return nil, err
-	}
-	if err := conn.w.Flush(); err != nil {
-		raw.Close()
-		return nil, err
-	}
+	conn := &tcpConn{c: raw, buf: make([]byte, 0, tcpBufSize)}
+	conn.buf = binary.BigEndian.AppendUint32(conn.buf, tcpMagic)
+	conn.buf = binary.BigEndian.AppendUint32(conn.buf, uint32(t.cfg.Self))
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	defer t.mu.Unlock()
+	if t.closed.Load() {
 		raw.Close()
 		return nil, ErrClosed
 	}
-	if existing, ok := t.outConns[to]; ok {
+	old := *t.conns.Load()
+	if existing := old[to]; existing != nil {
 		// Lost a race with another sender; use theirs.
-		t.mu.Unlock()
 		raw.Close()
 		return existing, nil
 	}
-	t.outConns[to] = conn
-	t.wg.Add(1)
-	t.mu.Unlock()
-	go t.flushLoop(to, conn)
+	m := make(map[gaddr.NodeID]*tcpConn, len(old)+1)
+	for k, v := range old {
+		m[k] = v
+	}
+	m[to] = conn
+	t.conns.Store(&m)
 	return conn, nil
 }

@@ -41,13 +41,13 @@ type Handler func(Message)
 
 // Transport is one node's attachment to the network.
 //
-// Buffer ownership: a successful Send takes ownership of payload — the caller
-// must not touch it afterwards (it may be delivered zero-copy, or recycled
-// into the wire buffer pool once written to a socket). When Send returns an
-// error, ownership stays with the caller. Symmetrically, a Handler receives
-// ownership of Message.Payload; the RPC layer recycles inbound payloads when
-// it is done with them. Recycling is always optional — an orphaned buffer is
-// just garbage-collected.
+// Buffer ownership (DESIGN.md §6.2): a successful Send takes ownership of
+// payload — the caller must not touch it afterwards (it may be delivered
+// zero-copy, or recycled into the wire buffer pool once copied toward a
+// socket). When Send returns an error, ownership stays with the caller.
+// Symmetrically, a Handler receives ownership of Message.Payload; the RPC
+// layer recycles inbound payloads when it is done with them. Recycling is
+// always optional — an orphaned buffer is just garbage-collected.
 type Transport interface {
 	// Self returns the node this transport belongs to.
 	Self() gaddr.NodeID
@@ -77,18 +77,19 @@ func init() {
 
 // Coalescer is an optional Transport extension for request pipelining. A
 // sender issuing a burst of messages to one peer calls SendNoFlush for each
-// and Kick once at the end, so the whole burst shares one socket flush
-// instead of scheduling one per message. Semantics:
+// and Kick once at the end, so the whole burst shares one socket write
+// instead of paying one per message. Semantics:
 //
-//   - SendNoFlush is Send minus the flush schedule: the frame is buffered
-//     toward the peer (taking payload ownership exactly like Send) but no
-//     flush is requested. The frame still reaches the wire eventually — a
-//     later Send or Kick to the same peer flushes everything buffered, and a
-//     full buffer drains inline — so forgetting to Kick degrades latency,
-//     never correctness... on the TCP transport. On transports that deliver
-//     per-message (the in-process fabric), SendNoFlush is identical to Send.
-//   - Kick schedules one flush toward the peer; a no-op when nothing is
-//     buffered or the transport has no flush concept.
+//   - SendNoFlush is Send minus the flush: the frame is buffered toward the
+//     peer (taking payload ownership exactly like Send) and left there. It
+//     still reaches the wire eventually — a later Send or Kick to the same
+//     peer writes out everything buffered, and a full buffer drains inline —
+//     so forgetting to Kick degrades latency, never correctness... on the TCP
+//     transport. On transports that deliver per-message (the in-process
+//     fabric), SendNoFlush is identical to Send.
+//   - Kick writes out, on the caller's goroutine, whatever is buffered toward
+//     the peer; a no-op when nothing is buffered or the transport has no
+//     buffer.
 //
 // Transports that never buffer (the fabric) implement the interface as
 // Send/no-op so callers need not type-switch per message.

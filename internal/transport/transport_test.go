@@ -362,36 +362,6 @@ func TestTCPErrors(t *testing.T) {
 	}
 }
 
-func TestTCPBigPayload(t *testing.T) {
-	a, _ := NewTCP(TCPConfig{Self: 0, Listen: "127.0.0.1:0"})
-	defer a.Close()
-	b, _ := NewTCP(TCPConfig{Self: 1, Listen: "127.0.0.1:0"})
-	defer b.Close()
-	a.cfg.Peers = map[gaddr.NodeID]string{1: b.Addr()}
-	payload := make([]byte, 1<<20)
-	for i := range payload {
-		payload[i] = byte(i * 31)
-	}
-	got := make(chan Message, 1)
-	b.SetHandler(func(m Message) { got <- m })
-	if err := a.Send(1, 2, payload); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-got:
-		if len(m.Payload) != len(payload) {
-			t.Fatalf("payload length %d", len(m.Payload))
-		}
-		for i := 0; i < len(payload); i += 4096 {
-			if m.Payload[i] != payload[i] {
-				t.Fatalf("payload corrupted at %d", i)
-			}
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("timeout")
-	}
-}
-
 func TestFrameLengthValidation(t *testing.T) {
 	// readFrame must reject absurd lengths rather than allocating them.
 	var buf [4]byte

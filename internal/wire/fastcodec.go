@@ -9,7 +9,6 @@ import (
 	"math"
 	"reflect"
 	"sort"
-	"sync"
 
 	"amber/internal/gaddr"
 )
@@ -79,55 +78,6 @@ type Codec interface {
 	DecodeWire(b []byte) ([]byte, error)
 }
 
-// --- pooled buffers ---
-
-// Buffer ownership rules (see DESIGN.md "The message path"):
-//
-//   - Encoders obtain scratch via GetBuf and hand the result to the next
-//     layer down; transport.Send takes ownership of the payload it is given.
-//   - On the receive path, ownership of an inbound payload passes to the
-//     transport handler; the RPC layer recycles request payloads after the
-//     handler returns, and reply payloads are recycled by whoever decodes
-//     them last.
-//   - PutBuf is always optional: a buffer that is never returned is simply
-//     garbage-collected.
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 1024)
-		return &b
-	},
-}
-
-// maxPooledCap bounds what PutBuf keeps: very large buffers (bulk installs)
-// would pin memory for no benefit.
-const maxPooledCap = 1 << 18
-
-// GetBuf returns an empty buffer from the shared pool. Append to it; return
-// it with PutBuf when its contents are no longer referenced anywhere.
-func GetBuf() []byte {
-	return (*bufPool.Get().(*[]byte))[:0]
-}
-
-// GetBufN returns a pooled buffer of length n (contents undefined).
-func GetBufN(n int) []byte {
-	b := GetBuf()
-	if cap(b) < n {
-		return make([]byte, n)
-	}
-	return b[:n]
-}
-
-// PutBuf returns b's backing array to the pool. The caller must not touch b
-// (or anything aliasing it) afterwards. Putting nil or an unpoolably large
-// buffer is a no-op.
-func PutBuf(b []byte) {
-	if b == nil || cap(b) < 64 || cap(b) > maxPooledCap {
-		return
-	}
-	b = b[:0]
-	bufPool.Put(&b)
-}
-
 // --- primitive append/read helpers (exported for Codec implementations) ---
 
 // AppendUvarint appends x in unsigned varint form.
@@ -171,6 +121,30 @@ func ReadBytes(b []byte) ([]byte, []byte, error) {
 		return nil, nil, ErrShortBuffer
 	}
 	return rest[:n:n], rest[n:], nil
+}
+
+// BeginSized opens a length-prefixed region encoded in place: it reserves one
+// byte for the uvarint length and returns its position. Append the region's
+// contents, then close it with EndSized. The result reads back with ReadBytes,
+// exactly as if the contents had been marshalled apart and added with
+// AppendBytes — without the second buffer and the copy.
+func BeginSized(b []byte) ([]byte, int) { return append(b, 0), len(b) }
+
+// EndSized closes the region opened at mark by patching in its length. A
+// region of 128 bytes or more needs a longer prefix than the byte reserved, so
+// its contents shift right by the difference.
+func EndSized(b []byte, mark int) []byte {
+	n := len(b) - mark - 1
+	if n < 0x80 {
+		b[mark] = byte(n)
+		return b
+	}
+	var pre [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(pre[:], uint64(n))
+	b = append(b, pre[:w-1]...) // grow by the extra prefix bytes
+	copy(b[mark+w:], b[mark+1:mark+1+n])
+	copy(b[mark:], pre[:w])
+	return b
 }
 
 // AppendString appends s with a uvarint length prefix.

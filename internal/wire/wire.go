@@ -115,9 +115,10 @@ func UnmarshalStruct(b []byte) (reflect.Value, error) {
 	return reflect.ValueOf(v), nil
 }
 
-// MarshalArgs encodes an argument (or result) vector into a pooled buffer.
+// MarshalArgs encodes an argument (or result) vector into a pooled buffer
+// presized from SizeHint, so a bulk argument does not regrow it.
 func MarshalArgs(args []any) ([]byte, error) {
-	return AppendArgs(GetBuf(), args)
+	return AppendArgs(GetBufCap(SizeHint(args)), args)
 }
 
 // UnmarshalArgs decodes a vector encoded by MarshalArgs. The returned values

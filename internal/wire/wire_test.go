@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -172,5 +173,63 @@ func TestQuickArgsRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The pool is size-classed: a buffer comes back from the class that holds
+// the request, and goes back to the largest class it can serve.
+func TestBufPoolSizeClasses(t *testing.T) {
+	for _, n := range []int{0, 1, 1024, 1025, 8192, 8200, 1 << 18} {
+		b := GetBufN(n)
+		if len(b) != n || cap(b) < n {
+			t.Fatalf("GetBufN(%d): len %d cap %d", n, len(b), cap(b))
+		}
+		if c := cap(b); c&(c-1) != 0 || c < 1024 {
+			t.Fatalf("GetBufN(%d): cap %d is not a class size", n, c)
+		}
+		PutBuf(b)
+	}
+	if b := GetBufN(1<<18 + 1); cap(b) != 1<<18+1 {
+		t.Fatalf("a buffer past the largest class should be a plain allocation, cap %d", cap(b))
+	}
+	// No-ops: nil, too small, too large.
+	PutBuf(nil)
+	PutBuf(make([]byte, 0, 100))
+	PutBuf(make([]byte, 0, 1<<19))
+	// A buffer of an odd capacity serves the class below it.
+	odd := make([]byte, 0, 5000)
+	odd = append(odd, 1, 2, 3)
+	PutBuf(odd)
+	if b := GetBufCap(4096); len(b) != 0 || cap(b) < 4096 {
+		t.Fatalf("GetBufCap(4096): len %d cap %d", len(b), cap(b))
+	}
+}
+
+// A sized region encoded in place reads back exactly like AppendBytes of the
+// same contents, whichever side of the one-byte-prefix boundary it falls on.
+func TestSizedRegionMatchesAppendBytes(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 129, 16383, 16384, 70000} {
+		body := bytes.Repeat([]byte{0xAB}, n)
+		want := AppendBytes([]byte("pre"), body)
+		got, mark := BeginSized([]byte("pre"))
+		got = EndSized(append(got, body...), mark)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: in-place region differs from AppendBytes", n)
+		}
+		p, rest, err := ReadBytes(got[3:])
+		if err != nil || len(rest) != 0 || !bytes.Equal(p, body) {
+			t.Fatalf("n=%d: ReadBytes: %d bytes, rest %d, err %v", n, len(p), len(rest), err)
+		}
+	}
+}
+
+func TestSizeHintCoversBulk(t *testing.T) {
+	args := []any{7, "hello", make([]byte, 8192), []float64{1, 2, 3}, struct{}{}}
+	enc, err := MarshalArgs(args[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hint := SizeHint(args[:4]); hint < len(enc) || hint > len(enc)+256 {
+		t.Fatalf("SizeHint %d for a %d-byte encoding", hint, len(enc))
 	}
 }

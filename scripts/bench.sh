@@ -8,30 +8,34 @@
 # (warm mutable read via a live lease, write + invalidation fence), the
 # sharded object-space parallel-invoke benchmark at -cpu 1 and 8, the
 # skewed-workload heat-placement ablation, and the wire codec
-# microbenchmarks, then writes every reported metric to BENCH_pr9.json
-# at the repo root.
+# microbenchmarks, then the end-to-end benchmark (benchmark/run.sh) on the two
+# workloads the message path dominates, and writes every reported metric to
+# BENCH_pr12.json at the repo root.
 #
-# This PR's gates cover the compiled-dispatch hot path: local invoke must
-# both shed allocations (<= 3/op) and get measurably faster (>= 25% ns/op
-# reduction vs the same-machine pre-PR baseline — trampolines replacing
-# reflect.Call is a step change, not noise). Warm replica and lease hits run
-# the same dispatch plans and inherit the same allocation budget; remote
-# invoke must allocate strictly below 38/op now that argument vectors are
-# pooled.
+# This PR's gates cover the remote message path: one pooled buffer, one
+# socket write and one reader wake-up per message. Remote invoke must stay
+# within its allocation budgets (<= 30 allocs/op and <= 3000 B/op — every
+# message buffer is recycled, so what remains is call bookkeeping and the
+# decoded values) and be no slower than the pre-PR tree; local invoke, which
+# runs none of the changed code but the buffer pool, must not move. The
+# end-to-end rows (ops_per_s, p50_us, p95_us on payload.remote and
+# invoke.remote, with mem.bytes_per_op and the transport hop probes) are
+# recorded, not gated here: the PR driver compares them against the parent
+# commit over ten alternating pairs, which one run on a shared host cannot.
 #
 # Regression gates (compared against a baseline built from the pre-PR tree on
 # the SAME machine in the SAME run — recorded absolute numbers drift with
 # host load):
 #
-#   1. Single-threaded local invoke ns/op <= 75% of the baseline build AND
-#      <= 3 allocs/op: the compiled dispatch plans must beat per-call
-#      reflection by a margin host noise cannot fake, and the per-P frame
-#      free list must keep the invoke itself allocation-free (what remains
-#      is the result vector and its boxed value).
+#   1. Single-threaded local invoke ns/op within +5% of the baseline build AND
+#      <= 3 allocs/op: the compiled dispatch plans and the per-P frame free
+#      list keep the invoke itself allocation-free (what remains is the
+#      result vector and its boxed value).
 #   2. Single-threaded remote invoke ns/op within +5% of the baseline build.
-#   3. Remote invoke allocates strictly below 38/op (the PR1 pooled-codec
-#      budget, tightened now that executeRouted draws argument vectors from
-#      the wire scratch pool).
+#   3. Remote invoke allocates <= 30/op and <= 3000 B/op: request and reply
+#      are each assembled in, received into and recycled as one pooled
+#      buffer (DESIGN.md §6.2), so a leaked or regrown buffer shows here as
+#      bytes before it shows anywhere as time.
 #   4. Warm immutable remote invoke <= 2x the local invoke: a replica hit IS
 #      a local invoke plus a mode-bit test, so anything beyond that means the
 #      replica fast path fell off the resident fast path.
@@ -71,19 +75,19 @@
 #      means the fence is serializing revokes or waiting on expiry
 #      instead of acks (check lease_fence_timeouts).
 #
-# The baseline build is a throwaway git worktree of the last commit that does
-# not contain this tree's changes: HEAD while the working tree is dirty
-# (pre-commit runs), HEAD~1 once the PR is committed.
+# The baseline build is a throwaway export (git archive, under $TMPDIR) of the
+# last commit that does not contain this tree's changes: HEAD while the
+# working tree is dirty (pre-commit runs), HEAD~1 once the PR is committed.
 #
 # Usage: scripts/bench.sh [benchtime]     (default 1s; e.g. "100x" or "3s")
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${1:-1s}"
-OUT=BENCH_pr10.json
-ALLOC_LIMIT=38       # remote invoke: strictly below this
+OUT=BENCH_pr12.json
+ALLOC_LIMIT=30       # remote invoke: at most this many allocs/op
+BYTES_LIMIT=3000     # remote invoke: at most this many B/op
 LOCAL_ALLOC_LIMIT=3  # local invoke and warm replica/lease hits: at most this
-LOCAL_IMPROVE=0.75   # local invoke must cost <= this fraction of the baseline
 NPROC=$(nproc 2>/dev/null || echo 1)
 
 # --- baseline: same-machine build of the pre-PR tree ---
@@ -92,12 +96,9 @@ if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
 else
 	BASEREF=HEAD~1
 fi
-BASEDIR=$(mktemp -d /tmp/amber-bench-base.XXXXXX)
-cleanup() {
-	git worktree remove --force "$BASEDIR" 2>/dev/null || rm -rf "$BASEDIR"
-}
-trap cleanup EXIT
-git worktree add --quiet --detach "$BASEDIR" "$BASEREF"
+BASEDIR=$(mktemp -d "${TMPDIR:-/tmp}/amber-bench-base.XXXXXX")
+trap 'rm -rf "$BASEDIR"' EXIT
+git archive "$BASEREF" | tar -x -C "$BASEDIR"
 
 # Gated comparisons use -count 3 and the per-benchmark MINIMUM: on a shared
 # host a single sample swings +-20%, and the min is the run least disturbed
@@ -157,6 +158,24 @@ echo
 echo "== wire codec microbenchmarks =="
 WIRE_RAW=$(go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/wire/)
 echo "$WIRE_RAW"
+
+echo
+echo "== end to end: payload.remote and invoke.remote on the 3-process TCP cluster =="
+# benchmark/run.sh prints what it writes to benchmark/out/results.json, one
+# `workload metric value unit ...` per line; both passes (end-to-end, then
+# per-layer) run, so the rows and the layer metrics beside them come from one
+# build on one host in one sitting.
+E2E_RAW=""
+for w in payload.remote invoke.remote; do
+	E2E_RAW="$E2E_RAW$(benchmark/run.sh -workload "$w" | grep "^$w ")
+"
+done
+echo "$E2E_RAW"
+# e2e <workload> <metric>: the value run.sh reported (the first line wins: the
+# end-to-end pass prints before the per-layer pass repeats a name).
+e2e() {
+	echo "$E2E_RAW" | awk -v w="$1" -v m="$2" '$1 == w && $2 == m { print $3; exit }'
+}
 
 # Turn `go test -bench` output lines into JSON objects, one per benchmark:
 # "name": {"iters": N, "ns/op": X, "B/op": Y, "allocs/op": Z, ...extra metrics}
@@ -225,6 +244,10 @@ bench_allocs() {
 	} END { print m + 0 }'
 }
 REMOTE_ALLOCS=$(bench_allocs "$GATE_RAW" BenchmarkTable1RemoteInvoke)
+# B/op likewise: the worst of the -count runs.
+REMOTE_BYTES=$(echo "$GATE_RAW" | awk '$1 ~ /^BenchmarkTable1RemoteInvoke(-[0-9]+)?$/ {
+	for (i = 3; i + 1 <= NF; i += 2) if ($(i+1) == "B/op") { v = $i + 0; if (v > m) m = v }
+} END { print m + 0 }')
 LOCAL_ALLOCS=$(bench_allocs "$GATE_RAW" BenchmarkTable1LocalInvoke)
 WARM_ALLOCS=$(bench_allocs "$GATE_RAW" BenchmarkImmutableRemoteInvokeWarm)
 LEASE_WARM_ALLOCS=$(bench_allocs "$LEASE_RAW" BenchmarkMutableLeaseWarm)
@@ -256,7 +279,7 @@ fi
 
 {
 	printf '{\n'
-	printf '  "pr": "pr10-compiled-method-dispatch-allocation-free-invoke",\n'
+	printf '  "pr": "pr12-one-buffer-one-write-one-wakeup-remote-message-path",\n'
 	printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 	printf '  "go": "%s",\n' "$(go version | awk '{print $3}')"
 	printf '  "benchtime": "%s",\n' "$BENCHTIME"
@@ -278,16 +301,29 @@ fi
 	printf '    "local_vs_baseline_pct": %s,\n' "$LOCAL_PCT"
 	printf '    "remote_ns_op": %s,\n' "$REMOTE_NS"
 	printf '    "remote_vs_baseline_pct": %s,\n' "$REMOTE_PCT"
-	printf '    "remote_allocs_op": %s\n' "${REMOTE_ALLOCS:-0}"
+	printf '    "remote_allocs_op": %s,\n' "${REMOTE_ALLOCS:-0}"
+	printf '    "remote_allocs_gate_max": %s,\n' "$ALLOC_LIMIT"
+	printf '    "remote_bytes_op": %s,\n' "${REMOTE_BYTES:-0}"
+	printf '    "remote_bytes_gate_max": %s\n' "$BYTES_LIMIT"
+	printf '  },\n'
+	printf '  "end_to_end": {\n'
+	printf '    "source": "benchmark/run.sh -workload W (closed loop, 3 processes, loopback TCP; also in benchmark/out/results.json)",\n'
+	for w in payload.remote invoke.remote; do
+		printf '    "%s": {' "$w"
+		sep=""
+		for m in ops_per_s p50_us p95_us setup_s mem.bytes_per_op mem.allocs_per_op transport.hop_us transport.hop_8k_us transport.msgs_per_op transport.bytes_per_op stage.outbound_us stage.return_us; do
+			printf '%s"%s": %s' "$sep" "$m" "$(e2e "$w" "$m" | grep . || echo null)"
+			sep=", "
+		done
+		if [ "$w" = payload.remote ]; then printf '},\n'; else printf '}\n'; fi
+	done
 	printf '  },\n'
 	printf '  "dispatch": {\n'
 	printf '    "local_allocs_op": %s,\n' "${LOCAL_ALLOCS:-0}"
 	printf '    "local_allocs_gate_max": %s,\n' "$LOCAL_ALLOC_LIMIT"
-	printf '    "local_improvement_gate_max_fraction_of_baseline": %s,\n' "$LOCAL_IMPROVE"
 	printf '    "warm_replica_allocs_op": %s,\n' "${WARM_ALLOCS:-0}"
 	printf '    "lease_warm_allocs_op": %s,\n' "${LEASE_WARM_ALLOCS:-0}"
-	printf '    "remote_allocs_op": %s,\n' "${REMOTE_ALLOCS:-0}"
-	printf '    "remote_allocs_gate_below": %s\n' "$ALLOC_LIMIT"
+	printf '    "remote_allocs_op": %s\n' "${REMOTE_ALLOCS:-0}"
 	printf '  },\n'
 	printf '  "replication": {\n'
 	printf '    "cold_ns_op": %s,\n' "$COLD_NS"
@@ -342,7 +378,8 @@ echo
 echo "wrote $OUT"
 echo "local invoke:  ${LOCAL_NS}ns/op vs baseline ${BASE_LOCAL_NS}ns/op (${LOCAL_PCT}%) at ${LOCAL_ALLOCS} allocs/op"
 echo "dispatch allocs: local ${LOCAL_ALLOCS}/op, warm replica ${WARM_ALLOCS}/op, lease warm ${LEASE_WARM_ALLOCS}/op (budget ${LOCAL_ALLOC_LIMIT}/op)"
-echo "remote invoke: ${REMOTE_NS}ns/op vs baseline ${BASE_REMOTE_NS}ns/op (${REMOTE_PCT}%) at ${REMOTE_ALLOCS} allocs/op"
+echo "remote invoke: ${REMOTE_NS}ns/op vs baseline ${BASE_REMOTE_NS}ns/op (${REMOTE_PCT}%) at ${REMOTE_ALLOCS} allocs/op, ${REMOTE_BYTES} B/op"
+echo "end to end:    payload.remote $(e2e payload.remote ops_per_s) ops/s, p50 $(e2e payload.remote p50_us)us, $(e2e payload.remote mem.bytes_per_op) B/op; invoke.remote $(e2e invoke.remote ops_per_s) ops/s, p50 $(e2e invoke.remote p50_us)us, $(e2e invoke.remote mem.bytes_per_op) B/op; hop $(e2e payload.remote transport.hop_us)us, 8 KiB hop $(e2e payload.remote transport.hop_8k_us)us"
 echo "replication:   cold ${COLD_NS}ns/op (${COLD_X}x of ${COLDBASE_NS}ns/op control), warm ${WARM_NS}ns/op (${WARM_X}x of local)"
 echo "parallel scaling 1->8 goroutines: ${SCALE}x now vs ${BASE_SCALE}x baseline (gate ${SCALE_GATE}, nproc=$NPROC)"
 echo "heat placement: skewed workload ${SKEW_HEAT_NS}ns/op with heat vs ${SKEW_STATIC_NS}ns/op static (${SKEW_X}x)"
@@ -350,13 +387,12 @@ echo "pipelined fan-in: async ${FANIN_ASYNC_NS}ns/op vs serial ${FANIN_SERIAL_NS
 echo "reader leases:  warm mutable read ${LEASE_WARM_NS}ns/op (${LEASE_WARM_X}x of immutable warm ${WARM_NS}ns/op), fenced write ${LEASE_FENCE_NS}ns/op, p99 ${LEASE_WP99_NS:-?}ns (${LEASE_WP99_X}x of remote)"
 
 FAIL=0
-if awk -v now="$LOCAL_NS" -v base="$BASE_LOCAL_NS" -v f="$LOCAL_IMPROVE" 'BEGIN { exit !(now > base * f) }'; then
+if awk -v now="$LOCAL_NS" -v base="$BASE_LOCAL_NS" 'BEGIN { exit !(now > base * 1.05) }'; then
 	echo >&2
-	echo "FAIL: single-threaded local invoke is ${LOCAL_NS}ns/op vs ${BASE_LOCAL_NS}ns/op" >&2
-	echo "      baseline (${LOCAL_PCT}%) — the compiled dispatch plans must deliver at" >&2
-	echo "      least a 25% reduction (<= ${LOCAL_IMPROVE}x of baseline). Check that the" >&2
-	echo "      benchmark classes' signatures still bind trampolines (corpus drift)" >&2
-	echo "      and that the per-P frame free list is actually hitting." >&2
+	echo "FAIL: single-threaded local invoke regressed ${LOCAL_PCT}% against the" >&2
+	echo "      same-machine baseline (${LOCAL_NS}ns/op vs ${BASE_LOCAL_NS}ns/op, limit +5%)." >&2
+	echo "      A local invoke sends no message: nothing on the message path may" >&2
+	echo "      cost it anything." >&2
 	FAIL=1
 fi
 if [ "${LOCAL_ALLOCS:-0}" -gt "$LOCAL_ALLOC_LIMIT" ]; then
@@ -386,12 +422,13 @@ if awk -v now="$REMOTE_NS" -v base="$BASE_REMOTE_NS" 'BEGIN { exit !(now > base 
 	echo "      baseline (${REMOTE_NS}ns/op vs ${BASE_REMOTE_NS}ns/op, limit +5%)." >&2
 	FAIL=1
 fi
-if [ -z "${REMOTE_ALLOCS:-}" ] || [ "$REMOTE_ALLOCS" -ge "$ALLOC_LIMIT" ]; then
+if [ -z "${REMOTE_ALLOCS:-}" ] || [ "$REMOTE_ALLOCS" -gt "$ALLOC_LIMIT" ] || [ "${REMOTE_BYTES:-0}" -gt "$BYTES_LIMIT" ]; then
 	echo >&2
-	echo "FAIL: remote invoke allocates ${REMOTE_ALLOCS:-?}/op (must be strictly" >&2
-	echo "      below ${ALLOC_LIMIT}/op). The objspace layer must not allocate on the" >&2
-	echo "      invoke path, and executeRouted must draw its argument vector from" >&2
-	echo "      the wire scratch pool." >&2
+	echo "FAIL: remote invoke allocates ${REMOTE_ALLOCS:-?}/op and ${REMOTE_BYTES:-?} B/op" >&2
+	echo "      (budgets ${ALLOC_LIMIT}/op, ${BYTES_LIMIT} B/op). A message is one pooled buffer end" >&2
+	echo "      to end; a jump in B/op means a frame was regrown past its size hint" >&2
+	echo "      or a buffer missed its PutBuf — internal/core's recycling test" >&2
+	echo "      names the leg." >&2
 	FAIL=1
 fi
 if awk -v w="$WARM_NS" -v l="$LOCAL_NS" 'BEGIN { exit !(w > l * 2.0) }'; then
@@ -461,4 +498,4 @@ elif awk -v p="$LEASE_WP99_NS" -v r="$REMOTE_NS" 'BEGIN { exit !(p > r * 25.0) }
 	FAIL=1
 fi
 [ "$FAIL" -eq 0 ] || exit 1
-echo "regression gates passed (local <= ${LOCAL_IMPROVE}x baseline at <= ${LOCAL_ALLOC_LIMIT} allocs/op, remote +5% below ${ALLOC_LIMIT} allocs/op, warm replica/lease <= ${LOCAL_ALLOC_LIMIT} allocs/op, warm <= 2x local, cold <= 1.15x control, heat > static, fan-in >= ${FANIN_MIN}x, lease warm <= 2x immutable warm, fenced-write p99 <= 25x remote)"
+echo "regression gates passed (local +5% at <= ${LOCAL_ALLOC_LIMIT} allocs/op, remote +5% at <= ${ALLOC_LIMIT} allocs/op and <= ${BYTES_LIMIT} B/op, warm replica/lease <= ${LOCAL_ALLOC_LIMIT} allocs/op, warm <= 2x local, cold <= 1.15x control, heat > static, fan-in >= ${FANIN_MIN}x, lease warm <= 2x immutable warm, fenced-write p99 <= 25x remote)"
