@@ -101,6 +101,52 @@ func BenchmarkTable1RemoteInvoke(b *testing.B) {
 	}
 }
 
+// BenchmarkChainOneStepRemote is BenchmarkTable1RemoteInvoke through the chain
+// door: a one-step InvokeChain is an invoke (one engine, DESIGN.md §13), so
+// scripts/bench.sh gates it to the invoke's time and allocations.
+func BenchmarkChainOneStepRemote(b *testing.B) {
+	cl := benchCluster(b, 2, 4, Instant)
+	ctx := cl.Node(0).Root()
+	ref, _ := cl.Node(1).Root().New(&benchCounter{})
+	chain := []ChainStep{{Obj: ref, Method: "Poke"}}
+	if _, err := ctx.InvokeChain(chain); err != nil { // warm location cache
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ctx.InvokeChain(chain); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkChainTwoStepRemote runs two dependent calls on co-located remote
+// counters as one shipped chain: msgs/op stays at the single round trip's 2
+// where two Invokes would send 4.
+func BenchmarkChainTwoStepRemote(b *testing.B) {
+	cl := benchCluster(b, 2, 4, Instant)
+	ctx := cl.Node(0).Root()
+	first, _ := cl.Node(1).Root().New(&benchCounter{})
+	second, _ := cl.Node(1).Root().New(&benchCounter{})
+	chain := []ChainStep{
+		{Obj: first, Method: "Poke"},
+		{Obj: second, Method: "Echo", Args: []any{ChainPrev}},
+	}
+	if _, err := ctx.InvokeChain(chain); err != nil { // warm location cache
+		b.Fatal(err)
+	}
+	sent := func() int64 { return cl.Fabric().Stats().Value("msgs_sent") }
+	before := sent()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ctx.InvokeChain(chain); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(sent()-before)/float64(b.N), "msgs/op")
+}
+
 // BenchmarkTable1RemoteInvokeTraced is the same operation with thread-journey
 // tracing enabled; the delta against BenchmarkTable1RemoteInvoke is the
 // tracing tax (a handful of ring-buffer stores per invocation). The untraced

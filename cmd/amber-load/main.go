@@ -34,55 +34,10 @@ import (
 	"time"
 
 	"amber/internal/core"
+	"amber/internal/demo"
 	"amber/internal/gaddr"
 	"amber/internal/transport"
 )
-
-// DemoCounter matches amberd's demonstration class by construction (same
-// package name, same shape), so the two binaries agree on the wire type name
-// "main.DemoCounter" and a joined amber-load can invoke counters served by
-// amberd nodes.
-type DemoCounter struct{ N int }
-
-// Add increments and returns the counter.
-func (c *DemoCounter) Add(n int) int { c.N += n; return c.N }
-
-// Get reads the counter without mutating it.
-func (c *DemoCounter) Get() int { return c.N }
-
-// Where reports the executing node.
-func (c *DemoCounter) Where(ctx *core.Ctx) gaddr.NodeID { return ctx.NodeID() }
-
-// AmberReadOnly declares the non-mutating methods, which lets the runtime
-// serve them from reader-lease copies when a counter is marked cacheable.
-func (c *DemoCounter) AmberReadOnly() []string { return []string{"Get", "Where"} }
-
-// Dispatch implements core.AmberDispatch: the counter routes its own
-// operations with a switch, skipping both reflection and the trampoline
-// corpus. Calls needing argument coercion (an int64 from a hand-rolled
-// client, say) return ErrNotDispatched and take the runtime's reflective
-// plan, so observable behavior is unchanged. Must stay identical to the
-// amberd twin — the two binaries share the wire name "main.DemoCounter".
-func (c *DemoCounter) Dispatch(ctx *core.Ctx, method string, args []any) ([]any, error) {
-	switch method {
-	case "Add":
-		if len(args) == 1 {
-			if n, ok := args[0].(int); ok {
-				c.N += n
-				return []any{c.N}, nil
-			}
-		}
-	case "Get":
-		if len(args) == 0 {
-			return []any{c.N}, nil
-		}
-	case "Where":
-		if len(args) == 0 {
-			return []any{ctx.NodeID()}, nil
-		}
-	}
-	return nil, core.ErrNotDispatched
-}
 
 // recorder collects completion latencies. OnDone callbacks run on transport
 // delivery goroutines and must not block; a short mutex-guarded append is the
@@ -149,7 +104,7 @@ func main() {
 	}
 
 	reg := core.NewRegistry()
-	if err := reg.Register(&DemoCounter{}); err != nil {
+	if err := reg.Register(&demo.Counter{}); err != nil {
 		log.Fatal(err)
 	}
 
@@ -240,7 +195,7 @@ func main() {
 	// pipeline doesn't carry the whole arrival stream.
 	targets := make([]core.Ref, *objects)
 	for i := range targets {
-		ref, err := ctx.New(&DemoCounter{})
+		ref, err := ctx.New(&demo.Counter{})
 		if err != nil {
 			log.Fatal(err)
 		}

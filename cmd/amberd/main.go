@@ -25,6 +25,7 @@ import (
 
 	"amber/internal/core"
 	"amber/internal/debug"
+	"amber/internal/demo"
 	"amber/internal/gaddr"
 	"amber/internal/sor"
 	"amber/internal/stats"
@@ -32,50 +33,6 @@ import (
 	"amber/internal/transport"
 	"amber/internal/wire"
 )
-
-// DemoCounter is the demonstration class; identical in every process by
-// construction (same binary).
-type DemoCounter struct{ N int }
-
-// Add increments and returns the counter.
-func (c *DemoCounter) Add(n int) int { c.N += n; return c.N }
-
-// Get reads the counter without mutating it.
-func (c *DemoCounter) Get() int { return c.N }
-
-// Where reports the executing node.
-func (c *DemoCounter) Where(ctx *core.Ctx) gaddr.NodeID { return ctx.NodeID() }
-
-// AmberReadOnly declares the non-mutating methods so a joined amber-load's
-// readmostly workload can serve them from reader-lease copies.
-func (c *DemoCounter) AmberReadOnly() []string { return []string{"Get", "Where"} }
-
-// Dispatch implements core.AmberDispatch: the counter routes its own
-// operations with a switch, skipping both reflection and the trampoline
-// corpus. Calls needing argument coercion (an int64 from a hand-rolled
-// client, say) return ErrNotDispatched and take the runtime's reflective
-// plan, so observable behavior is unchanged. Must stay identical to the
-// amber-load twin — the two binaries share the wire name "main.DemoCounter".
-func (c *DemoCounter) Dispatch(ctx *core.Ctx, method string, args []any) ([]any, error) {
-	switch method {
-	case "Add":
-		if len(args) == 1 {
-			if n, ok := args[0].(int); ok {
-				c.N += n
-				return []any{c.N}, nil
-			}
-		}
-	case "Get":
-		if len(args) == 0 {
-			return []any{c.N}, nil
-		}
-	case "Where":
-		if len(args) == 0 {
-			return []any{ctx.NodeID()}, nil
-		}
-	}
-	return nil, core.ErrNotDispatched
-}
 
 // metricFamilies groups this process's stat sets for the shared Prometheus
 // text renderer — the same families back both the stdout status block and
@@ -217,7 +174,7 @@ func main() {
 	}
 
 	reg := core.NewRegistry()
-	if err := reg.Register(&DemoCounter{}); err != nil {
+	if err := reg.Register(&demo.Counter{}); err != nil {
 		log.Fatal(err)
 	}
 	if err := sor.RegisterAll(reg); err != nil {
@@ -378,7 +335,7 @@ func main() {
 
 	// --- demo workload ---
 	ctx := node.Root()
-	ref, err := ctx.New(&DemoCounter{})
+	ref, err := ctx.New(&demo.Counter{})
 	if err != nil {
 		log.Fatal(err)
 	}

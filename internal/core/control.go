@@ -170,12 +170,16 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 
 // control drives a mobility/control operation initiated locally by thread c:
 // run the entry protocol here, execute if the object is local, otherwise
-// ship the request and decode the typed reply.
+// ship the request and decode the typed reply. A shipped request that fails
+// climbs the same ladder as an invocation (engine.go) for its routing rungs;
+// both dead ends it recovers from are replies generated before any execution,
+// so resolving again cannot double-apply the operation.
 func (n *Node) control(c *Ctx, msg *routedMsg, o callOpts) (any, error) {
 	msg.Thread = c.rec
-	restarts := 0
+	ro := n.policy(o)
+	var lad ladder
 	for retries := 0; ; retries++ {
-		d, act, to, err := n.resolve(msg)
+		d, act, to, err := n.resolve(msg, &msg.Thread)
 		switch act {
 		case actError:
 			return nil, err
@@ -190,17 +194,14 @@ func (n *Node) control(c *Ctx, msg *routedMsg, o callOpts) (any, error) {
 			}
 			return nil, err
 		case actForward:
-			rep, err := n.shipControl(c, msg, to, o)
-			// Like invoke: a chase that ran out of hops behind a fast-moving
-			// object restarts with a fresh chain (routing-lost replies are
-			// pre-execution, so this cannot double-apply the operation).
-			if err != nil && errors.Is(err, ErrRoutingLost) && restarts < 4 {
-				restarts++
-				msg.Chain = nil
-				n.counts.Inc("routing_restarts")
-				continue
+			rep, err := n.shipControl(c, msg, to, ro)
+			if err == nil {
+				return rep, nil
 			}
-			return rep, err
+			if v, _ := n.climb(&lad, msg.Obj, to, ro, err); v == verdictFinal {
+				return nil, err
+			}
+			msg.Chain = nil
 		}
 	}
 }
@@ -256,17 +257,14 @@ func (f *forwardedTo) Error() string {
 // shipControl sends a control request to another node and decodes the typed
 // reply. The thread blocks (releasing its processor slot) while the request
 // is away, like any remote operation.
-func (n *Node) shipControl(c *Ctx, msg *routedMsg, to gaddr.NodeID, o callOpts) (any, error) {
+func (n *Node) shipControl(c *Ctx, msg *routedMsg, to gaddr.NodeID, ro rpc.CallOpts) (any, error) {
 	msg.Chain = append(msg.Chain, n.id)
 	if len(msg.Chain) > n.cfg.MaxHops {
 		return nil, ErrRoutingLost
 	}
-	body := encode(msg, 0)
-	var resp []byte
-	var rerr error
-	c.Block(func() { resp, rerr = n.callWith(to, procRouted, body, rpc.TraceInfo{}, o) })
-	if rerr != nil {
-		return nil, mapRemoteError(rerr)
+	resp, err := n.callBlocked(c, to, msg.frame(), ro)
+	if err != nil {
+		return nil, err
 	}
 	defer wire.PutBuf(resp) // typed replies below copy all fields out
 	switch msg.Op {
@@ -442,7 +440,11 @@ func (c *Ctx) New(obj any, opts ...CallOption) (Ref, error) {
 //
 //	ctx.Invoke(ref, "Add", 5, amber.WithDeadline(time.Second),
 //	    amber.WithRetry(amber.RetryPolicy{MaxAttempts: 3}))
+//
+// An Invoke is a one-step journey awaited inline (engine.go); the step lives
+// on this stack frame.
 func (c *Ctx) Invoke(obj Ref, method string, args ...any) ([]any, error) {
 	rest, o := splitOptions(args)
-	return c.node.invoke(c, obj, method, rest, o)
+	step := [1]ChainStep{{Obj: obj, Method: method, Args: rest}}
+	return c.node.travel(c, step[:], o)
 }

@@ -313,10 +313,11 @@ func (c *Cluster) CollectStats(topN int) *FleetStats {
 // --- anomaly tripwire ---
 
 // noteCallAnomaly classifies a failed internode call into a flight-recorder
-// trigger. callWith is the single funnel every remote invoke, move, install
-// and server call passes through, so this one hook sees every cross-node
-// failure in the system. Counting is unconditional; triggering is nil-safe
-// and costs one atomic load when no recorder is installed.
+// trigger. The failure ladder's final verdict (climb, engine.go) is the single
+// funnel every shipped invocation and control operation that fails passes
+// through, so this one hook sees each of them — once, and not the attempts
+// the ladder recovered. Counting is unconditional; triggering is nil-safe and
+// costs one atomic load when no recorder is installed.
 func (n *Node) noteCallAnomaly(to gaddr.NodeID, p rpc.Proc, ro rpc.CallOpts, err error) {
 	c := n.capture.Load()
 	detail := func(kind string) string {

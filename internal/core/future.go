@@ -1,14 +1,13 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"amber/internal/gaddr"
 	"amber/internal/rpc"
+	"amber/internal/trace"
 	"amber/internal/wire"
 )
 
@@ -107,240 +106,201 @@ func (f *Future) OnDone(fn func(*Future)) {
 // processor slot — until a slot frees; the Future itself never blocks.
 func (c *Ctx) AsyncInvoke(obj Ref, method string, args ...any) *Future {
 	rest, o := splitOptions(args)
-	return c.node.asyncInvoke(c, obj, method, rest, o)
+	return c.node.travelAsync(c, []ChainStep{{Obj: obj, Method: method, Args: rest}}, o)
 }
 
-// futureCall is one pipelined invocation's control block: everything needed
-// to (re)issue the request and to finish the journey when the reply lands.
-type futureCall struct {
-	f   *Future
-	rec ThreadRec
-	obj gaddr.Addr
-	// body is the request — routedMsg and argument vector, encoded when the
-	// call was made, since the caller is free to reuse its arguments as soon
-	// as AsyncInvoke returns. Every attempt sends a copy; finish returns it
-	// to the pool.
+// journey is a journey awaited by callback (engine.go has the inline wait):
+// everything needed to (re)issue the request through the per-peer pipeline
+// and to finish when the reply lands.
+type journey struct {
+	n     *Node
+	f     *Future
+	rec   ThreadRec
+	span  uint64    // the journey's invoke span (0 = untraced)
+	first ChainStep // the first step's object and method: the span's label
+	ro    rpc.CallOpts
+	// readOnly is the call's WithReadOnly declaration, applied to every step.
+	readOnly bool
+	idem     uint64 // idempotency token shared by every attempt (0 = no retry)
+	lad      ladder
+
+	// body is the request for the steps still to run, encoded when the call
+	// was made, since the caller is free to reuse its arguments as soon as
+	// AsyncInvoke returns. Every attempt sends a copy; a journey that must
+	// resolve again decodes its steps back out of it.
 	body  []byte
-	o     callOpts
 	to    gaddr.NodeID
-	ti    rpc.TraceInfo
-	idem  uint64 // idempotency token shared by every attempt (0 = no retry)
+	head  gaddr.Addr // the shipped head step's object: a dead end discredits its hint
+	last  gaddr.Addr // the final step's object: what the reply reports on
 	start time.Time
-
-	// failure-path state, mirroring the blocking invoke() loop
-	timeout     time.Duration
-	hintRetried bool
-	restarts    int
-	attempt     int
-	backoff     time.Duration
 }
 
-func (n *Node) asyncInvoke(c *Ctx, obj gaddr.Addr, method string, args []any, o callOpts) *Future {
-	n.counts.Inc("async_invokes")
-	if obj == gaddr.Nil {
-		return completedFuture(nil, fmt.Errorf("%w: nil reference", ErrNoSuchObject))
+// travelAsync starts a journey awaited by callback: a fresh thread that runs
+// its resident steps on a goroutine of its own (the whole point is not to
+// borrow the caller's) and ships the rest through the pipeline.
+func (n *Node) travelAsync(c *Ctx, steps []ChainStep, o callOpts) *Future {
+	n.cAsyncInvokes.Inc()
+	j := &journey{n: n, f: newFuture(), ro: n.policy(o), readOnly: o.readOnly,
+		rec:   ThreadRec{ID: n.newThreadID(), Home: n.id, Priority: c.rec.Priority},
+		first: ChainStep{Obj: steps[0].Obj, Method: steps[0].Method}}
+	if tr := n.tracer; tr.OnFor(j.rec.ID) {
+		// The new journey's birth is linked to the issuing thread's current
+		// span, like StartThread's.
+		j.span = tr.NextSpan()
+		n.emitInvoke(trace.KInvokeStart, j.rec.ID, j.span, c.span, &j.first)
 	}
-	f := newFuture()
-	rec := ThreadRec{ID: n.newThreadID(), Home: n.id, Priority: c.rec.Priority}
-	msg := routedMsg{Op: opInvoke, Obj: obj, Thread: rec, Method: method}
-	if o.readOnly {
-		msg.Flags |= rmFlagReadOnly
+	j.lad = ladder{thread: j.rec.ID, span: j.span, budget: j.ro.MaxAttempts,
+		backoff: rpc.Backoff{Pause: j.ro.Backoff, Max: j.ro.MaxBackoff}}
+	if j.ro.Idempotent {
+		j.idem = n.ep.NewToken()
 	}
-	d, act, to, err := n.resolve(&msg)
+	d, act, to, err := n.resolveStep(&j.rec, &steps[0], o.readOnly)
 	switch act {
 	case actError:
-		f.complete(nil, err)
+		j.finish(nil, err)
 	case actExecute:
-		// Resident fast path: the pin is already held; execute on a fresh
-		// goroutine (the whole point is not to borrow the caller's).
 		n.counts.Inc("async_invokes_local")
-		go n.runAsyncLocal(d, rec, obj, method, args, o.readOnly, f)
+		go j.resume(d, steps)
 	case actForward:
-		// Encoded from a heap copy, as in invoke(): sharing the variable would
-		// make every resident AsyncInvoke pay for a routedMsg it never ships.
-		smsg := msg
-		smsg.Chain = append(smsg.Chain, n.id)
-		if n.replicaOn {
-			smsg.SnapMax = n.replicaMax
-			smsg.Flags |= rmFlagLeaseOK
-		}
-		body, merr := assembleVec(&smsg, args)
-		if merr != nil {
-			f.complete(nil, merr)
-			return f
-		}
-		timeout := o.deadline
-		if timeout <= 0 {
-			timeout = n.cfg.RPCTimeout
-		}
-		var idem uint64
-		if o.retry.MaxAttempts > 1 {
-			// Retries are only safe under one idempotency token per logical
-			// call (at-most-once at the callee); and meaningless without a
-			// deadline to trigger them.
-			idem = n.ep.NewToken()
-			if timeout <= 0 {
-				timeout = time.Second
+		j.ship(c, steps, nil, to)
+	}
+	return j.f
+}
+
+// resume advances the journey on this node, on a goroutine of its own —
+// resolve may block on a move in progress: run the steps whose objects are
+// resident, ship the rest. d, when non-nil, is the head step's descriptor,
+// resolved and pinned by the caller.
+func (j *journey) resume(d *descriptor, steps []ChainStep) {
+	n := j.n
+	c := &Ctx{node: n, rec: j.rec, span: j.span}
+	var prev []any
+	for {
+		if d == nil {
+			var act action
+			var to gaddr.NodeID
+			var err error
+			switch d, act, to, err = n.resolveStep(&j.rec, &steps[0], j.readOnly); act {
+			case actError:
+				j.finish(nil, err)
+				return
+			case actForward:
+				j.ship(nil, steps, prev, to)
+				return
 			}
 		}
-		var ti rpc.TraceInfo
-		if n.tracer.OnFor(rec.ID) {
-			ti = rpc.TraceInfo{TraceID: rec.ID}
-		}
-		fc := &futureCall{f: f, rec: rec, obj: obj, body: body, o: o,
-			to: to, ti: ti, idem: idem, timeout: timeout, backoff: o.retry.Backoff,
-			start: time.Now()}
-		n.pipeFor(to).enqueue(c, fc)
-	}
-	return f
-}
-
-// runAsyncLocal executes a resident async invocation. d arrives pinned (the
-// resolve fast path took the pin); runPinned releases it. Counter and heat
-// parity with the synchronous local path keeps placement decisions blind to
-// which API issued the call.
-func (n *Node) runAsyncLocal(d *descriptor, rec ThreadRec, obj gaddr.Addr, method string, args []any, readOnly bool, f *Future) {
-	c := &Ctx{node: n, rec: rec}
-	n.cInvokesLocal.Inc()
-	if n.heat != nil && !d.Immutable() && !d.Lease() {
-		n.heatObserve(obj, n.id)
-	}
-	switch {
-	case d.Replica():
-		n.cReplicaHits.Inc()
-	case d.Lease():
-		n.cLeaseHits.Inc()
-	}
-	start := time.Now()
-	res, err := n.runPinned(c, d, obj, method, args, readOnly)
-	n.histLocal.Observe(time.Since(start))
-	f.complete(res, err)
-}
-
-// asyncDispatch (re)routes a pipelined call after a stale hint, routing
-// restart, or retry backoff: resolve afresh and either run here (the object
-// came to us between attempts), complete with a definite error, or requeue
-// on the now-believed peer's pipe. Always runs on its own goroutine —
-// resolve may block on a move in progress, and requeue never blocks.
-func (n *Node) asyncDispatch(fc *futureCall) {
-	var msg routedMsg
-	if _, err := msg.DecodeWire(fc.body); err != nil {
-		fc.finish(nil, err)
-		return
-	}
-	msg.Chain = nil // a local origin: resolve may serve it from a lease copy
-	d, act, to, err := n.resolve(&msg)
-	switch act {
-	case actError:
-		fc.finish(nil, err)
-	case actExecute:
-		args, uerr := wire.UnmarshalArgsScratch(msg.Args)
-		if uerr != nil {
-			n.unpin(d)
-			fc.finish(nil, uerr)
+		var err error
+		if prev, err = n.runHere(c, d, &steps[0], prev, j.readOnly); err != nil || len(steps) == 1 {
+			j.finish(prev, err)
 			return
 		}
-		wire.PutBuf(fc.body) // the decoded arguments own their memory
-		fc.body = nil
-		n.runAsyncLocal(d, fc.rec, fc.obj, msg.Method, args, fc.o.readOnly, fc.f)
-		wire.PutArgs(args)
-	case actForward:
-		fc.to = to
-		n.pipeFor(to).requeue(fc)
+		steps, d = steps[1:], nil
 	}
 }
 
-// finish completes the call's future and returns the request body to the
-// pool. Attempts are strictly sequential and each resolves exactly once, so
-// nothing can still be reading the body here.
-func (fc *futureCall) finish(res []any, err error) {
-	wire.PutBuf(fc.body)
-	fc.body = nil
-	fc.f.complete(res, err)
+// ship builds the request for the remaining steps and admits it to the pipe
+// toward node to. c is the issuing thread, blocked under backpressure; nil
+// on the journey's own goroutine.
+func (j *journey) ship(c *Ctx, steps []ChainStep, prev []any, to gaddr.NodeID) {
+	body, ti, err := j.n.request(&j.rec, j.span, steps, prev, j.readOnly, to)
+	if err != nil {
+		j.finish(nil, err)
+		return
+	}
+	if j.start.IsZero() {
+		j.start = time.Now()
+	}
+	j.ro.Trace = ti
+	j.body, j.to, j.head, j.last = body, to, steps[0].Obj, steps[len(steps)-1].Obj
+	j.n.pipeFor(to).enqueue(c, j)
 }
 
-// issueAsync puts one pipelined call on the wire. Called from a pipe's drain
-// loop with an inflight slot already charged; the completion callback
-// releases it. NoFlush batches the burst — the drain loop kicks one flush
-// when it finishes issuing.
-func (n *Node) issueAsync(fc *futureCall) {
-	n.counts.Inc("invokes_shipped")
+// issue puts one attempt on the wire. Called from a pipe's drain loop with an
+// inflight slot already charged; the completion callback releases it. NoFlush
+// batches the burst — the drain loop kicks one flush when it finishes issuing.
+func (j *journey) issue() {
 	ao := rpc.AsyncOpts{
-		Timeout:      fc.timeout,
-		ProbeTimeout: n.cfg.ProbeTimeout,
-		Trace:        fc.ti,
-		Idem:         fc.idem,
+		Timeout:      j.ro.Timeout,
+		ProbeTimeout: j.ro.ProbeTimeout,
+		Trace:        j.ro.Trace,
+		Idem:         j.idem,
 		NoFlush:      true,
 	}
-	to := fc.to
-	// The attempt's frame is a copy: the stale-hint, routing-restart and
-	// retry ladders may all need the body again after this one is sent.
-	n.ep.StartCall(to, procRouted, rpc.FrameCopy(fc.body), ao, func(resp []byte, rerr error) {
-		n.asyncComplete(fc, to, resp, rerr)
-	})
+	// The attempt's frame is a copy: the ladder may need the body again
+	// after this one is sent.
+	j.n.ep.StartCall(j.to, procRouted, rpc.FrameCopy(j.body), ao, j.arrived)
 }
 
-// asyncComplete finishes one attempt: release the pipeline slot, then either
-// unpack the reply (acceptReply, the return leg shared with shipInvoke) or
-// route the failure. It runs on a transport delivery or timer goroutine and
-// never blocks.
-func (n *Node) asyncComplete(fc *futureCall, to gaddr.NodeID, resp []byte, rerr error) {
-	n.pipeFor(to).release()
-	if rerr != nil {
-		n.asyncFail(fc, to, mapRemoteError(rerr))
+// arrived finishes one attempt: release the pipeline slot, then either unpack
+// the reply (acceptReply, the return leg shared with the inline wait) or ask
+// the ladder what the failure means. It runs on a transport delivery or timer
+// goroutine and never blocks.
+func (j *journey) arrived(resp []byte, err error) {
+	n := j.n
+	n.pipeFor(j.to).release()
+	if err == nil {
+		out, err := n.acceptReply(j.last, resp)
+		n.observeRemote(j.start, j.ro.Trace.TraceID)
+		j.finish(out, err)
 		return
 	}
-	out, err := n.acceptReply(fc.obj, resp)
-	elapsed := time.Since(fc.start)
-	n.histRemote.Observe(elapsed)
-	if fc.ti.TraceID != 0 {
-		n.exRemote.Note(elapsed, fc.ti.TraceID)
+	err = mapRemoteError(err)
+	switch v, pause := n.climb(&j.lad, j.head, j.to, j.ro, err); v {
+	case verdictResolve:
+		go j.again()
+	case verdictRetry:
+		time.AfterFunc(pause, j.again)
+	default:
+		j.finish(nil, err)
 	}
-	fc.finish(out, err)
 }
 
-// asyncFail routes a failed attempt through the same recovery ladder as the
-// blocking invoke() loop: one stale-hint retry, bounded routing restarts,
-// then the per-call retry policy; what survives completes the future and
-// trips the anomaly tripwire exactly like a failed blocking call.
-func (n *Node) asyncFail(fc *futureCall, to gaddr.NodeID, err error) {
-	if staleRouteError(err) {
-		if !fc.hintRetried && n.hintDrop(fc.obj) {
-			fc.hintRetried = true
-			n.counts.Inc("hint_retries")
-			go n.asyncDispatch(fc)
-			return
-		}
-		if errors.Is(err, ErrRoutingLost) && fc.restarts < 4 {
-			fc.restarts++
-			n.counts.Inc("routing_restarts")
-			go n.asyncDispatch(fc)
-			return
-		}
-	}
-	// Retry policy: only attempts with no reply (timeout, dead peer, refused
-	// send) are re-issued; a reply carrying an application error is final.
-	var re *rpc.RemoteError
-	if fc.o.retry.MaxAttempts > 1 && fc.attempt+1 < fc.o.retry.MaxAttempts && !errors.As(err, &re) {
-		fc.attempt++
-		n.counts.Inc("async_retries")
-		backoff := fc.backoff
-		if backoff <= 0 {
-			backoff = 10 * time.Millisecond
-		}
-		maxBackoff := fc.o.retry.MaxBackoff
-		if maxBackoff <= 0 {
-			maxBackoff = 500 * time.Millisecond
-		}
-		if fc.backoff = backoff * 2; fc.backoff > maxBackoff {
-			fc.backoff = maxBackoff
-		}
-		time.AfterFunc(backoff, func() { n.asyncDispatch(fc) })
+// again re-routes the journey after a stale hint, a routing restart or a
+// retry pause: the steps come back out of the request as values and the
+// journey resumes like a fresh one — the object may have come to this node
+// between attempts.
+func (j *journey) again() {
+	steps, err := decodeSteps(j.body)
+	if err != nil {
+		j.finish(nil, err)
 		return
 	}
-	ro := rpc.CallOpts{Timeout: fc.timeout, MaxAttempts: fc.o.retry.MaxAttempts}
-	n.noteCallAnomaly(to, procRouted, ro, err)
-	fc.finish(nil, err)
+	wire.PutBuf(j.body) // the decoded values own their memory
+	j.body = nil
+	j.resume(nil, steps)
+}
+
+// decodeSteps turns a request back into the steps it carries.
+func decodeSteps(body []byte) ([]ChainStep, error) {
+	var msg routedMsg
+	if _, err := msg.DecodeWire(body); err != nil {
+		return nil, err
+	}
+	var steps []ChainStep
+	head, cont := wireStep{Obj: msg.Obj, Method: msg.Method, Args: msg.Args}, msg.Cont
+	for {
+		args, err := wire.UnmarshalArgs(head.Args)
+		if err != nil {
+			return nil, err
+		}
+		steps = append(steps, ChainStep{Obj: head.Obj, Method: head.Method, Args: args})
+		if len(cont) == 0 {
+			return steps, nil
+		}
+		head, cont, _ = popStep(cont) // DecodeWire walked it: well-formed
+	}
+}
+
+// finish completes the journey's future and returns the request body to the
+// pool. Attempts are strictly sequential and each resolves exactly once, so
+// nothing can still be reading the body here.
+func (j *journey) finish(res []any, err error) {
+	wire.PutBuf(j.body)
+	j.body = nil
+	if j.span != 0 {
+		j.n.emitInvoke(trace.KInvokeEnd, j.rec.ID, j.span, 0, &j.first)
+	}
+	j.f.complete(res, err)
 }
 
 // --- per-peer request pipeline ---
@@ -359,7 +319,7 @@ type peerPipe struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	q        []*futureCall
+	q        []*journey
 	inflight int
 	draining bool
 }
@@ -379,10 +339,10 @@ func (n *Node) pipeFor(to gaddr.NodeID) *peerPipe {
 
 // enqueue admits a fresh call, blocking the caller (slot released via
 // c.Block) while the pipe is at depth. c may be nil (raw goroutines).
-func (p *peerPipe) enqueue(c *Ctx, fc *futureCall) {
+func (p *peerPipe) enqueue(c *Ctx, j *journey) {
 	p.mu.Lock()
 	if len(p.q)+p.inflight < p.depth {
-		p.push(fc)
+		p.push(j)
 		p.mu.Unlock()
 		return
 	}
@@ -393,7 +353,7 @@ func (p *peerPipe) enqueue(c *Ctx, fc *futureCall) {
 		for len(p.q)+p.inflight >= p.depth {
 			p.cond.Wait()
 		}
-		p.push(fc)
+		p.push(j)
 		p.mu.Unlock()
 	}
 	if c != nil {
@@ -403,18 +363,9 @@ func (p *peerPipe) enqueue(c *Ctx, fc *futureCall) {
 	}
 }
 
-// requeue re-admits a retried call. It bypasses the depth gate: the retry's
-// original admission is still outstanding from the caller's point of view,
-// and the completion paths that call it must never block.
-func (p *peerPipe) requeue(fc *futureCall) {
-	p.mu.Lock()
-	p.push(fc)
-	p.mu.Unlock()
-}
-
 // push appends and ensures a drainer is running. Caller holds p.mu.
-func (p *peerPipe) push(fc *futureCall) {
-	p.q = append(p.q, fc)
+func (p *peerPipe) push(j *journey) {
+	p.q = append(p.q, j)
 	if !p.draining && p.inflight < p.window {
 		p.draining = true
 		go p.drain()
@@ -443,13 +394,13 @@ func (p *peerPipe) drain() {
 	for {
 		issued := 0
 		for len(p.q) > 0 && p.inflight < p.window {
-			fc := p.q[0]
+			j := p.q[0]
 			copy(p.q, p.q[1:])
 			p.q[len(p.q)-1] = nil
 			p.q = p.q[:len(p.q)-1]
 			p.inflight++
 			p.mu.Unlock()
-			n.issueAsync(fc)
+			j.issue()
 			issued++
 			p.mu.Lock()
 		}

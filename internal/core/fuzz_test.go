@@ -31,18 +31,68 @@ func FuzzRoutedMsg(f *testing.F) {
 		Thread:  ThreadRec{ID: 9, Home: 1, Priority: -3, Pins: []gaddr.Addr{0x1000, 0x3000}},
 		Chain:   []gaddr.NodeID{0, 2, 1},
 		SnapMax: 1 << 16, Flags: rmFlagReadOnly | rmFlagLeaseOK}
-	fuzzSeeds(f, m.AppendWire(nil), (&routedMsg{Op: opLocate, Obj: 1}).AppendWire(nil))
+	// Continuation-bearing seeds: 0 (m above), 1 and 3 remaining steps, with a
+	// ChainPrev marker in a later step.
+	cont := func(steps ...ChainStep) []byte {
+		var b []byte
+		for i := range steps {
+			var err error
+			if b, err = appendStep(b, &steps[i]); err != nil {
+				f.Fatal(err)
+			}
+		}
+		return b
+	}
+	one, three := m, m
+	one.SnapMax, one.Flags = 0, rmFlagChain
+	one.Cont = cont(ChainStep{Obj: 0x2000, Method: "AddTo", Args: []any{ChainPrev, "x"}})
+	three.SnapMax, three.Flags = 0, rmFlagChain|rmFlagReadOnly
+	three.Cont = cont(
+		ChainStep{Obj: 0x2000, Method: "Get"},
+		ChainStep{Obj: 0x3000, Method: "Add", Args: []any{1}},
+		ChainStep{Obj: 0x1000, Method: "AddTo", Args: []any{2, ChainPrev}})
+	// Malformed continuations: a length prefix cut mid-varint, a length larger
+	// than the bytes that follow, and a last step cut short.
+	hdr := m.appendHeader(nil)
+	cutPrefix := append(append([]byte(nil), hdr...), 0x80)
+	tooLong := append(append([]byte(nil), hdr...), 0x7f, 1, 2, 3)
+	cutStep := append(wire.AppendBytes(append([]byte(nil), hdr...), one.Cont[:len(one.Cont)-2]), args...)
+	fuzzSeeds(f, m.AppendWire(nil), (&routedMsg{Op: opLocate, Obj: 1}).AppendWire(nil),
+		one.AppendWire(nil), three.AppendWire(nil), cutPrefix, tooLong, cutStep)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got routedMsg
 		if _, err := got.DecodeWire(data); err != nil {
 			return
 		}
+		// A forwarder appends itself to the chain and re-sends the rest as
+		// decoded; what it sends decodes to what it held.
+		got.Chain = append(got.Chain, 7)
 		var again routedMsg
 		if _, err := again.DecodeWire(got.AppendWire(nil)); err != nil {
 			t.Fatalf("re-encoded message does not decode: %v", err)
 		}
 		if !reflect.DeepEqual(got, again) {
 			t.Fatalf("round trip changed the message:\n%+v\n%+v", got, again)
+		}
+		if len(got.Cont) == 0 {
+			return
+		}
+		// A mid-chain hand-off pops the head step, binds the previous results
+		// into its arguments and forwards the rest: the remaining steps arrive
+		// as they were.
+		next, rest, err := popStep(got.Cont)
+		if err != nil {
+			t.Fatalf("a decoded continuation does not pop: %v", err)
+		}
+		got.Obj, got.Method, got.Args, got.Cont = next.Obj, next.Method, next.Args, rest
+		if err := bindPrev(&got, []any{5}); err != nil {
+			return // the head's arguments are not a vector: the executor replies the error
+		}
+		if _, err := again.DecodeWire(got.AppendWire(nil)); err != nil {
+			t.Fatalf("handed-off message does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(got, again) {
+			t.Fatalf("hand-off changed the message:\n%+v\n%+v", got, again)
 		}
 	})
 }
@@ -67,45 +117,6 @@ func FuzzInvokeReply(f *testing.F) {
 		// everything a receiver acts on must survive.
 		if got.SnapType != "" && !reflect.DeepEqual(got, again) {
 			t.Fatalf("round trip changed the reply:\n%+v\n%+v", got, again)
-		}
-	})
-}
-
-func FuzzChainMsg(f *testing.F) {
-	cm := chainMsg{
-		Steps: []chainStepWire{
-			{Obj: 0x1000, Method: "Add", vals: []any{1}},
-			{Obj: 0x2000, Method: "AddTo", vals: []any{ChainPrev, "x"}},
-		},
-		prevVals: []any{5},
-	}
-	valid, err := cm.appendTo(nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	fuzzSeeds(f, valid)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var got chainMsg
-		if _, err := got.DecodeWire(data); err != nil {
-			return
-		}
-		// A forwarder re-sends the remaining steps as decoded and the previous
-		// results as values.
-		prev, err := wire.UnmarshalArgs(got.Prev)
-		if err != nil {
-			return
-		}
-		fwd := chainMsg{Steps: got.Steps, prevVals: prev}
-		enc, err := fwd.appendTo(nil)
-		if err != nil {
-			t.Skipf("previous results do not re-encode: %v", err)
-		}
-		var again chainMsg
-		if _, err := again.DecodeWire(enc); err != nil {
-			t.Fatalf("forwarded chain does not decode: %v", err)
-		}
-		if !reflect.DeepEqual(got.Steps, again.Steps) {
-			t.Fatalf("forwarding changed the steps:\n%+v\n%+v", got.Steps, again.Steps)
 		}
 	})
 }

@@ -567,3 +567,126 @@ func TestLeaseRevokedWhilePinnedIsNotRenewed(t *testing.T) {
 		t.Fatalf("A read %d after the lease was replaced", v)
 	}
 }
+
+// TestChainStepsClassifiedLikeInvokes: the executing side has one step loop,
+// so a chain's steps are classified read-or-write exactly as plain invokes
+// are. A chain of read-only Gets on cacheable objects — declared by the class
+// or by the call's WithReadOnly — runs on the shared side of the coherence
+// lock and fences nothing; a chain containing a write fences once per write.
+// (Chain steps used to ignore the per-call declaration and run as writes: a
+// WithReadOnly chain of Gets bumped the epoch and revoked every lease.)
+func TestChainStepsClassifiedLikeInvokes(t *testing.T) {
+	cl := newLeaseCluster(t, 3, 30*time.Second)
+	if err := cl.Register(&GatedCounter{}); err != nil {
+		t.Fatal(err)
+	}
+	holder, reader, origin := cl.Node(2), cl.Node(1), cl.Node(0)
+	var refs [2]Ref
+	for i := range refs {
+		ref, err := holder.Root().New(&GatedCounter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := holder.Root().SetCacheable(ref); err != nil {
+			t.Fatal(err)
+		}
+		// The reader node holds a live lease on each object: whatever the
+		// holder fences arrives there as a revoke.
+		readUntilLeaseHit(t, cl, 1, ref, 0)
+		refs[i] = ref
+	}
+	a, b := refs[0], refs[1]
+	expect := func(what string, epochA, epochB uint64, fences, revokes int64) {
+		t.Helper()
+		if got := holder.desc(a).Epoch(); got != epochA {
+			t.Errorf("%s: epoch of a = %d, want %d", what, got, epochA)
+		}
+		if got := holder.desc(b).Epoch(); got != epochB {
+			t.Errorf("%s: epoch of b = %d, want %d", what, got, epochB)
+		}
+		if got := holder.Stats().Value("lease_fences"); got != fences {
+			t.Errorf("%s: lease_fences = %d, want %d", what, got, fences)
+		}
+		if got := reader.Stats().Value("lease_revokes"); got != revokes {
+			t.Errorf("%s: lease_revokes at the reader = %d, want %d", what, got, revokes)
+		}
+	}
+	ea, eb := holder.desc(a).Epoch(), holder.desc(b).Epoch()
+
+	// A read parked inside a at the holder owns the shared side of a's
+	// coherence lock: the chain completes beside it only if its Gets take the
+	// shared side too.
+	gate := &struct{ entered, release chan struct{} }{make(chan struct{}), make(chan struct{})}
+	heldGate.Store(gate)
+	defer heldGate.Store(nil)
+	parked := make(chan error, 1)
+	go func() {
+		_, err := origin.Root().Invoke(a, "HeldGet")
+		parked <- err
+	}()
+	<-gate.entered
+	ctx := origin.Root()
+	out, err := ctx.InvokeChain([]ChainStep{{Obj: a, Method: "Get"}, {Obj: b, Method: "Get"}},
+		WithDeadline(5*time.Second))
+	if err != nil {
+		t.Fatalf("chain of Gets beside a parked reader: %v", err)
+	}
+	if out[0].(int) != 0 {
+		t.Fatalf("chain of Gets = %v, want 0", out)
+	}
+	close(gate.release)
+	if err := <-parked; err != nil {
+		t.Fatalf("parked read: %v", err)
+	}
+	heldGate.Store(nil)
+	expect("after a chain of reads", ea, eb, 0, 0)
+
+	// One write, one read: exactly one fence, on the written object.
+	if _, err := ctx.InvokeChain([]ChainStep{
+		{Obj: a, Method: "Add", Args: []any{1}},
+		{Obj: b, Method: "Get"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	expect("after a write and a read", ea+1, eb, 1, 1)
+
+	// Two writes: each fences its own object once.
+	out, err = ctx.InvokeChain([]ChainStep{
+		{Obj: a, Method: "Add", Args: []any{1}},
+		{Obj: b, Method: "Add", Args: []any{ChainPrev}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0].(int) != 2 {
+		t.Fatalf("b.Add(a.Add(1)) = %v, want 2", out)
+	}
+	// a's leases were all revoked by the first write, so its second fence
+	// finds nobody to tell; b's reaches the reader.
+	expect("after two writes", ea+2, eb+1, 2, 2)
+
+	// The per-call declaration reaches every step as well: Counter declares
+	// nothing read-only, so only WithReadOnly keeps these Gets off the write
+	// path.
+	c, err := holder.Root().New(&Counter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Root().SetCacheable(c); err != nil {
+		t.Fatal(err)
+	}
+	installs := reader.Stats().Value("lease_installs")
+	if _, err := reader.Root().Invoke(c, "Get", WithReadOnly()); err != nil {
+		t.Fatal(err)
+	}
+	waitCounter(t, reader, "lease_installs", installs+1)
+	ec := holder.desc(c).Epoch()
+	if _, err := ctx.InvokeChain([]ChainStep{{Obj: c, Method: "Get"}, {Obj: c, Method: "Get"}},
+		WithReadOnly()); err != nil {
+		t.Fatal(err)
+	}
+	if got := holder.desc(c).Epoch(); got != ec {
+		t.Errorf("a WithReadOnly chain bumped the epoch: %d, was %d", got, ec)
+	}
+	expect("after a WithReadOnly chain", ea+2, eb+1, 2, 2)
+}

@@ -756,7 +756,7 @@ func (n *Node) executeUnattach(d *descriptor, msg *routedMsg) error {
 func (n *Node) locateInternal(obj gaddr.Addr) (gaddr.NodeID, bool, error) {
 	msg := routedMsg{Op: opLocate, Obj: obj}
 	for retries := 0; ; retries++ {
-		d, act, to, err := n.resolve(&msg)
+		d, act, to, err := n.resolve(&msg, &msg.Thread)
 		switch act {
 		case actError:
 			return gaddr.NoNode, false, err
@@ -769,7 +769,7 @@ func (n *Node) locateInternal(obj gaddr.Addr) (gaddr.NodeID, bool, error) {
 			if len(msg.Chain) > n.cfg.MaxHops {
 				return gaddr.NoNode, false, ErrRoutingLost
 			}
-			resp, cerr := n.call(to, procRouted, encode(&msg, 0))
+			resp, cerr := n.call(to, procRouted, msg.frame())
 			if cerr != nil {
 				return gaddr.NoNode, false, mapRemoteError(cerr)
 			}

@@ -198,6 +198,17 @@ type Node struct {
 	cLeaseGrants  *stats.Counter // lease_grants
 	cLeaseInst    *stats.Counter // lease_installs
 
+	// The engine's per-message counters (engine.go), each incremented in
+	// exactly one place.
+	cInvokesShipped    *stats.Counter // invokes_shipped
+	cChainsShipped     *stats.Counter // chains_shipped
+	cReturnChecks      *stats.Counter // return_checks
+	cExecutedForRemote *stats.Counter // invokes_executed_for_remote
+	cChainSteps        *stats.Counter // chain_steps_executed
+	cForwards          *stats.Counter // forwards
+	cChainsForwarded   *stats.Counter // chains_forwarded
+	cAsyncInvokes      *stats.Counter // async_invokes
+
 	// replicaMax is the filled ReplicaMaxBytes; replicaOn gates the whole
 	// read-path replication machinery (snapshot requests and installs).
 	replicaMax uint64
@@ -312,6 +323,14 @@ func NewNode(cfg NodeConfig, reg *Registry, tr transport.Transport, server *gadd
 	n.cLeaseHits = n.counts.Get("lease_hits")
 	n.cLeaseGrants = n.counts.Get("lease_grants")
 	n.cLeaseInst = n.counts.Get("lease_installs")
+	n.cInvokesShipped = n.counts.Get("invokes_shipped")
+	n.cChainsShipped = n.counts.Get("chains_shipped")
+	n.cReturnChecks = n.counts.Get("return_checks")
+	n.cExecutedForRemote = n.counts.Get("invokes_executed_for_remote")
+	n.cChainSteps = n.counts.Get("chain_steps_executed")
+	n.cForwards = n.counts.Get("forwards")
+	n.cChainsForwarded = n.counts.Get("chains_forwarded")
+	n.cAsyncInvokes = n.counts.Get("async_invokes")
 	n.leaseTTL = cfg.LeaseTTL
 	n.leaseGrants = make(map[gaddr.Addr]map[gaddr.NodeID]leaseGrant)
 	n.regions = gaddr.NewTable(nil, n.resolveRegion)

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"amber/internal/gaddr"
-	"amber/internal/rpc"
-)
+import "time"
 
 // CallOption shapes the failure behavior of one Invoke/MoveTo/Locate call.
 // Options ride the existing variadic argument list of Invoke —
@@ -120,35 +115,4 @@ func gatherOptions(opts []CallOption) callOpts {
 		opt.merge(&o)
 	}
 	return o
-}
-
-// callWith performs an internode request under the node's failure policy
-// merged with the per-call options.
-func (n *Node) callWith(to gaddr.NodeID, p rpc.Proc, body []byte, ti rpc.TraceInfo, o callOpts) ([]byte, error) {
-	ro := rpc.CallOpts{
-		Timeout:      n.cfg.RPCTimeout,
-		ProbeTimeout: n.cfg.ProbeTimeout,
-		Trace:        ti,
-	}
-	if o.deadline > 0 {
-		ro.Timeout = o.deadline
-	}
-	if o.retry.MaxAttempts > 1 {
-		ro.MaxAttempts = o.retry.MaxAttempts
-		ro.Backoff = o.retry.Backoff
-		ro.MaxBackoff = o.retry.MaxBackoff
-		// Retries are only safe because every attempt carries the same
-		// idempotency token for the callee's dedup window (at-most-once).
-		ro.Idempotent = true
-		if ro.Timeout <= 0 {
-			ro.Timeout = time.Second
-		}
-	}
-	out, err := n.ep.CallWith(to, p, body, ro)
-	if err != nil {
-		// Anomaly tripwire: a failed internode call is exactly the moment the
-		// flight recorder should snapshot the cluster's rings (see fleet.go).
-		n.noteCallAnomaly(to, p, ro, err)
-	}
-	return out, err
 }

@@ -232,8 +232,7 @@ func (c *Ctx) StartThread(obj Ref, method string, args ...any) (Thread, error) {
 	}
 	go func() {
 		tc := &Ctx{node: n, rec: rec}
-		rest, o := splitOptions(args)
-		results, ierr := n.invoke(tc, obj, method, rest, o)
+		results, ierr := tc.Invoke(obj, method, args...)
 		if ierr != nil && errors.Is(ierr, ErrNodeDown) {
 			// The thread shipped into a node that died: it will never come
 			// back, and whether it executed is unknowable. Unwind it at its

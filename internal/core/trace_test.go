@@ -121,6 +121,83 @@ func TestTraceStitchesAcrossThreeNodes(t *testing.T) {
 	findOne(t, journey, "migrate.in @2", func(ev trace.Event) bool {
 		return ev.Kind == trace.KMigrateIn && ev.Node == 2 && ev.Span == execAdd.Span && ev.Arg == 1
 	})
+
+	// The same stitching holds whichever entry point starts the journey: the
+	// four share one engine, so each leaves invoke.start → migrate.out →
+	// exec.start → exec.end → invoke.end under one trace, an exec pair per
+	// step parented under the origin's invoke span, a forward event where a
+	// chain is handed on mid-way, and a remote-latency exemplar at the origin.
+	a, err := cl.Node(1).Root().New(&Counter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := []ChainStep{{Obj: a, Method: "Add", Args: []any{1}}, {Obj: target, Method: "Add", Args: []any{ChainPrev}}}
+	origin := cl.Node(0)
+	for _, in := range []struct {
+		name  string
+		steps int
+		run   func(ctx *Ctx) error
+	}{
+		{"Invoke", 1, func(ctx *Ctx) error { _, err := ctx.Invoke(a, "Add", 1); return err }},
+		{"AsyncInvoke", 1, func(ctx *Ctx) error { _, err := ctx.AsyncInvoke(a, "Add", 1).Join(ctx); return err }},
+		{"InvokeChain", 2, func(ctx *Ctx) error { _, err := ctx.InvokeChain(chain); return err }},
+		{"AsyncInvokeChain", 2, func(ctx *Ctx) error { _, err := ctx.AsyncInvokeChain(chain).Join(ctx); return err }},
+	} {
+		known := map[uint64]bool{}
+		for _, ev := range cl.CollectTrace() {
+			known[ev.Trace] = true
+		}
+		origin.exRemote.Reset()
+		if err := in.run(origin.Root()); err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		all := cl.CollectTrace()
+		start := findOne(t, all, in.name+": invoke.start @0", func(ev trace.Event) bool {
+			return ev.Kind == trace.KInvokeStart && ev.Node == 0 && !known[ev.Trace]
+		})
+		journey := trace.FilterTrace(all, start.Trace)
+		end := findOne(t, journey, in.name+": invoke.end @0", func(ev trace.Event) bool {
+			return ev.Kind == trace.KInvokeEnd && ev.Node == 0 && ev.Span == start.Span
+		})
+		out := findOne(t, journey, in.name+": migrate.out @0", func(ev trace.Event) bool {
+			return ev.Kind == trace.KMigrateOut && ev.Node == 0 && ev.Span == start.Span && ev.Arg == 1
+		})
+		last := out.TimeNs
+		for step := 0; step < in.steps; step++ {
+			at := int32(step + 1) // a lives on node 1, target on node 2
+			es := findOne(t, journey, in.name+": exec.start", func(ev trace.Event) bool {
+				return ev.Kind == trace.KExecStart && ev.Node == at
+			})
+			ee := findOne(t, journey, in.name+": exec.end", func(ev trace.Event) bool {
+				return ev.Kind == trace.KExecEnd && ev.Node == at && ev.Span == es.Span
+			})
+			if es.Parent != start.Span {
+				t.Fatalf("%s: exec@%d parent %#x, want the invoke span %#x", in.name, at, es.Parent, start.Span)
+			}
+			if es.TimeNs < last || ee.TimeNs < es.TimeNs {
+				t.Fatalf("%s: step %d out of order: %+v %+v", in.name, step, es, ee)
+			}
+			last = ee.TimeNs
+		}
+		if start.TimeNs > out.TimeNs || end.TimeNs < last {
+			t.Fatalf("%s: the invoke span does not enclose the journey:\n%+v", in.name, journey)
+		}
+		forwards := 0
+		for _, ev := range journey {
+			if ev.Kind == trace.KForward {
+				forwards++
+				if ev.Node != 1 || ev.Arg != 2 {
+					t.Fatalf("%s: forward %+v, want node 1 handing on to node 2", in.name, ev)
+				}
+			}
+		}
+		if forwards != in.steps-1 {
+			t.Fatalf("%s: %d forward events, want %d", in.name, forwards, in.steps-1)
+		}
+		if ex := origin.exRemote.Snapshot(); len(ex) != 1 || ex[0].Trace != start.Trace {
+			t.Fatalf("%s: remote-latency exemplars %+v, want one for journey %#x", in.name, ex, start.Trace)
+		}
+	}
 }
 
 // TestTraceDumpRPC exercises the procTraceDump path Node.CollectTrace uses

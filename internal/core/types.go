@@ -167,11 +167,6 @@ const (
 	opDelete
 	opAttach
 	opUnattach
-	// opChain carries a shipped continuation: a sequence of invocations whose
-	// remaining steps travel as one message and execute wherever their objects
-	// live (see chain.go). The entry protocol treats it exactly like opInvoke
-	// — the first remaining step's object is pinned on arrival.
-	opChain
 	// opSetCacheable marks a mutable object as lease-granting: subsequent
 	// read-only invokes from other nodes receive bounded-lifetime cached
 	// copies invalidated by epoch bumps (the coherence layer, DESIGN.md §14).
@@ -194,8 +189,6 @@ func (op routedOp) String() string {
 		return "attach"
 	case opUnattach:
 		return "unattach"
-	case opChain:
-		return "chain"
 	case opSetCacheable:
 		return "setCacheable"
 	}
@@ -232,11 +225,16 @@ type routedMsg struct {
 	Thread ThreadRec
 	// Method applies to opInvoke.
 	Method string
-	// Args is the operation's payload — the argument vector for opInvoke, the
-	// chainMsg for opChain — and the last thing in the encoding: it runs to
-	// the end of the message, so a sender appends it in place behind the
-	// fields above instead of marshalling it apart and copying it in.
+	// Args is opInvoke's encoded argument vector and the last thing in the
+	// encoding: it runs to the end of the message, so a sender appends it in
+	// place behind the fields above instead of marshalling it apart and
+	// copying it in.
 	Args []byte
+	// Cont is opInvoke's continuation: the encoded steps (appendStep) that
+	// follow this invocation on the thread's journey, oldest first. Empty for a
+	// plain invoke, where it costs its one length byte. The executor pops the
+	// next step into Obj/Method/Args when this one has run (engine.go).
+	Cont []byte
 	// Dest applies to opMove (target node), opAttach (parent object is in
 	// Peer), opUnattach (peer in Peer).
 	Dest gaddr.NodeID
@@ -265,6 +263,10 @@ const (
 	// from this reply (it understands expiry + revocation). Distinct from
 	// SnapMax so forwarded hops can strip it independently.
 	rmFlagLeaseOK = 1 << 1
+	// rmFlagChain: the journey left its origin with more than one step. It
+	// stays set on the last step, whose continuation is empty, so the executor
+	// still accounts it as a chain step.
+	rmFlagChain = 1 << 2
 )
 
 // invokeReply is the wire form of an invocation result.
@@ -417,7 +419,7 @@ type regionReply struct {
 // header's share of the frame's presizing.
 
 func (m *routedMsg) sizeHint() int {
-	return 48 + len(m.Method) + len(m.Args) + 10*len(m.Thread.Pins) + 5*len(m.Chain)
+	return 48 + len(m.Method) + len(m.Args) + len(m.Cont) + 10*len(m.Thread.Pins) + 5*len(m.Chain)
 }
 
 func (m *invokeReply) sizeHint() int {
@@ -470,8 +472,16 @@ func (t *ThreadRec) decodeWire(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// AppendWire implements wire.Codec.
+// AppendWire implements wire.Codec: the header, the continuation behind its
+// byte length, and the argument vector to the end of the message.
 func (m *routedMsg) AppendWire(b []byte) []byte {
+	return append(wire.AppendBytes(m.appendHeader(b), m.Cont), m.Args...)
+}
+
+// appendHeader appends every field ahead of the continuation. The origin's
+// request builder calls it directly and encodes the continuation and the
+// arguments in place behind it, from values.
+func (m *routedMsg) appendHeader(b []byte) []byte {
 	b = append(b, byte(m.Op))
 	b = wire.AppendUvarint(b, uint64(m.Obj))
 	b = m.Thread.appendWire(b)
@@ -483,13 +493,13 @@ func (m *routedMsg) AppendWire(b []byte) []byte {
 		b = wire.AppendVarint(b, int64(hop))
 	}
 	b = wire.AppendUvarint(b, m.SnapMax)
-	b = append(b, m.Flags)
-	return append(b, m.Args...)
+	return append(b, m.Flags)
 }
 
-// DecodeWire implements wire.Codec. Args is the rest of b (zero copy) and is
+// DecodeWire implements wire.Codec. Cont and Args alias b (zero copy) and are
 // only valid while the enclosing request payload is; UnmarshalArgs copies out
-// of it before the handler returns.
+// of them before the handler returns. The continuation is walked once here,
+// so a malformed chain is refused before any of its steps has run.
 func (m *routedMsg) DecodeWire(b []byte) ([]byte, error) {
 	if len(b) < 1 {
 		return nil, wire.ErrShortBuffer
@@ -539,7 +549,15 @@ func (m *routedMsg) DecodeWire(b []byte) ([]byte, error) {
 	if len(b) < 1 {
 		return nil, wire.ErrShortBuffer
 	}
-	m.Flags, m.Args = b[0], b[1:]
+	m.Flags = b[0]
+	if m.Cont, m.Args, err = wire.ReadBytes(b[1:]); err != nil {
+		return nil, err
+	}
+	for c := m.Cont; len(c) > 0; {
+		if _, c, err = popStep(c); err != nil {
+			return nil, err
+		}
+	}
 	return nil, nil
 }
 

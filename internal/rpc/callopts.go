@@ -20,7 +20,7 @@ type CallOpts struct {
 	// completes the call.
 	MaxAttempts int
 	// Backoff is the pause before the second attempt; it doubles per retry,
-	// capped at MaxBackoff. Defaults: 10ms doubling to 500ms.
+	// capped at MaxBackoff (see the Backoff type for the defaults).
 	Backoff    time.Duration
 	MaxBackoff time.Duration
 	// Idempotent stamps every attempt with the same idempotency token so the
@@ -32,6 +32,30 @@ type CallOpts struct {
 	ProbeTimeout time.Duration
 	// Trace is the trace context to carry in the request envelope.
 	Trace TraceInfo
+}
+
+// Backoff is the capped exponential pause schedule between the attempts of
+// one logical call: CallWith's own retry loop, and the re-issue schedule of
+// callers that run attempts themselves over StartCall. Pause is the next
+// pause (<=0: 10ms), doubling per retry up to Max (<=0: 500ms).
+type Backoff struct {
+	Pause time.Duration
+	Max   time.Duration
+}
+
+// Next returns the pause before the next attempt and advances the schedule.
+func (b *Backoff) Next() time.Duration {
+	if b.Pause <= 0 {
+		b.Pause = 10 * time.Millisecond
+	}
+	if b.Max <= 0 {
+		b.Max = 500 * time.Millisecond
+	}
+	d := b.Pause
+	if b.Pause *= 2; b.Pause > b.Max {
+		b.Pause = b.Max
+	}
+	return d
 }
 
 // CallWith sends a request governed by opts and blocks until a reply, a
@@ -66,14 +90,7 @@ func (ep *Endpoint) CallWith(to gaddr.NodeID, p Proc, body []byte, opts CallOpts
 	if retrying {
 		defer wire.PutBuf(body)
 	}
-	backoff := opts.Backoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
-	maxBackoff := opts.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 500 * time.Millisecond
-	}
+	backoff := Backoff{Pause: opts.Backoff, Max: opts.MaxBackoff}
 
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -88,10 +105,7 @@ func (ep *Endpoint) CallWith(to gaddr.NodeID, p Proc, body []byte, opts CallOpts
 			select {
 			case out := <-ch:
 				return out.body, out.err
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
+			case <-time.After(backoff.Next()):
 			}
 		}
 		frame := body

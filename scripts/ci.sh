@@ -38,8 +38,20 @@ echo "== fault suite (crash/partition injection, retry, dedup) =="
 # second time under -race with fresh state: seeded injectors make the fault
 # schedules deterministic, and any flake here is a real ordering bug.
 go test -race -count=1 \
-	-run 'TestFaults|FuzzFaultRules|TestTimeoutClassified|TestRetry|TestIdempotent|TestNonIdempotent|TestGeneration|TestWatchPeer|TestDedup|TestCrash|TestOrphaned|TestForwardingChainRepair|TestThreeNodeCrash|TestSimCrash|TestCapture|TestFleet|TestRetryExhaustedTrigger' \
+	-run 'TestFaults|FuzzFaultRules|TestTimeoutClassified|TestRetry|TestIdempotent|TestNonIdempotent|TestGeneration|TestWatchPeer|TestDedup|TestCrash|TestOrphaned|TestForwardingChainRepair|TestThreeNodeCrash|TestSimCrash|TestCapture|TestFleet|TestRetryExhaustedTrigger|TestEntryPointParity|TestInvokeChain|TestAsync|TestLease|TestChainSteps' \
 	./internal/transport/ ./internal/rpc/ ./internal/core/ ./internal/sim/
+
+echo "== one invocation engine (structure check, protocol fuzzing) =="
+# Invoke, AsyncInvoke, InvokeChain and AsyncInvokeChain are one engine
+# (DESIGN.md §13): TestEngineSaysItOnce parses internal/core with go/ast and
+# fails if a second request builder, failure ladder, forwarder or executor has
+# grown beside the first. The protocol decoders then run their seed corpus
+# plus five seconds of fresh inputs each (go test -fuzz takes one target per
+# run).
+go test -count=1 -run 'TestEngineSaysItOnce' ./internal/core/
+for target in FuzzRoutedMsg FuzzInvokeReply FuzzInstallMsg; do
+	go test -run '^$' -fuzz "^$target\$" -fuzztime 5s ./internal/core/
+done
 
 echo "== scheduler stress suite (steal/release/SetPolicy races, starvation) =="
 # The per-slot scheduler's fast path is mutex-free atomics with a two-sided
