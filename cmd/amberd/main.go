@@ -118,8 +118,7 @@ func main() {
 		capOut      = flag.String("capture-out", "amber-capture", "anomaly capture file prefix; dumps land in <prefix>-<seq>.json")
 		spaceShards = flag.Int("space-shards", 0, "lock stripes in the object space (0 = default, rounded up to a power of two)")
 		hintCache   = flag.Int("hint-cache", 0, "total location-hint cache capacity, split across shards (0 = default)")
-		replicaCap  = flag.Int("replica-cache", 0, "demand-pulled immutable-replica cache capacity, split across shards (0 = default, negative = disable replication)")
-		replicaMax  = flag.Int("replica-max-bytes", 0, "largest object snapshot piggybacked on an invoke reply (0 = default 64KiB, negative = disable)")
+		replicaCap  = flag.Int("replica-cache", 0, "demand-pulled copy cache capacity, split across shards (0 = default, negative = disable cached copies)")
 		leaseTTL    = flag.Duration("lease-ttl", 0, "reader-lease lifetime for cacheable mutable objects (0 = default 2s, negative = disable leases)")
 		steal       = flag.Bool("steal", true, "let idle processor slots steal queued threads from busy slots' run queues")
 		heatIvl     = flag.Duration("heat-interval", 0, "heat-driven placement tick; hot objects migrate toward their dominant caller (0 = off)")
@@ -198,16 +197,15 @@ func main() {
 	// drop stale location hints.
 	cfg := core.NodeConfig{
 		ID: gaddr.NodeID(*nodeID), Procs: *procs, ServerNode: 0, Tracer: tracer,
-		RPCTimeout:      *rpcTO,
-		Generation:      uint64(time.Now().UnixNano()),
-		SpaceShards:     *spaceShards,
-		HintCache:       *hintCache,
-		ReplicaCache:    *replicaCap,
-		ReplicaMaxBytes: *replicaMax,
-		LeaseTTL:        *leaseTTL,
-		HeatInterval:    *heatIvl,
-		HeatRatio:       *heatRatio,
-		HeatMin:         *heatMin,
+		RPCTimeout:   *rpcTO,
+		Generation:   uint64(time.Now().UnixNano()),
+		SpaceShards:  *spaceShards,
+		HintCache:    *hintCache,
+		ReplicaCache: *replicaCap,
+		LeaseTTL:     *leaseTTL,
+		HeatInterval: *heatIvl,
+		HeatRatio:    *heatRatio,
+		HeatMin:      *heatMin,
 	}
 
 	// Nodes other than 0 need the server up to get their initial regions;

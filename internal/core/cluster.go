@@ -40,12 +40,9 @@ type ClusterConfig struct {
 	// HintCache caps each node's location-hint cache (see
 	// NodeConfig.HintCache; 0 = default).
 	HintCache int
-	// ReplicaCache caps each node's demand-pulled replica cache (see
-	// NodeConfig.ReplicaCache; 0 = default, negative disables replication).
+	// ReplicaCache caps each node's demand-pulled copy cache (see
+	// NodeConfig.ReplicaCache; 0 = default, negative disables copies).
 	ReplicaCache int
-	// ReplicaMaxBytes bounds piggybacked snapshots (see
-	// NodeConfig.ReplicaMaxBytes; 0 = default, negative disables).
-	ReplicaMaxBytes int
 	// LeaseTTL is the reader-lease lifetime for cacheable mutable objects
 	// (see NodeConfig.LeaseTTL; 0 = default 2s, negative disables leases).
 	LeaseTTL time.Duration
@@ -139,7 +136,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			SpaceShards:      cfg.SpaceShards,
 			HintCache:        cfg.HintCache,
 			ReplicaCache:     cfg.ReplicaCache,
-			ReplicaMaxBytes:  cfg.ReplicaMaxBytes,
 			LeaseTTL:         cfg.LeaseTTL,
 			HeatInterval:     cfg.HeatInterval,
 			HeatRatio:        cfg.HeatRatio,

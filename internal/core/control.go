@@ -12,10 +12,10 @@ import (
 	"amber/internal/wire"
 )
 
-// handleInstall receives migrating objects (or immutable replicas) and makes
-// them resident here. Their "address ranges are predetermined" (§3.4): the
-// descriptor slot is simply the same global address, so no allocation
-// happens on the receiving side.
+// handleInstall receives migrating objects (or copies of an immutable object)
+// and makes them resident here. Their "address ranges are predetermined"
+// (§3.4): the descriptor slot is simply the same global address, so no
+// allocation happens on the receiving side.
 func (n *Node) handleInstall(rc *rpc.Ctx) {
 	var msg installMsg
 	if _, err := msg.DecodeWire(rc.Body); err != nil {
@@ -52,11 +52,11 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 		}
 		tis[i], pvs[i] = ti, pv
 	}
-	// Tear down any resident reader-lease copy of an arriving object BEFORE
-	// installing anything: the real object can move onto a node that holds a
-	// lease on it, and overwriting the payload while lease readers hold pins
-	// would race their lock-free reads. The teardown runs as a pre-pass so a
-	// drain timeout still fails the batch all-or-nothing. Lease pins are
+	// Tear down any resident copy of an arriving object BEFORE installing
+	// anything: the real object can move onto a node that holds a lease on
+	// it, and overwriting the payload while lease readers hold pins would
+	// race their lock-free reads. The teardown runs as a pre-pass so a drain
+	// timeout still fails the batch all-or-nothing. Lease pins are
 	// method-call-short, so the wait is brief.
 	if !msg.Copy {
 		for _, snap := range msg.Objects {
@@ -65,11 +65,11 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 				continue
 			}
 			d.Lock()
-			if d.State() != stateResident || !d.Lease() {
+			if d.State() != stateResident || !d.Copy() {
 				d.Unlock()
 				continue
 			}
-			d.SetLeaseExpiry(0) // stop serving immediately
+			d.SetExpiry(0) // stop serving immediately
 			d.SetStateLocked(stateMoving)
 			if !waitPinsLocked(d, n.cfg.MoveDrainTimeout) {
 				d.SetStateLocked(stateResident)
@@ -79,11 +79,7 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 					ErrMoveTimeout, uint64(snap.Addr)))
 				return
 			}
-			d.SetStateLocked(stateForwarded)
-			d.Fwd = msg.From
-			d.SetLeaseLocked(false)
-			d.Payload = payload{}
-			d.Broadcast()
+			tombstoneCopyLocked(d, msg.From)
 			d.Unlock()
 			n.space.ReplicaDrop(snap.Addr)
 		}
@@ -104,10 +100,10 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 		}
 		if msg.Copy && d.State() == stateResident {
 			// Already holding a copy (an explicit placement racing a
-			// demand-pulled replica, or a duplicated install). Immutable
-			// copies are byte-identical at the same epoch, so there is
-			// nothing to gain — and overwriting a resident payload would race
-			// its pinned readers.
+			// demand-pulled one, or a duplicated install). Copies of an
+			// immutable object are byte-identical at the same epoch, so there
+			// is nothing to gain — and overwriting a resident payload would
+			// race its pinned readers.
 			d.Unlock()
 			n.counts.Inc("replica_installs_dup")
 			continue
@@ -120,41 +116,44 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 			d.Mv = nil
 			n.counts.Inc("installs_superseded_move")
 		}
-		// Publication order matters: the payload, mode bits and edges are all
-		// in place before the state word flips to resident — the transition
-		// is what licenses lock-free TryPin readers to look at the payload.
 		// Immutable arrivals keep their marshalled form in the snap cell so
-		// onward replication (reply piggyback, further copies) never
-		// re-encodes. snap.State aliases the request payload, which the rpc
-		// layer recycles when this handler returns — the cell needs its own
-		// copy.
-		var cell *snapCell
+		// onward copies (reply piggyback, further moves) never re-encode.
+		// snap.State aliases the request payload, which the rpc layer
+		// recycles when this handler returns — the cell needs its own copy.
+		p := newPayload(pv, ti)
 		if snap.Immutable {
-			cell = &snapCell{}
+			p.snap = &snapCell{}
 			if len(snap.State) > 0 {
 				st := append(make([]byte, 0, len(snap.State)), snap.State...)
-				cell.v.Store(&st)
+				p.snap.v.Store(&st)
 			}
 		}
-		d.Payload = newPayload(pv, ti)
-		d.Payload.snap = cell
-		d.Fwd = gaddr.NoNode
-		d.ClearAttachLocked()
-		for _, p := range snap.Attached {
-			d.AddAttach(p)
+		if msg.Copy {
+			p.src = msg.From
+			publishCopyLocked(d, p, snap.Epoch, copyForever)
+		} else {
+			// Publication order matters: the payload, mode bits and edges are
+			// all in place before the state word flips to resident — the
+			// transition is what licenses lock-free TryPin readers to look at
+			// the payload. The leasable mark travels with the object: the new
+			// holder grants leases from an empty grant table (the source
+			// fenced every outstanding grant when it shipped the object out).
+			// The copy bit is cleared here too: the installer worker may have
+			// landed a queued copy since the pre-pass tore the last one down.
+			d.Payload = p
+			d.Fwd = gaddr.NoNode
+			d.ClearAttachLocked()
+			for _, a := range snap.Attached {
+				d.AddAttach(a)
+			}
+			d.SetImmutableLocked(snap.Immutable)
+			d.SetLeasableLocked(snap.Leasable)
+			d.SetCopyLocked(false)
+			d.SetExpiry(0)
+			d.SetEpochLocked(snap.Epoch)
+			d.SetStateLocked(stateResident)
+			d.Broadcast()
 		}
-		d.SetImmutableLocked(snap.Immutable)
-		d.SetReplicaLocked(msg.Copy)
-		// The leasable mark travels with the object: the new holder grants
-		// leases from an empty grant table (the source fenced every
-		// outstanding grant when it shipped the object out). Any lease bit
-		// left over from a prior life of this descriptor is cleared.
-		d.SetLeasableLocked(snap.Leasable && !msg.Copy)
-		d.SetLeaseLocked(false)
-		d.SetLeaseExpiry(0)
-		d.SetEpochLocked(snap.Epoch)
-		d.SetStateLocked(stateResident)
-		d.Broadcast()
 		d.Unlock()
 		// Any hint for this object is now stale at best; the descriptor is
 		// authoritative.
@@ -346,7 +345,7 @@ func (c *Ctx) SetImmutable(obj Ref, opts ...CallOption) error {
 }
 
 // SetCacheable marks a mutable object lease-granting (§2.3 generalized, see
-// DESIGN.md §14): remote read-only invokes on it piggyback bounded-lifetime
+// DESIGN.md §10): remote read-only invokes on it piggyback bounded-lifetime
 // reader leases on their replies, making subsequent reads at the caller
 // zero-message until the next write. Writes on a cacheable object pay for
 // that: each runs under the object's exclusive coherence lock and blocks

@@ -24,19 +24,17 @@ type payload struct {
 	// methodInfo — compiled once at registration, shared by all objects.)
 	disp AmberDispatch
 	// snap caches the object's marshalled state once the object is
-	// immutable, so snapshot-bearing invoke replies append pre-encoded bytes
+	// immutable, so copy-bearing invoke replies append pre-encoded bytes
 	// instead of re-marshalling per call. nil for mutable objects. The cell
 	// itself is published before the immutable bit (or the resident
 	// transition, for installed copies); its contents are filled lazily by
-	// the first snapshot-bearing reply and read/written only through the
-	// atomic pointer.
+	// the first copy-bearing reply and read/written only through the atomic
+	// pointer.
 	snap *snapCell
-	// src, on a lease copy, names the node the lease was granted by — the
-	// tombstone's forward target when the lease expires or is revoked, and
-	// where every non-serveable operation on the copy forwards. Zero value
-	// (NoNode is -1, but src is only consulted when the lease bit is up) on
-	// home-resident objects and immutable replicas, which track their source
-	// in the space's replica table instead.
+	// src, on a copy, names the node the copy came from — where every
+	// operation a lease copy may not serve forwards. Zero value (NoNode is -1,
+	// but src is only consulted when the copy bit is up) on objects that live
+	// here.
 	src gaddr.NodeID
 }
 

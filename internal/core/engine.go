@@ -102,27 +102,27 @@ func (n *Node) resolveStep(rec *ThreadRec, s *ChainStep, readOnly bool) (*descri
 
 // runHere is the resident prologue: one step executed for a thread already on
 // this node, on the pinned descriptor resolve returned. Every entry point
-// accounts a resident execution here, so placement and the lease/replica hit
-// ratios are blind to which API issued the call.
+// accounts a resident execution here, so placement and the copy hit ratios
+// are blind to which API issued the call.
 func (n *Node) runHere(c *Ctx, d *descriptor, s *ChainStep, prev []any, readOnly bool) ([]any, error) {
 	n.cInvokesLocal.Inc()
-	if n.heat != nil && !d.Immutable() && !d.Lease() {
-		// Local use defends a busy object against migration: the placement
-		// rule weighs remote callers against this lane. Lease copies are
-		// invisible to placement — migration decisions belong to the holder.
-		n.heatObserve(s.Obj, n.id)
-	}
-	if copyHit := n.cReplicaHits; d.Replica() || d.Lease() {
-		// PR5's zero-message warm read, and its generalization to mutable
-		// objects: served entirely from the local replica or lease copy.
-		if d.Lease() {
-			copyHit = n.cLeaseHits
+	if d.Copy() {
+		// The zero-message warm read: served entirely from the local copy.
+		// Copies are invisible to placement — migration decisions belong to
+		// the holder.
+		hit := n.cLeaseHits
+		if d.Immutable() {
+			hit = n.cReplicaHits
 		}
-		copyHit.Inc()
+		hit.Inc()
 		if tr := n.tracer; tr.OnFor(c.rec.ID) {
 			tr.Emit(trace.Event{Kind: trace.KReplicaHit, Trace: c.rec.ID, Span: c.span,
 				Thread: c.rec.ID, Obj: uint64(s.Obj)})
 		}
+	} else if n.heat != nil && !d.Immutable() {
+		// Local use defends a busy object against migration: the placement
+		// rule weighs remote callers against this lane.
+		n.heatObserve(s.Obj, n.id)
 	}
 	start := time.Now()
 	res, err := n.runPinned(c, d, s.Obj, s.Method, substituteChainPrev(s.Args, prev), readOnly)
@@ -147,13 +147,11 @@ func (n *Node) request(rec *ThreadRec, span uint64, steps []ChainStep, prev []an
 	if len(steps) > 1 {
 		msg.Flags |= rmFlagChain
 		shipped = n.cChainsShipped
-	} else if n.replicaOn {
-		// Advertise willingness to receive a piggybacked snapshot: if the
-		// executor finds the object immutable (replica) or cacheable and the
-		// call read-only (reader lease), the reply carries the bytes and this
-		// node installs a local copy. One-step journeys only: a chain's reply
-		// reports its last object, not a copy this node asked for.
-		msg.SnapMax = n.replicaMax
+	} else if n.installq != nil {
+		// Accept a copy: if the executor finds the object immutable, or
+		// cacheable and the call read-only, the reply carries its state and
+		// this node installs a local copy. One-step journeys only: a chain's
+		// reply reports its last object, not a copy this node asked for.
 		msg.Flags |= rmFlagLeaseOK
 	}
 	args := substituteChainPrev(steps[0].Args, prev)
@@ -226,10 +224,10 @@ func (n *Node) observeRemote(start time.Time, traceID uint64) {
 }
 
 // acceptReply is the return leg every shipped journey shares: decode the
-// invokeReply, learn where the object was found, queue any piggybacked
-// replica or lease for installation, decode the results, and return the reply
-// buffer to the pool. obj is the journey's last object — the reply reports
-// where the LAST step executed, the freshest location fact it produced.
+// invokeReply, learn where the object was found, queue any piggybacked copy
+// for installation, decode the results, and return the reply buffer to the
+// pool. obj is the journey's last object — the reply reports where the LAST
+// step executed, the freshest location fact it produced.
 func (n *Node) acceptReply(obj gaddr.Addr, resp []byte) ([]any, error) {
 	// Results and SnapState alias resp: it is recycled only once the values
 	// are copied out, on every path.
@@ -244,21 +242,21 @@ func (n *Node) acceptReply(obj gaddr.Addr, resp []byte) ([]any, error) {
 	// fail, which is exactly why the protocol is safe.
 	n.cReturnChecks.Inc()
 	n.learnLocation(obj, ir.Node, ir.Epoch)
+	ttl := int64(ir.LeaseNs)
 	if ir.Immutable {
-		// The call shipped to an immutable object: a miss the replica layer
-		// could have absorbed.
+		// The call shipped to an immutable object: a miss a copy could have
+		// absorbed. Its copy, if one rides along, never expires.
 		n.cReplicaMiss.Inc()
+		ttl = copyForever
 	}
-	if n.replicaOn && ir.SnapType != "" && (ir.Immutable || (ir.Lease && ir.LeaseNs > 0)) {
-		// The executor piggybacked the object's snapshot: an immutable replica,
-		// or a reader lease on a cacheable mutable object that keeps read-only
-		// invokes local until the grantor's next write revokes it (or the TTL
-		// runs out). Install asynchronously so the decode is not charged to
-		// this (cold) call's latency, from a copy the installer owns.
-		n.queueReplicaInstall(replicaInstall{
-			obj: obj, from: ir.Node, typ: ir.SnapType, state: append([]byte(nil), ir.SnapState...),
-			epoch: ir.Epoch, lease: !ir.Immutable, ttl: int64(ir.LeaseNs),
-		})
+	if n.installq != nil && ir.SnapType != "" {
+		// The executor piggybacked a copy: of an immutable object, or a reader
+		// lease on a cacheable mutable object that keeps read-only invokes
+		// local until the grantor's next write revokes it (or the TTL runs
+		// out). Install asynchronously so the decode is not charged to this
+		// (cold) call's latency, from bytes the installer owns.
+		n.queueCopyInstall(copyInstall{obj: obj, from: ir.Node, typ: ir.SnapType,
+			state: append([]byte(nil), ir.SnapState...), epoch: ir.Epoch, ttl: ttl})
 	}
 	return wire.UnmarshalArgs(ir.Results)
 }
@@ -496,8 +494,6 @@ func (n *Node) executeStep(rc *rpc.Ctx, d *descriptor, msg *routedMsg, prev []an
 			}
 		}
 	}
-	grantable := readOnly && n.leaseTTL > 0 && msg.Flags&rmFlagLeaseOK != 0 &&
-		msg.SnapMax > 0 && d.Leasable() && !d.Immutable() && rc.Origin != n.id
 	start := time.Now()
 	results, err = n.runPinned(c, d, msg.Obj, msg.Method, args, readOnly)
 	wire.PutArgs(scratch)
@@ -531,25 +527,18 @@ func (n *Node) executeStep(rc *rpc.Ctx, d *descriptor, msg *routedMsg, prev []an
 		n.sendChainUpdates(msg.Obj, epoch, msg.Chain, rc.Origin)
 		return nil, false
 	}
-	// Read-path replication (§2.3): if the origin asked for a snapshot and
-	// the object is immutable, piggyback its encoding on this reply so the
-	// origin installs a local replica in the same round trip. The mutable
-	// generalization: a read-only invoke on a cacheable object piggybacks
-	// a reader lease instead (state + epoch + lifetime).
+	// Cached copies (§2.3): if the origin accepts one, the reply may carry
+	// the object's state so the origin installs a local copy in the same
+	// round trip — a lease's grant may claim a newer residency epoch, and
+	// its state sits in a pooled buffer until the frame has copied it in.
 	ir := invokeReply{Node: n.id, Epoch: epoch, Immutable: d.Immutable()}
-	if msg.SnapMax > 0 && ir.Immutable {
-		ir.SnapType, ir.SnapState = n.replicaSnapshot(d, msg.SnapMax)
-	} else if grantable {
-		n.leaseGrantTo(rc.Origin, d, msg.Obj, msg.SnapMax, &ir)
-		if ir.Lease {
-			epoch = ir.Epoch // the grant's residency claim (may be newer)
-			// The grant's state sits in a pooled buffer until the reply
-			// frame below has copied it in.
-			defer wire.PutBuf(ir.SnapState)
-		}
+	var pooled []byte
+	if msg.Flags&rmFlagLeaseOK != 0 {
+		pooled = n.offerCopy(d, msg.Obj, rc.Origin, readOnly, &ir)
 	}
 	rc.Reply(ir.frame(results))
-	n.sendChainUpdates(msg.Obj, epoch, msg.Chain, rc.Origin)
+	wire.PutBuf(pooled)
+	n.sendChainUpdates(msg.Obj, ir.Epoch, msg.Chain, rc.Origin)
 	return nil, false
 }
 

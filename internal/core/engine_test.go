@@ -330,11 +330,12 @@ func TestEntryPointParity(t *testing.T) {
 	}
 }
 
-// TestEngineSaysItOnce is the structural half of the one-engine claim: each
-// of the engine's jobs is done in exactly one function of this package. It
-// parses the package's non-test files, so a second request builder, failure
-// ladder, forwarder or executor growing beside the first fails here rather
-// than in review.
+// TestEngineSaysItOnce is the structural half of the one-engine and the
+// one-copy claims: each of the engine's jobs, and each of the cached copy's,
+// is done in exactly one function of this package. It parses the package's
+// non-test files, so a second request builder, failure ladder, forwarder,
+// executor, copy offer, installer or serve rule growing beside the first
+// fails here rather than in review.
 func TestEngineSaysItOnce(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -343,8 +344,12 @@ func TestEngineSaysItOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// uses maps a name — an identifier, a selected field or method, or the
-	// contents of a string literal — to the functions whose bodies mention it.
+	// contents of a string literal — to the functions whose bodies mention it,
+	// and mentions counts every mention. raisesCopy collects the functions
+	// that call SetCopyLocked(true).
 	uses := map[string]map[string]bool{}
+	mentions := map[string]int{}
+	raisesCopy := map[string]bool{}
 	for _, file := range pkgs["core"].Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -354,6 +359,13 @@ func TestEngineSaysItOnce(t *testing.T) {
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				var name string
 				switch x := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "SetCopyLocked" && len(x.Args) == 1 {
+						if arg, ok := x.Args[0].(*ast.Ident); ok && arg.Name == "true" {
+							raisesCopy[fn.Name.Name] = true
+						}
+					}
+					return true
 				case *ast.Ident:
 					name = x.Name
 				case *ast.BasicLit:
@@ -368,6 +380,7 @@ func TestEngineSaysItOnce(t *testing.T) {
 					uses[name] = map[string]bool{}
 				}
 				uses[name][fn.Name.Name] = true
+				mentions[name]++
 				return true
 			})
 		}
@@ -387,6 +400,16 @@ func TestEngineSaysItOnce(t *testing.T) {
 		{"refuses to forward into a dead peer", "forwards_refused_down", []string{"forward"}},
 		{"forwards with a detached reply", "Forward", []string{"forward"}},
 		{"runs an operation on a pinned object", "runPinned", []string{"runHere", "executeStep"}},
+		// One cached copy (DESIGN.md §10): one offer, one installer, one
+		// publisher, one teardown, one serve rule.
+		{"decides and encodes the copy a reply carries", "replica_snaps_oversize", []string{"offerCopy"}},
+		{"records a lease grant", "leaseRecord", []string{"offerCopy"}},
+		{"fills a reply's copy", "SnapState", []string{"offerCopy", "acceptReply", "AppendWire", "DecodeWire", "sizeHint"}},
+		{"installs a copy pulled off a reply", "installCopy", []string{"copyWorker"}},
+		{"publishes a copy", "publishCopyLocked", []string{"installCopy", "handleInstall"}},
+		{"tears a copy down to a tombstone", "tombstoneCopyLocked", []string{"evictCopy", "handleLease", "handleInstall"}},
+		{"raises or drops the copy bit", "SetCopyLocked", []string{"publishCopyLocked", "tombstoneCopyLocked", "handleInstall"}},
+		{"decides what a lease copy serves", "leaseRedirect", []string{"resolve"}},
 	} {
 		allowed := map[string]bool{}
 		for _, f := range c.funcs {
@@ -401,10 +424,39 @@ func TestEngineSaysItOnce(t *testing.T) {
 			}
 		}
 	}
+	if len(raisesCopy) != 1 || !raisesCopy["publishCopyLocked"] {
+		t.Errorf("the copy bit is raised in %v: publishCopyLocked is the one place", raisesCopy)
+	}
+	if got := mentions["leaseRedirect"]; got != 1 {
+		t.Errorf("leaseRedirect is mentioned %d times: resolve's serve rule is the one call", got)
+	}
 	for _, retired := range []string{"opChain", "executeChain", "shipChain", "chainInvoke", "chainMsg",
-		"shipInvoke", "runAsyncLocal", "asyncDispatch", "asyncFail", "callWith"} {
+		"shipInvoke", "runAsyncLocal", "asyncDispatch", "asyncFail", "callWith",
+		"installReplica", "replicaSnapshot", "SetReplicaLocked", "Replica", "replicaInstall",
+		"installLease", "leaseGrantTo", "SnapMax", "replicaMax", "replicaOn"} {
 		for f := range uses[retired] {
-			t.Errorf("%s mentions %s, which the engine replaced", f, retired)
+			t.Errorf("%s mentions %s, which the one engine or the one copy replaced", f, retired)
+		}
+	}
+	// One copy bit in the object space: the packed word has no replica bit
+	// beside it.
+	objspace, err := parser.ParseFile(token.NewFileSet(), "../objspace/descriptor.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := map[string]bool{}
+	ast.Inspect(objspace, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			bits[id.Name] = true
+		}
+		return true
+	})
+	if !bits["wordCopy"] {
+		t.Error("objspace has no wordCopy bit — update this test with the descriptor")
+	}
+	for _, retired := range []string{"wordReplica", "wordLease", "SetReplicaLocked", "SetLeaseLocked", "Replica"} {
+		if bits[retired] {
+			t.Errorf("objspace still has %s beside the one copy bit", retired)
 		}
 	}
 }

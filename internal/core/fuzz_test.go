@@ -28,9 +28,9 @@ func fuzzSeeds(f *testing.F, valid ...[]byte) {
 func FuzzRoutedMsg(f *testing.F) {
 	args, _ := wire.MarshalArgs([]any{7, "x", []byte{1, 2, 3}})
 	m := routedMsg{Op: opInvoke, Obj: 0x1000, Method: "Add", Args: args, Dest: 2, Peer: 0x2000,
-		Thread:  ThreadRec{ID: 9, Home: 1, Priority: -3, Pins: []gaddr.Addr{0x1000, 0x3000}},
-		Chain:   []gaddr.NodeID{0, 2, 1},
-		SnapMax: 1 << 16, Flags: rmFlagReadOnly | rmFlagLeaseOK}
+		Thread: ThreadRec{ID: 9, Home: 1, Priority: -3, Pins: []gaddr.Addr{0x1000, 0x3000}},
+		Chain:  []gaddr.NodeID{0, 2, 1},
+		Flags:  rmFlagReadOnly | rmFlagLeaseOK}
 	// Continuation-bearing seeds: 0 (m above), 1 and 3 remaining steps, with a
 	// ChainPrev marker in a later step.
 	cont := func(steps ...ChainStep) []byte {
@@ -44,9 +44,9 @@ func FuzzRoutedMsg(f *testing.F) {
 		return b
 	}
 	one, three := m, m
-	one.SnapMax, one.Flags = 0, rmFlagChain
+	one.Flags = rmFlagChain
 	one.Cont = cont(ChainStep{Obj: 0x2000, Method: "AddTo", Args: []any{ChainPrev, "x"}})
-	three.SnapMax, three.Flags = 0, rmFlagChain|rmFlagReadOnly
+	three.Flags = rmFlagChain | rmFlagReadOnly
 	three.Cont = cont(
 		ChainStep{Obj: 0x2000, Method: "Get"},
 		ChainStep{Obj: 0x3000, Method: "Add", Args: []any{1}},

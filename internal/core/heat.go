@@ -393,7 +393,7 @@ func (n *Node) heatTick() {
 	for _, mv := range moves {
 		dec := HeatDecision{TimeNs: time.Now().UnixNano(), Obj: mv.obj, Dest: mv.dest, Rate: mv.rate}
 		d := n.desc(mv.obj)
-		if d == nil || d.State() != stateResident || d.Replica() || d.Immutable() {
+		if d == nil || d.State() != stateResident || d.Copy() || d.Immutable() {
 			n.heat.forget(mv.obj)
 			dec.Outcome = "stale"
 			n.heat.record(dec)

@@ -39,8 +39,8 @@ func valueOf(obj any) reflect.Value { return reflect.ValueOf(obj) }
 // thread is the thread entering: msg.Thread for an arrival, while a thread of
 // this node passes its own record without copying it into a message that may
 // never ship.
-func (n *Node) resolve(msg *routedMsg, thread *ThreadRec) (d *descriptor, act action, to gaddr.NodeID, err error) {
-	d = n.desc(msg.Obj)
+func (n *Node) resolve(msg *routedMsg, thread *ThreadRec) (*descriptor, action, gaddr.NodeID, error) {
+	d := n.desc(msg.Obj)
 	if d == nil {
 		a, t, e := n.homeFallback(msg.Obj)
 		return nil, a, t, e
@@ -48,55 +48,55 @@ func (n *Node) resolve(msg *routedMsg, thread *ThreadRec) (d *descriptor, act ac
 	// Fast path: for an invocation on a resident object, the residency check
 	// and the pin are one CAS on the packed state word — no shard lock, no
 	// descriptor mutex (§3.5). Everything else (moving, forwarded, deleted,
-	// control ops) falls through to the locked entry protocol below.
+	// control ops) takes the locked entry protocol.
 	invoke := msg.Op == opInvoke
-	if invoke && d.TryPin() {
-		if d.Lease() {
-			// A reader-lease copy serves only local read-only invokes, and
-			// only while live; everything else chases back to the grantor.
-			if to, serve := n.leaseRedirect(d, msg); !serve {
-				n.unpin(d)
-				return nil, actForward, to, nil
-			}
+	if !invoke || !d.TryPin() {
+		if act, to, err := n.enterLocked(d, msg, thread); act != actExecute {
+			return nil, act, to, err
 		}
-		return d, actExecute, 0, nil
 	}
+	// The one serve rule for copies, on a descriptor now pinned (invoke) or
+	// locked (control op): a copy of an immutable object serves everything
+	// the object would; a lease copy serves what leaseRedirect allows and
+	// sends everything else to its source.
+	if d.Copy() && !d.Immutable() {
+		if to, serve := n.leaseRedirect(d, msg); !serve {
+			if invoke {
+				n.unpin(d)
+			} else {
+				d.Unlock()
+			}
+			return nil, actForward, to, nil
+		}
+	}
+	return d, actExecute, 0, nil
+}
+
+// enterLocked is the locked half of the entry protocol. On actExecute an
+// invocation's descriptor is pinned and unlocked, a control operation's is
+// still locked; on anything else it is neither.
+func (n *Node) enterLocked(d *descriptor, msg *routedMsg, thread *ThreadRec) (action, gaddr.NodeID, error) {
+	invoke := msg.Op == opInvoke
 	d.Lock()
 	for {
 		switch st := d.State(); st {
 		case stateAbsent:
 			// Hint entry created but never initialized; treat as absent.
 			d.Unlock()
-			a, t, e := n.homeFallback(msg.Obj)
-			return nil, a, t, e
+			return n.homeFallback(msg.Obj)
 		case stateDeleted:
 			d.Unlock()
-			return nil, actError, 0, fmt.Errorf("%w: %#x", ErrDeleted, uint64(msg.Obj))
+			return actError, 0, fmt.Errorf("%w: %#x", ErrDeleted, uint64(msg.Obj))
 		case stateForwarded:
 			to := d.Fwd
 			d.Unlock()
-			return nil, actForward, to, nil
+			return actForward, to, nil
 		case stateResident:
 			if invoke {
 				d.PinLocked()
 				d.Unlock()
-				if d.Lease() {
-					if to, serve := n.leaseRedirect(d, msg); !serve {
-						n.unpin(d)
-						return nil, actForward, to, nil
-					}
-				}
-				return d, actExecute, 0, nil
 			}
-			if d.Lease() {
-				// Control operations (move, delete, locate, attach...) act on
-				// the real object, never on a cached lease copy: forward to
-				// the grantor, whose tombstones chase onward if it moved.
-				to := d.Payload.src
-				d.Unlock()
-				return nil, actForward, to, nil
-			}
-			return d, actExecute, 0, nil // d.mu held for control ops
+			return actExecute, 0, nil // d.mu held for control ops
 		case stateMoving:
 			switch {
 			case invoke && thread.pinned(msg.Obj):
@@ -104,16 +104,16 @@ func (n *Node) resolve(msg *routedMsg, thread *ThreadRec) (d *descriptor, act ac
 				// occupies; the move is waiting on it anyway.
 				d.PinLocked()
 				d.Unlock()
-				return d, actExecute, 0, nil
+				return actExecute, 0, nil
 			case msg.Op == opLocate:
-				return d, actExecute, 0, nil // still here; d.mu held
+				return actExecute, 0, nil // still here; d.mu held
 			default:
 				n.counts.Inc("entries_blocked_on_move")
 				d.Wait()
 			}
 		default:
 			d.Unlock()
-			return nil, actError, 0, fmt.Errorf("amber: descriptor in impossible state %d", st)
+			return actError, 0, fmt.Errorf("amber: descriptor in impossible state %d", st)
 		}
 	}
 }

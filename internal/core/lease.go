@@ -9,9 +9,9 @@ import (
 	"amber/internal/wire"
 )
 
-// The coherence layer for mutable objects (DESIGN.md §14). Immutable
-// replication (§2.3, replica.go) is the degenerate case of coherence where
-// invalidation never happens; this file supplies the general case: bounded-
+// The coherence layer for mutable objects (DESIGN.md §10). A copy of an
+// immutable object (replica.go) is the degenerate reader lease: it never
+// expires and is never fenced. This file supplies the general case: bounded-
 // lifetime cached read copies — reader leases — invalidated by an epoch bump
 // on every mutating invoke.
 //
@@ -20,10 +20,10 @@ import (
 //   - Opt-in: Ctx.SetCacheable marks a mutable object lease-granting (the
 //     leasable bit in the packed word).
 //   - Grant: a remote read-only invoke on a leasable object piggybacks the
-//     object's snapshot on the reply, exactly like the immutable replica
-//     path, plus a lease lifetime. The origin installs a resident copy with
-//     the lease bit, an expiry, and the grant's residency epoch. While the
-//     lease stands, local read-only invokes are served with zero messages.
+//     object's snapshot on the reply (offerCopy), plus a lease lifetime. The
+//     origin installs a resident copy with an expiry and the grant's
+//     residency epoch. While the lease stands, local read-only invokes are
+//     served with zero messages.
 //   - Invalidate: a mutating invoke at the holder runs under the object's
 //     exclusive coherence lock, bumps the residency epoch, and then *fences*:
 //     it sends a revoke to every peer whose recorded grant is older than the
@@ -84,55 +84,6 @@ func (n *Node) leaseRecord(obj gaddr.Addr, peer gaddr.NodeID, d *descriptor) uin
 	m[peer] = leaseGrant{epoch: rec, expiry: exp}
 	n.leaseMu.Unlock()
 	return cur
-}
-
-// leaseGrantTo attaches a reader lease to the reply of a successful remote
-// read-only invoke: record the grant, then encode the object's state under
-// the shared coherence lock. Called after runPinned has released its pin, so
-// it re-pins; a failed re-pin means the object's state flipped underneath
-// (move, eviction) and the grant is silently abandoned — the origin just
-// stays cold.
-//
-// On a grant ir.SnapState is a pooled buffer the caller owns.
-//
-// A grant recorded here is NEVER unrecorded on a later failure: the entry
-// may also cover an earlier, still-live lease at the same peer, and erasing
-// it would let the next write skip that peer's revoke. A spurious entry only
-// costs one redundant revoke round; it is pruned at expiry.
-func (n *Node) leaseGrantTo(peer gaddr.NodeID, d *descriptor, obj gaddr.Addr, max uint64, ir *invokeReply) {
-	if !d.TryPin() {
-		return
-	}
-	defer n.unpin(d)
-	p := d.Payload
-	if p.ti == nil || !p.ti.serializable {
-		return
-	}
-	epoch := n.leaseRecord(obj, peer, d)
-	var state []byte
-	if p.ti.hasState {
-		d.Coh.RLock()
-		b, err := wire.Marshal(p.obj.Elem().Interface())
-		d.Coh.RUnlock()
-		if err != nil {
-			n.counts.Inc("lease_snap_errors")
-			return
-		}
-		if uint64(len(b)) > max {
-			wire.PutBuf(b)
-			n.counts.Inc("lease_snaps_oversize")
-			return
-		}
-		// The pooled encode buffer itself rides in ir until the reply frame
-		// has copied it; the caller returns it to the pool then.
-		state = b
-	}
-	ir.Lease = true
-	ir.LeaseNs = uint64(n.leaseTTL)
-	ir.Epoch = epoch
-	ir.SnapType = p.ti.name
-	ir.SnapState = state
-	n.cLeaseGrants.Inc()
 }
 
 // leaseCollect snapshots the grants for obj older than epoch — the fence
@@ -271,35 +222,25 @@ func (n *Node) handleLease(rc *rpc.Ctx) {
 	d.Lock()
 	switch d.State() {
 	case stateResident:
-		if d.Lease() {
+		if d.Copy() {
 			// Stop serving immediately — even a pinned copy refuses new
 			// reads once the expiry is zeroed — and advance the epoch so a
 			// queued stale install cannot resurrect the old value. The zero
-			// expiry also marks the copy dead for installLease: the next
+			// expiry also marks the copy dead for installCopy: the next
 			// grant carries this same epoch with post-write state, and must
-			// replace the copy rather than renew it.
-			d.SetLeaseExpiry(0)
+			// replace the copy rather than renew it. A pinned copy (an invoke
+			// racing the revoke) stays resident-but-dead and is torn down
+			// later by the eviction path.
+			d.SetExpiry(0)
 			if msg.Epoch > d.Epoch() {
 				d.SetEpochLocked(msg.Epoch)
 			}
-			// Mark-then-check teardown, as for replica eviction: flipping to
-			// moving makes lock-free TryPin refuse new pins, so the count
-			// read below cannot race upward. A pinned copy (an invoke racing
-			// the revoke) stays resident-but-dead and is torn down later by
-			// the eviction path.
-			if pins := d.SetStateLocked(stateMoving); pins > 0 {
-				d.SetStateLocked(stateResident)
-				d.Broadcast()
-			} else {
-				d.SetStateLocked(stateForwarded)
-				d.Fwd = msg.Src
-				d.SetLeaseLocked(false)
-				d.Payload = payload{}
-				d.Broadcast()
+			if markDrainedLocked(d) {
+				tombstoneCopyLocked(d, msg.Src)
 				dropTracked = true
 			}
 		}
-		// Resident without the lease bit: the real object lives here now
+		// Resident without the copy bit: the real object lives here now
 		// (it moved in after the grant); local truth wins over the revoke.
 	case stateAbsent, stateForwarded:
 		// No resident copy — land/refresh the tombstone that kills any
@@ -319,8 +260,9 @@ func (n *Node) handleLease(rc *rpc.Ctx) {
 	rc.Reply(nil, nil)
 }
 
-// leaseRedirect classifies an invocation that pinned a resident lease copy:
-// serve it locally, or forward to the copy's source. Serveable means all of
+// leaseRedirect classifies an operation that entered a resident lease copy
+// (resolve's serve rule): serve it locally, or forward to the copy's source.
+// Serveable means all of
 //
 //   - a plain invoke originating on this node (an empty chain — every
 //     shipped message has appended at least its origin). A remote arrival
@@ -330,13 +272,16 @@ func (n *Node) handleLease(rc *rpc.Ctx) {
 //     revokes),
 //   - the operation is read-only (registry bit or per-call declaration).
 //
-// Called with the pin held; the caller releases it when forwarding.
+// Control operations (move, delete, locate, attach...) act on the real
+// object, never on a lease copy: they forward to the grantor, whose
+// tombstones chase onward if it moved. Called with the pin (invoke) or d.mu
+// (control operation) held; the caller releases it when forwarding.
 func (n *Node) leaseRedirect(d *descriptor, msg *routedMsg) (to gaddr.NodeID, serve bool) {
-	src := d.Payload.src // stable under the pin
+	src := d.Payload.src // stable under the pin or the lock
 	if msg.Op != opInvoke || len(msg.Chain) != 0 {
 		return src, false
 	}
-	if exp := d.LeaseExpiry(); exp == 0 || time.Now().UnixNano() >= exp {
+	if exp := d.Expiry(); exp == 0 || time.Now().UnixNano() >= exp {
 		n.counts.Inc("lease_stale")
 		return src, false
 	}
@@ -356,22 +301,20 @@ func (n *Node) leaseRedirect(d *descriptor, msg *routedMsg) (to gaddr.NodeID, se
 }
 
 // purgePeer drops every piece of soft state sourced from peer: location
-// hints, and the replicas/leases pulled from it. Fired by the health plane
-// both when the peer is marked down and when it is seen restarted — a lease
-// granted by a dead incarnation must not serve pre-crash reads, and a
-// replica's forward target is gone either way. Grants TO the peer are
-// dropped too, so writes stop burning fence timeouts on it.
+// hints, and the copies pulled from it. Fired by the health plane both when
+// the peer is marked down and when it is seen restarted — a lease granted by
+// a dead incarnation must not serve pre-crash reads, and a copy's forward
+// target is gone either way. Grants TO the peer are dropped too, so writes
+// stop burning fence timeouts on it.
 func (n *Node) purgePeer(peer gaddr.NodeID) {
 	n.dropHintsTo(peer)
 	for _, v := range n.space.DropReplicasFrom(peer) {
-		if !n.evictReplica(v.Addr, v.Source) {
+		if !n.evictCopy(v.Addr, v.Source) {
 			// Pinned by an executing invoke: a lease must stop serving new
 			// reads NOW (zeroed expiry), then stays tracked for the normal
 			// eviction path to finish tearing down.
-			if v.Lease {
-				if d := n.desc(v.Addr); d != nil {
-					d.SetLeaseExpiry(0)
-				}
+			if d := n.desc(v.Addr); d != nil {
+				d.SetExpiry(0)
 			}
 			n.space.ReplicaRetrack(v.Addr, v.Source, v.Lease)
 			n.counts.Inc("replica_evictions_busy")

@@ -39,25 +39,19 @@ func newLeaseCluster(t testing.TB, nodes int, ttl time.Duration) *Cluster {
 	return cl
 }
 
-// waitCounter polls until a node's counter reaches at least want (lease
-// installs ride an asynchronous queue, so tests wait rather than assert
-// immediately).
+// waitCounter waits out a node's queued installs (lease installs ride an
+// asynchronous queue) and then checks that its counter has reached want.
 func waitCounter(t *testing.T, n *Node, name string, want int64) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if got := n.Stats().Value(name); got >= want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("counter %s stuck at %d, want >= %d", name, n.Stats().Value(name), want)
-		}
-		time.Sleep(time.Millisecond)
+	n.installBarrier()
+	if got := n.Stats().Value(name); got < want {
+		t.Fatalf("counter %s stuck at %d, want >= %d", name, got, want)
 	}
 }
 
 // readUntilLeaseHit reads obj from node n until a read is served by a local
-// lease copy (bounded; fails the test on timeout).
+// lease copy, waiting out the installs each missed read queued (bounded;
+// fails the test on timeout).
 func readUntilLeaseHit(t *testing.T, cl *Cluster, n int, obj Ref, want int) {
 	t.Helper()
 	node := cl.Node(n)
@@ -77,7 +71,7 @@ func readUntilLeaseHit(t *testing.T, cl *Cluster, n int, obj Ref, want int) {
 		if time.Now().After(deadline) {
 			t.Fatal("no read was ever served by a local lease copy")
 		}
-		time.Sleep(time.Millisecond)
+		node.installBarrier()
 	}
 }
 
@@ -209,23 +203,16 @@ func TestLeaseMutationPathsInvalidate(t *testing.T) {
 	}
 
 	// Delete: reads from the ex-lease-holder must surface ErrNoSuchObject,
-	// not the cached value.
+	// not the cached value — once any install it still had queued has been
+	// dealt with, the delete's fence having outranked them all.
 	if err := owner.Delete(ref); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, err := cl.Node(0).Root().Invoke(ref, "Get")
-		if errors.Is(err, ErrNoSuchObject) || errors.Is(err, ErrDeleted) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Get after delete: %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("lease copy still serving a deleted object")
-		}
-		time.Sleep(time.Millisecond)
+	cl.Node(0).installBarrier()
+	if _, err := cl.Node(0).Root().Invoke(ref, "Get"); err == nil {
+		t.Fatal("lease copy still serving a deleted object")
+	} else if !errors.Is(err, ErrNoSuchObject) && !errors.Is(err, ErrDeleted) {
+		t.Fatalf("Get after delete: %v", err)
 	}
 
 	// SetImmutable: the object leaves the lease regime; reads still work

@@ -469,7 +469,7 @@ func (n *Node) executeSetImmutable(d *descriptor, msg *routedMsg) error {
 		return fmt.Errorf("%w: runtime objects cannot be immutable", ErrNotMovable)
 	}
 	// The snap cell must exist before the immutable bit is raised: the bit is
-	// what licenses pinned readers (replicaSnapshot) to touch the cell, so
+	// what licenses pinned readers (offerCopy) to touch the cell, so
 	// cell-before-bit gives them a happens-before edge through the packed
 	// word. The encoding itself is computed lazily by the first
 	// snapshot-bearing reply — encoding here would race methods still
@@ -480,8 +480,8 @@ func (n *Node) executeSetImmutable(d *descriptor, msg *routedMsg) error {
 		// Coherence unification: immutability is the degenerate lease that
 		// never expires. The leasable machinery stands down — no fence is
 		// needed, since outstanding lease copies hold the final value and are
-		// therefore coherent forever (they roll over to replicas as they
-		// expire and re-pull).
+		// therefore coherent forever (each is replaced by a copy that never
+		// expires once it lapses and the next read re-pulls).
 		d.SetLeasableLocked(false)
 		n.leaseDropGrants(msg.Obj)
 	}

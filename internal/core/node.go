@@ -86,17 +86,13 @@ type NodeConfig struct {
 	// oldest entry in the shard (FIFO), so churny workloads cannot grow the
 	// cache without bound.
 	HintCache int
-	// ReplicaCache caps the demand-pulled immutable replicas this node keeps
-	// (total entries, split across shards; 0 = objspace.DefaultReplicaCap,
-	// negative disables read-path replication). A full shard evicts its
-	// oldest replica (FIFO), tearing the local copy down to a forwarding
-	// tombstone aimed back at the replica's source.
+	// ReplicaCache caps the demand-pulled copies this node keeps (total
+	// entries, split across shards; 0 = objspace.DefaultReplicaCap, negative
+	// disables cached copies). A full shard evicts its oldest copy (FIFO),
+	// tearing it down to a forwarding tombstone aimed back at its source.
+	// Only objects whose state encodes in at most 64 KiB ride invoke replies
+	// as copies; larger immutable objects still copy on explicit MoveTo.
 	ReplicaCache int
-	// ReplicaMaxBytes caps the marshalled snapshot size an invoke reply may
-	// piggyback for replica installation (0 = 64KiB, negative disables
-	// piggybacking). Larger immutable objects still replicate on explicit
-	// MoveTo; they just will not ride invoke replies.
-	ReplicaMaxBytes int
 	// HeatInterval enables heat-driven placement: every interval the node
 	// folds its per-object invoke counters and migrates objects whose
 	// dominant remote caller decisively outweighs all other use (see
@@ -141,12 +137,6 @@ func (c *NodeConfig) fill() {
 	}
 	if c.RegionsPerGrant == 0 {
 		c.RegionsPerGrant = 4
-	}
-	switch {
-	case c.ReplicaMaxBytes == 0:
-		c.ReplicaMaxBytes = 64 << 10
-	case c.ReplicaMaxBytes < 0:
-		c.ReplicaMaxBytes = 0 // piggybacking disabled
 	}
 	if c.PipelineWindow <= 0 {
 		c.PipelineWindow = rpc.DefaultPipelineWindow
@@ -209,11 +199,6 @@ type Node struct {
 	cChainsForwarded   *stats.Counter // chains_forwarded
 	cAsyncInvokes      *stats.Counter // async_invokes
 
-	// replicaMax is the filled ReplicaMaxBytes; replicaOn gates the whole
-	// read-path replication machinery (snapshot requests and installs).
-	replicaMax uint64
-	replicaOn  bool
-
 	// The coherence layer's grant table: for each local leasable object, the
 	// peers holding live reader leases and the epoch/expiry each was granted
 	// under (see lease.go). leaseTTL is the filled LeaseTTL; zero disables
@@ -240,12 +225,14 @@ type Node struct {
 	exRemote stats.Exemplars // invoke_remote_ns
 	exExec   stats.Exemplars // invoke_exec_ns
 
-	// installq feeds the replica installer: one long-lived worker applying
-	// snapshot installs off the invoke reply path. The queue is bounded and
-	// sheds on overflow — installs are opportunistic (the next cold miss
-	// carries the snapshot again), and spawning a goroutine per install costs
-	// more than the install itself. stopc parks the worker on Close.
-	installq chan replicaInstall
+	// installq feeds the copy installer: one long-lived worker applying
+	// copies off the invoke reply path. The queue is bounded and sheds on
+	// overflow — installs are opportunistic (the next cold miss carries the
+	// copy again), and spawning a goroutine per install costs more than the
+	// install itself. nil when cached copies are disabled, which is also
+	// what keeps this node from asking for them. stopc parks the worker on
+	// Close.
+	installq chan copyInstall
 	stopc    chan struct{}
 
 	// space is the node's sharded object-space table: descriptors and
@@ -288,12 +275,10 @@ func NewNode(cfg NodeConfig, reg *Registry, tr transport.Transport, server *gadd
 		pipes:  make(map[gaddr.NodeID]*peerPipe),
 	}
 	n.ep.SetPipelineWindow(cfg.PipelineWindow)
-	n.replicaMax = uint64(cfg.ReplicaMaxBytes)
-	n.replicaOn = cfg.ReplicaCache >= 0 && cfg.ReplicaMaxBytes > 0
 	n.stopc = make(chan struct{})
-	if n.replicaOn {
-		n.installq = make(chan replicaInstall, 128)
-		go n.replicaWorker()
+	if cfg.ReplicaCache >= 0 {
+		n.installq = make(chan copyInstall, 128)
+		go n.copyWorker()
 	}
 	if cfg.HeatInterval > 0 {
 		n.heat = newHeatTracker(cfg.HeatInterval, cfg.HeatRatio, cfg.HeatMin, cfg.HeatEntries)
@@ -513,12 +498,12 @@ func (n *Node) Objects() map[string]int {
 		switch d.State() {
 		case stateResident:
 			switch {
-			case d.Replica():
-				out["replica"]++
-			case d.Lease():
-				out["lease"]++
-			default:
+			case !d.Copy():
 				out["resident"]++
+			case d.Immutable():
+				out["replica"]++
+			default:
+				out["lease"]++
 			}
 		case stateMoving:
 			out["moving"]++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"time"
 
@@ -9,87 +10,152 @@ import (
 	"amber/internal/wire"
 )
 
-// Read-path replication (§2.3). An immutable object never changes, so any
-// node may hold a byte-identical copy and serve invocations locally with no
-// coherence traffic — the degenerate case where invalidation is unnecessary.
-// The runtime exploits this on the invoke path: a routed invocation that
-// executes on an immutable object piggybacks the object's snapshot on the
-// reply (bounded by the origin's SnapMax), and the origin installs a local
-// replica so every subsequent invoke takes the resident fast path.
+// Cached copies (DESIGN.md §10). A node may hold a resident copy of an object
+// that lives elsewhere and serve invocations on it with no messages. There is
+// one mechanism — a descriptor with the copy bit, a source, an epoch and an
+// expiry — in two modes:
 //
-// Replicas share the source's residency epoch: a copy is not a move, so the
+//   - A copy of an immutable object (§2.3: it "replicates on move instead of
+//     migrating") is a reader lease that never expires and is never fenced.
+//     Every encoding of the object is equivalent, so its grantor records
+//     nothing and encodes it once, into the payload's snap cell. It serves
+//     every invoke, and control operations act on it as on the object.
+//   - A copy of a cacheable mutable object is a reader lease (lease.go): the
+//     grantor records the grant, and the copy serves local read-only invokes
+//     until its expiry or until a write's fence revokes it.
+//
+// A one-step journey's reply carries a copy when the origin accepts one
+// (offerCopy); the origin's installer worker installs it off the reply path
+// (installCopy); one helper publishes a copy (publishCopyLocked) and one tears
+// it down to a forwarding tombstone (tombstoneCopyLocked), whether it is
+// evicted, revoked or purged.
+//
+// A copy shares its source's residency epoch: a copy is not a move, so the
 // version of the residency does not advance (executeMove's immutable branch
-// makes the same choice). That is what lets a replica install land on top of
-// a forwarding tombstone with an *equal* epoch — the tombstone describes the
-// same residency version the replica carries.
+// makes the same choice). That is what lets a copy land on top of a
+// forwarding tombstone with an *equal* epoch — the tombstone describes the
+// same residency version the copy carries.
 //
-// Demand-pulled replicas are tracked in the objspace replica cache and
-// evicted FIFO under capacity pressure; eviction tears the local copy down to
-// a forwarding tombstone aimed at the replica's source. Explicitly placed
-// copies (MoveTo on an immutable object) are NOT tracked: the user asked for
-// that placement, so the cache never reclaims it.
+// Demand-pulled copies are tracked in the objspace replica cache and evicted
+// FIFO under capacity pressure; eviction tears the local copy down to a
+// forwarding tombstone aimed at its source. Explicitly placed copies (MoveTo
+// on an immutable object) are NOT tracked: the user asked for that placement,
+// so the cache never reclaims it.
 
-// replicaSnapshot returns the pre-encoded snapshot of a resident immutable
-// object for piggybacking on an invoke reply, or ("", nil) when none should
-// be sent (object not pinnable, not serializable, or over max). The encoding
-// is computed once per object and cached in the payload's snap cell.
-func (n *Node) replicaSnapshot(d *descriptor, max uint64) (string, []byte) {
+// copyMaxBytes caps the encoded state a reply may carry as a copy. A larger
+// object is served remotely; an immutable one still copies on MoveTo.
+const copyMaxBytes = 64 << 10
+
+// copyForever is the expiry, and the lifetime on the wire, of a copy of an
+// immutable object: it never lapses.
+const copyForever = math.MaxInt64
+
+// copyCounter picks a copy-layer counter's name by mode: the replica_ name for
+// a copy of an immutable object, the lease_ name for a reader lease. Both are
+// passed whole so that counting builds no string.
+func copyCounter(imm bool, replica, lease string) string {
+	if imm {
+		return replica
+	}
+	return lease
+}
+
+// offerCopy decides whether the reply to a finished invoke on d carries a
+// copy for the origin, which accepts one, and fills ir's snapshot fields. An
+// immutable object is offered on every invoke, from the encoding cached in its
+// snap cell; a cacheable mutable object only to a remote read, as a lease: the
+// grant is recorded, then the state is encoded under the shared coherence
+// lock. It returns the pooled buffer holding a lease's state, which the caller
+// recycles once the reply frame has copied it.
+//
+// Called after runPinned has released its pin, so it re-pins; a failed re-pin
+// means the object's state flipped underneath (move, eviction) and the offer
+// is abandoned — the origin just stays cold.
+//
+// A grant recorded here is NEVER unrecorded on a later failure: the entry may
+// also cover an earlier, still-live lease at the same peer, and erasing it
+// would let the next write skip that peer's revoke. A spurious entry only
+// costs one redundant revoke round; it is pruned at expiry.
+func (n *Node) offerCopy(d *descriptor, obj gaddr.Addr, origin gaddr.NodeID, readOnly bool, ir *invokeReply) (pooled []byte) {
+	imm := ir.Immutable
+	if !imm && !(readOnly && n.leaseTTL > 0 && d.Leasable() && origin != n.id) {
+		return nil
+	}
 	if !d.TryPin() {
-		return "", nil
+		return nil
 	}
 	defer n.unpin(d)
 	p := d.Payload
-	if p.ti == nil || !p.ti.serializable || p.snap == nil {
-		return "", nil
+	if p.ti == nil || !p.ti.serializable || imm && p.snap == nil {
+		return nil
 	}
-	if !p.ti.hasState {
-		return p.ti.name, nil // stateless type: the name is the whole snapshot
+	var epoch uint64
+	if !imm {
+		epoch = n.leaseRecord(obj, origin, d)
 	}
-	enc := p.snap.v.Load()
-	if enc == nil {
-		// First snapshot-bearing reply for this object: encode under the pin
-		// (safe — the object is immutable, so this read cannot race a write)
-		// and publish through the atomic. A racing second encoder stores an
-		// equivalent encoding; either winning is fine.
-		b, err := wire.Marshal(p.obj.Elem().Interface())
-		if err != nil {
-			n.counts.Inc("replica_snap_errors")
-			return "", nil
+	var state []byte
+	if p.ti.hasState {
+		if imm {
+			if enc := p.snap.v.Load(); enc != nil {
+				state = *enc
+			}
 		}
-		// Cache an exact-size copy and recycle the pooled encode buffer: the
-		// cell holds its bytes for the object's lifetime, and keeping pooled
-		// buffers captive would drain the wire pool one object at a time.
-		owned := append(make([]byte, 0, len(b)), b...)
-		wire.PutBuf(b)
-		p.snap.v.Store(&owned)
-		enc = &owned
-		n.counts.Inc("replica_snaps_encoded")
+		if state == nil {
+			d.Coh.RLock()
+			b, err := wire.Marshal(p.obj.Elem().Interface())
+			d.Coh.RUnlock()
+			if err != nil {
+				n.counts.Inc(copyCounter(imm, "replica_snap_errors", "lease_snap_errors"))
+				return nil
+			}
+			if imm {
+				// First copy-bearing reply for this object: publish the encoding
+				// through the atomic (a racing second encoder stores an equivalent
+				// one). Cache an exact-size copy and recycle the pooled buffer: the
+				// cell holds its bytes for the object's lifetime, and keeping pooled
+				// buffers captive would drain the wire pool one object at a time.
+				owned := append(make([]byte, 0, len(b)), b...)
+				wire.PutBuf(b)
+				p.snap.v.Store(&owned)
+				state = owned
+				n.counts.Inc("replica_snaps_encoded")
+			} else {
+				state, pooled = b, b
+			}
+		}
+		if len(state) > copyMaxBytes {
+			wire.PutBuf(pooled)
+			n.counts.Inc(copyCounter(imm, "replica_snaps_oversize", "lease_snaps_oversize"))
+			return nil
+		}
 	}
-	if uint64(len(*enc)) > max {
-		n.counts.Inc("replica_snaps_oversize")
-		return "", nil
+	ir.SnapType, ir.SnapState = p.ti.name, state
+	if !imm {
+		ir.Lease, ir.LeaseNs, ir.Epoch = true, uint64(n.leaseTTL), epoch
+		n.cLeaseGrants.Inc()
 	}
-	return p.ti.name, *enc
+	return pooled
 }
 
-// replicaInstall is one queued unit of installer work: a snapshot pulled off
-// an invoke reply, waiting for the node's installer worker. With lease set it
-// carries a reader lease on a mutable object (ttl is the grant's lifetime in
-// nanoseconds); otherwise an immutable replica.
-type replicaInstall struct {
+// copyInstall is one queued unit of installer work: a copy pulled off an
+// invoke reply. ttl is its lifetime in nanoseconds from receipt, copyForever
+// for a copy of an immutable object. An entry with done set carries no copy:
+// it is a barrier, and the worker closes done once it has handled everything
+// queued ahead of it.
+type copyInstall struct {
 	obj   gaddr.Addr
 	from  gaddr.NodeID
 	typ   string
 	state []byte // owned by the queue entry, not aliasing a pooled buffer
 	epoch uint64
-	lease bool
 	ttl   int64
+	done  chan struct{}
 }
 
-// queueReplicaInstall hands a snapshot to the installer worker without ever
-// blocking the invoke path. A full queue sheds the install: the snapshot
-// rides every cold reply, so a later miss re-offers it.
-func (n *Node) queueReplicaInstall(r replicaInstall) {
+// queueCopyInstall hands a copy to the installer worker without ever blocking
+// the invoke path. A full queue sheds the install: the copy rides every cold
+// reply, so a later miss re-offers it.
+func (n *Node) queueCopyInstall(r copyInstall) {
 	select {
 	case n.installq <- r:
 	default:
@@ -97,183 +163,64 @@ func (n *Node) queueReplicaInstall(r replicaInstall) {
 	}
 }
 
-// replicaWorker drains installq until the node closes. One worker per node:
+// copyWorker drains installq until the node closes. One worker per node:
 // installs are quick (a decode plus a descriptor publish), and serializing
 // them removes install/install races from the common path without taking the
 // per-install goroutine spawn on every cold miss.
-func (n *Node) replicaWorker() {
+func (n *Node) copyWorker() {
 	for {
 		select {
 		case r := <-n.installq:
-			if r.lease {
-				n.installLease(r)
-			} else {
-				n.installReplica(r.obj, r.from, r.typ, r.state, r.epoch)
+			if r.done != nil {
+				close(r.done)
+				continue
 			}
+			n.installCopy(r)
 		case <-n.stopc:
 			return
 		}
 	}
 }
 
-// installReplica installs a piggybacked snapshot as a local read replica.
-// state must be owned by the caller (not aliasing a pooled reply buffer).
-// Runs on the installer worker, off the invoke reply path: the install costs
-// a decode, which would otherwise be charged to the first (cold) call's
-// latency.
-func (n *Node) installReplica(obj gaddr.Addr, from gaddr.NodeID, typeName string, state []byte, epoch uint64) {
-	if from == n.id || epoch == 0 {
-		return
-	}
-	// Cheap pre-check before paying for the decode: racing installs of a hot
-	// object are common (every reply before the first install completes
-	// carries a snapshot), and all but one should drop here.
-	if d := n.desc(obj); d != nil {
-		switch d.State() {
-		case stateResident, stateMoving, stateDeleted:
-			n.counts.Inc("replica_installs_dropped")
-			return
-		}
-		if d.Epoch() > epoch {
-			n.counts.Inc("replica_installs_stale")
-			return
-		}
-	}
-	ti, err := n.reg.lookupName(typeName)
-	if err != nil {
-		n.counts.Inc("replica_install_errors")
-		return
-	}
-	var pv reflect.Value
-	cell := &snapCell{}
-	if len(state) > 0 {
-		sv, err := wire.UnmarshalStruct(state)
-		if err != nil {
-			n.counts.Inc("replica_install_errors")
-			return
-		}
-		if sv.Type() != ti.elem {
-			n.counts.Inc("replica_install_errors")
-			return
-		}
-		if sv.CanAddr() {
-			pv = sv.Addr() // fast-codec decode: adopt the struct in place
-		} else {
-			pv = reflect.New(ti.elem)
-			pv.Elem().Set(sv)
-		}
-		cell.v.Store(&state) // decoded from these exact bytes: reuse as the cached encoding
-	} else {
-		pv = reflect.New(ti.elem)
-	}
-	d := n.descEnsure(obj)
-	d.Lock()
-	switch d.State() {
-	case stateResident, stateMoving, stateDeleted:
-		// Resident: we already hold the object (racing install, or the real
-		// object migrated here while the reply was in flight). Moving/deleted:
-		// newer local truth wins.
-		d.Unlock()
-		n.counts.Inc("replica_installs_dropped")
-		return
-	}
-	if d.Epoch() > epoch {
-		// A tombstone strictly newer than the snapshot's residency version:
-		// the snapshot predates a move we already know about. Equality is the
-		// normal case (the tombstone and the replica describe the same
-		// immutable residency) and installs.
-		d.Unlock()
-		n.counts.Inc("replica_installs_stale")
-		return
-	}
-	// Publication order as for any install: payload and mode bits before the
-	// resident transition that licenses lock-free TryPin readers.
-	d.Payload = newPayload(pv, ti)
-	d.Payload.snap = cell
-	d.Fwd = gaddr.NoNode
-	d.ClearAttachLocked()
-	d.SetImmutableLocked(true)
-	d.SetReplicaLocked(true)
-	d.SetEpochLocked(epoch)
-	d.SetStateLocked(stateResident)
-	d.Broadcast()
-	d.Unlock()
-	n.hintDrop(obj)
-	n.cReplicaInst.Inc()
-	if tr := n.tracer; tr.On() {
-		tr.Emit(trace.Event{Kind: trace.KReplicaInstall, Obj: uint64(obj), Arg: int64(from)})
-	}
-	// Track in the bounded cache; tearing down whatever the insert displaced.
-	n.replicaTrackEvicting(obj, from, false)
-}
-
-// replicaTrackEvicting records a freshly installed copy in the bounded shared
-// copy table and tears down whatever the insert displaced — replica or lease,
-// the eviction path is the same tombstone teardown.
-func (n *Node) replicaTrackEvicting(obj gaddr.Addr, from gaddr.NodeID, lease bool) {
-	for _, v := range n.space.ReplicaTrack(obj, from, lease) {
-		if !n.evictReplica(v.Addr, v.Source) {
-			// The victim is pinned by an executing invoke; put it back
-			// (uncapped) and let a later insert retry the eviction.
-			n.space.ReplicaRetrack(v.Addr, v.Source, v.Lease)
-			n.counts.Inc("replica_evictions_busy")
-		}
-	}
-}
-
-// installLease installs a piggybacked snapshot of a mutable cacheable object
-// as a local reader lease, or — when a lease at the same residency epoch is
-// already resident — just extends its expiry (a renewal: the same epoch means
-// the same state, since every write bumps the epoch). The one exception is a
-// copy that was revoked while a reader had it pinned: handleLease could not
-// tear it down, so it stands at the revoke's epoch with pre-write state and a
-// zeroed expiry. A zero expiry marks a copy dead — it is never renewed, only
-// replaced by the grant's state. state must be owned by the caller. Runs on
-// the installer worker, like installReplica.
-func (n *Node) installLease(r replicaInstall) {
+// installCopy installs a copy pulled off a reply as installVerdictLocked
+// decides: renewed in place, dropped, or published — over an older or dead
+// copy only once no pinned reader is still executing against it. Runs on the
+// installer worker, off the invoke reply path: the install costs a decode,
+// which would otherwise be charged to the first (cold) call's latency.
+func (n *Node) installCopy(r copyInstall) {
 	if r.from == n.id || r.epoch == 0 || r.ttl <= 0 {
 		return
 	}
+	imm := r.ttl == copyForever
 	// The receiver stamps expiry with its OWN clock from the grant's duration;
 	// absolute times never cross the wire, so clock skew between grantor and
 	// holder cannot stretch a lease's effective lifetime.
-	expiry := time.Now().UnixNano() + r.ttl
-	// Renewal fast path, and a cheap pre-check before paying for the decode.
+	expiry := int64(copyForever)
+	if !imm {
+		expiry = time.Now().UnixNano() + r.ttl
+	}
+	// Renewal, and a cheap look before paying for the decode: racing installs
+	// of a hot object are common (every reply before the first install lands
+	// carries a copy), and all but one stop here.
 	if d := n.desc(r.obj); d != nil {
-		if d.State() == stateResident && d.Lease() && d.Epoch() == r.epoch && d.LeaseExpiry() != 0 {
-			d.Lock()
-			if d.State() == stateResident && d.Lease() && d.Epoch() == r.epoch && d.LeaseExpiry() != 0 {
-				if expiry > d.LeaseExpiry() {
-					d.SetLeaseExpiry(expiry)
-				}
-				d.Unlock()
-				n.counts.Inc("lease_renewals")
-				return
-			}
-			d.Unlock()
-		}
-		switch d.State() {
-		case stateMoving, stateDeleted:
-			n.counts.Inc("lease_installs_dropped")
-			return
-		}
-		if d.Epoch() > r.epoch {
-			// A strictly newer tombstone: a revoke or move already outran this
-			// grant (the queued-install race the revoke handler closes).
-			n.counts.Inc("lease_installs_stale")
+		d.Lock()
+		verdict := installVerdictLocked(d, r.epoch, imm, expiry)
+		d.Unlock()
+		if verdict != "" {
+			n.counts.Inc(verdict)
 			return
 		}
 	}
 	ti, err := n.reg.lookupName(r.typ)
 	if err != nil {
-		n.counts.Inc("lease_install_errors")
+		n.counts.Inc(copyCounter(imm, "replica_install_errors", "lease_install_errors"))
 		return
 	}
 	var pv reflect.Value
 	if len(r.state) > 0 {
 		sv, err := wire.UnmarshalStruct(r.state)
 		if err != nil || sv.Type() != ti.elem {
-			n.counts.Inc("lease_install_errors")
+			n.counts.Inc(copyCounter(imm, "replica_install_errors", "lease_install_errors"))
 			return
 		}
 		if sv.CanAddr() {
@@ -285,106 +232,146 @@ func (n *Node) installLease(r replicaInstall) {
 	} else {
 		pv = reflect.New(ti.elem)
 	}
+	p := newPayload(pv, ti)
+	p.src = r.from
+	if imm {
+		p.snap = &snapCell{}
+		if st := r.state; len(st) > 0 {
+			p.snap.v.Store(&st) // decoded from these exact bytes: reuse as the cached encoding
+		}
+	}
 	d := n.descEnsure(r.obj)
 	d.Lock()
-	switch d.State() {
-	case stateResident:
-		switch {
-		case d.Lease() && d.Epoch() == r.epoch && d.LeaseExpiry() != 0:
-			// Renewal that raced the pre-check.
-			if expiry > d.LeaseExpiry() {
-				d.SetLeaseExpiry(expiry)
-			}
-			d.Unlock()
-			n.counts.Inc("lease_renewals")
-			return
-		case d.Lease() && r.epoch >= d.Epoch():
-			// A fresher grant — or one at the epoch a revoke left on a dead
-			// copy — replaces the stale state, but only once no pinned reader
-			// is still executing against the old value. Mark-then-check as
-			// everywhere: moving refuses new pins.
-			if pins := d.SetStateLocked(stateMoving); pins > 0 {
-				d.SetStateLocked(stateResident)
-				d.Broadcast()
-				d.Unlock()
-				n.counts.Inc("lease_installs_dropped")
-				return
-			}
-		default:
-			// The real object lives here now, or a racing install won.
-			d.Unlock()
-			n.counts.Inc("lease_installs_dropped")
-			return
-		}
-	case stateMoving, stateDeleted:
+	verdict := installVerdictLocked(d, r.epoch, imm, expiry)
+	if verdict == "" && d.State() == stateResident && !markDrainedLocked(d) {
+		// An older or dead copy is replaced only once no pinned reader is
+		// still executing against it.
+		verdict = copyCounter(imm, "replica_installs_dropped", "lease_installs_dropped")
+	}
+	if verdict != "" {
 		d.Unlock()
-		n.counts.Inc("lease_installs_dropped")
+		n.counts.Inc(verdict)
 		return
 	}
-	if d.Epoch() > r.epoch {
-		d.Unlock()
-		n.counts.Inc("lease_installs_stale")
-		return
-	}
-	// Publication order as for any install: payload and mode bits before the
-	// resident transition that licenses lock-free TryPin readers. No snap
-	// cell (the cached-encoding optimization is immutable-only) and the
-	// leasable bit stays clear: a lease copy never grants leases of its own.
-	d.Payload = newPayload(pv, ti)
-	d.Payload.src = r.from
-	d.Fwd = gaddr.NoNode
-	d.ClearAttachLocked()
-	d.SetImmutableLocked(false)
-	d.SetReplicaLocked(false)
-	d.SetLeasableLocked(false)
-	d.SetLeaseLocked(true)
-	d.SetLeaseExpiry(expiry)
-	d.SetEpochLocked(r.epoch)
-	d.SetStateLocked(stateResident)
-	d.Broadcast()
+	publishCopyLocked(d, p, r.epoch, expiry)
 	d.Unlock()
 	n.hintDrop(r.obj)
-	n.cLeaseInst.Inc()
+	if imm {
+		n.cReplicaInst.Inc()
+	} else {
+		n.cLeaseInst.Inc()
+	}
 	if tr := n.tracer; tr.On() {
 		tr.Emit(trace.Event{Kind: trace.KReplicaInstall, Obj: uint64(r.obj), Arg: int64(r.from)})
 	}
-	n.replicaTrackEvicting(r.obj, r.from, true)
+	// Track in the bounded cache, tearing down whatever the insert displaced —
+	// the eviction path is the same tombstone teardown for either mode. A
+	// victim pinned by an executing invoke goes back (uncapped) for a later
+	// insert to retry.
+	for _, v := range n.space.ReplicaTrack(r.obj, r.from, !imm) {
+		if !n.evictCopy(v.Addr, v.Source) {
+			n.space.ReplicaRetrack(v.Addr, v.Source, v.Lease)
+			n.counts.Inc("replica_evictions_busy")
+		}
+	}
 }
 
-// evictReplica tears a demand-pulled shared copy — immutable replica or
-// reader lease — down to a forwarding tombstone aimed at its source, so later
-// references chase back and re-pull on demand. Returns false when the copy is
-// currently pinned (the caller re-tracks it). The epoch is left unchanged:
-// the tombstone points at the same residency version the copy carried (for a
-// revoked lease the revoke handler already advanced it).
-func (n *Node) evictReplica(obj gaddr.Addr, src gaddr.NodeID) bool {
+// installVerdictLocked decides what a copy at epoch, of the given mode and
+// expiry, does to d: "" to install it — over nothing, a tombstone, or an older
+// or dead resident copy — or the name of the counter that ends the install. A
+// live copy of the same mode at the same epoch is renewed in place (the same
+// epoch means the same state, since every write bumps the epoch; an immutable
+// copy has nothing to renew and drops). A copy revoked while a reader had it
+// pinned is dead, not live: handleLease could not tear it down, so it stands
+// at the revoke's epoch with pre-write state and a zeroed expiry, and is only
+// ever replaced by the grant's state. Newer local truth drops the install: a
+// move or delete in progress, or the real object living here now. So does a
+// strictly newer tombstone (stale): the copy predates a move, or a revoke
+// outran the grant — the queued-install race the revoke handler closes. d.mu
+// held.
+func installVerdictLocked(d *descriptor, epoch uint64, imm bool, expiry int64) string {
+	switch st := d.State(); {
+	case st == stateResident && d.Copy() && d.Immutable() == imm && d.Epoch() == epoch && d.Expiry() != 0:
+		if imm {
+			return "replica_installs_dropped"
+		}
+		if expiry > d.Expiry() {
+			d.SetExpiry(expiry)
+		}
+		return "lease_renewals"
+	case st == stateMoving || st == stateDeleted || st == stateResident && !d.Copy():
+		return copyCounter(imm, "replica_installs_dropped", "lease_installs_dropped")
+	case d.Epoch() > epoch:
+		return copyCounter(imm, "replica_installs_stale", "lease_installs_stale")
+	}
+	return ""
+}
+
+// publishCopyLocked makes d a resident copy with payload p (whose src names
+// where it came from) at residency version epoch: the one place the copy bit
+// goes up. An expiry of copyForever marks a copy of an immutable object.
+// Publication order as for any install: payload and mode bits before the
+// resident transition that licenses lock-free TryPin readers. The leasable
+// bit stays clear: a copy never grants leases of its own. d.mu held.
+func publishCopyLocked(d *descriptor, p payload, epoch uint64, expiry int64) {
+	d.Payload = p
+	d.Fwd = gaddr.NoNode
+	d.ClearAttachLocked()
+	d.SetImmutableLocked(expiry == copyForever)
+	d.SetLeasableLocked(false)
+	d.SetCopyLocked(true)
+	d.SetExpiry(expiry)
+	d.SetEpochLocked(epoch)
+	d.SetStateLocked(stateResident)
+	d.Broadcast()
+}
+
+// markDrainedLocked marks a resident d moving and reports whether no pin was
+// held at that instant; otherwise it puts d back to resident. Mark-then-check,
+// like the move/delete drain protocol: flipping to moving first makes the
+// lock-free TryPin fast path refuse new pins, so the count cannot be raced
+// upward. d.mu held.
+func markDrainedLocked(d *descriptor) bool {
+	if d.SetStateLocked(stateMoving) == 0 {
+		return true
+	}
+	d.SetStateLocked(stateResident)
+	d.Broadcast()
+	return false
+}
+
+// tombstoneCopyLocked tears a copy whose pins have drained down to a
+// forwarding tombstone aimed at fwd — its source, or wherever a revoke or the
+// arriving object says current state now lives — so later references chase
+// there and re-pull on demand. The epoch is the caller's to set. d.mu held.
+func tombstoneCopyLocked(d *descriptor, fwd gaddr.NodeID) {
+	d.SetStateLocked(stateForwarded)
+	d.Fwd = fwd
+	d.SetCopyLocked(false)
+	d.SetExpiry(0)
+	d.Payload = payload{}
+	d.Broadcast()
+}
+
+// evictCopy tears a demand-pulled copy down to a forwarding tombstone aimed
+// at its source. Returns false when the copy is currently pinned (the caller
+// re-tracks it). The epoch is left unchanged: the tombstone points at the same
+// residency version the copy carried (for a revoked lease the revoke handler
+// already advanced it).
+func (n *Node) evictCopy(obj gaddr.Addr, src gaddr.NodeID) bool {
 	d := n.desc(obj)
 	if d == nil {
 		return true
 	}
 	d.Lock()
-	if d.State() != stateResident || !(d.Replica() || d.Lease()) {
-		// Already gone or superseded by something newer; nothing to tear down.
-		d.Unlock()
-		return true
+	defer d.Unlock()
+	if d.State() != stateResident || !d.Copy() {
+		return true // already gone or superseded by something newer
 	}
-	// Mark-then-check, like the move/delete drain protocol: flipping to
-	// stateMoving first makes the lock-free TryPin fast path refuse new pins,
-	// so the pin count read below cannot be raced upward.
-	if pins := d.SetStateLocked(stateMoving); pins > 0 {
-		d.SetStateLocked(stateResident)
-		d.Broadcast()
-		d.Unlock()
+	if !markDrainedLocked(d) {
 		return false
 	}
-	d.SetStateLocked(stateForwarded)
-	d.Fwd = src
-	d.SetReplicaLocked(false)
-	d.SetLeaseLocked(false)
-	d.SetLeaseExpiry(0)
-	d.Payload = payload{}
-	d.Broadcast()
-	d.Unlock()
+	tombstoneCopyLocked(d, src)
 	n.counts.Inc("replica_evicted")
 	return true
 }

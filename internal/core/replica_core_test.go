@@ -13,20 +13,24 @@ import (
 	"amber/internal/wire"
 )
 
-// waitObjects polls node n's lock-free census until want[state] descriptors
-// are reported (replica installs run asynchronously off the reply path).
+// installBarrier waits until n's installer worker has handled every copy
+// queued ahead of this call. acceptReply queues a reply's copy before the
+// invoke returns and the queue is FIFO, so once the barrier passes every copy
+// the caller's invokes brought back has been installed or refused.
+func (n *Node) installBarrier() {
+	done := make(chan struct{})
+	n.installq <- copyInstall{done: done}
+	<-done
+}
+
+// waitObjects waits out node n's queued installs and then checks that its
+// lock-free census reports want[state] descriptors (copies install
+// asynchronously off the reply path).
 func waitObjects(t *testing.T, n *Node, state string, want int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if got := n.Objects()[state]; got == want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("node %d: %s = %d, want %d (census %v)",
-				n.ID(), state, n.Objects()[state], want, n.Objects())
-		}
-		time.Sleep(time.Millisecond)
+	n.installBarrier()
+	if got := n.Objects()[state]; got != want {
+		t.Fatalf("node %d: %s = %d, want %d (census %v)", n.ID(), state, got, want, n.Objects())
 	}
 }
 
@@ -190,7 +194,7 @@ func TestReplicaDeleteRejected(t *testing.T) {
 	}
 }
 
-// TestReplicaInstallStaleEpochDrop drives installReplica directly against a
+// TestReplicaInstallStaleEpochDrop drives installCopy directly against a
 // descriptor whose tombstone already knows a newer residency version: the
 // stale snapshot must drop, and an equal-epoch one must install (the
 // tombstone and the replica describe the same residency).
@@ -219,7 +223,11 @@ func TestReplicaInstallStaleEpochDrop(t *testing.T) {
 	d.SetStateLocked(stateForwarded)
 	d.Unlock()
 
-	n0.installReplica(gaddr.Addr(ref), cl.Node(1).ID(), ti.name, state, 3)
+	install := func(epoch uint64) {
+		n0.installCopy(copyInstall{obj: gaddr.Addr(ref), from: cl.Node(1).ID(), typ: ti.name,
+			state: state, epoch: epoch, ttl: copyForever})
+	}
+	install(3)
 	if st := d.State(); st != stateForwarded {
 		t.Fatalf("stale install changed state to %v", st)
 	}
@@ -227,17 +235,17 @@ func TestReplicaInstallStaleEpochDrop(t *testing.T) {
 		t.Errorf("replica_installs_stale = %d, want 1", got)
 	}
 
-	n0.installReplica(gaddr.Addr(ref), cl.Node(1).ID(), ti.name, state, 5)
-	if st := d.State(); st != stateResident || !d.Replica() || !d.Immutable() {
-		t.Fatalf("equal-epoch install: state %v replica %v immutable %v",
-			st, d.Replica(), d.Immutable())
+	install(5)
+	if st := d.State(); st != stateResident || !d.Copy() || !d.Immutable() {
+		t.Fatalf("equal-epoch install: state %v copy %v immutable %v",
+			st, d.Copy(), d.Immutable())
 	}
 	if got := d.Epoch(); got != 5 {
 		t.Errorf("replica epoch = %d, want 5 (unchanged by install)", got)
 	}
 
 	// A duplicate install on the now-resident replica drops.
-	n0.installReplica(gaddr.Addr(ref), cl.Node(1).ID(), ti.name, state, 5)
+	install(5)
 	if got := n0.Stats().Value("replica_installs_dropped"); got != 1 {
 		t.Errorf("replica_installs_dropped = %d, want 1", got)
 	}
@@ -304,10 +312,10 @@ func TestReplicaInstallRace(t *testing.T) {
 	wg.Wait()
 
 	// Let in-flight async installs drain, then audit the survivors.
-	time.Sleep(50 * time.Millisecond)
 	n0 := cl.Node(0)
+	n0.installBarrier()
 	n0.space.Range(func(a gaddr.Addr, d *descriptor) bool {
-		if d.Replica() {
+		if d.Copy() {
 			if d.State() != stateResident {
 				t.Errorf("replica %#x in state %v", uint64(a), d.State())
 			}

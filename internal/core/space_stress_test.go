@@ -244,7 +244,7 @@ func TestPinStateInvariants(t *testing.T) {
 					if !d.Payload.obj.IsValid() {
 						t.Errorf("batch %d: node %d %#x: resident without payload", batch, n, uint64(a))
 					}
-					if d.Replica() {
+					if d.Copy() {
 						// A replica is an extra residence of an immutable
 						// object; it must carry the immutable bit and never
 						// be mid-move (it is torn down, not migrated).
@@ -264,7 +264,7 @@ func TestPinStateInvariants(t *testing.T) {
 					if d.Payload.obj.IsValid() {
 						t.Errorf("batch %d: node %d %#x: payload retained in state %v", batch, n, uint64(a), st)
 					}
-					if d.Replica() {
+					if d.Copy() {
 						t.Errorf("batch %d: node %d %#x: replica bit carried into state %v", batch, n, uint64(a), st)
 					}
 				default:

@@ -152,7 +152,7 @@ const (
 	// procLease revokes an outstanding reader lease: a write (or move, or
 	// delete) at the holder bumped the object's residency epoch, and the
 	// invalidation round fences every lease granted under an older epoch
-	// before the mutation's reply is released (coherence, DESIGN.md §14).
+	// before the mutation's reply is released (coherence, DESIGN.md §10).
 	procLease rpc.Proc = 7
 )
 
@@ -169,7 +169,7 @@ const (
 	opUnattach
 	// opSetCacheable marks a mutable object as lease-granting: subsequent
 	// read-only invokes from other nodes receive bounded-lifetime cached
-	// copies invalidated by epoch bumps (the coherence layer, DESIGN.md §14).
+	// copies invalidated by epoch bumps (the coherence layer, DESIGN.md §10).
 	opSetCacheable
 )
 
@@ -242,14 +242,7 @@ type routedMsg struct {
 	// Chain lists the nodes this message has visited, oldest first; used
 	// for forwarding-cache updates and loop escape.
 	Chain []gaddr.NodeID
-	// SnapMax applies to opInvoke: the largest object snapshot (in
-	// marshalled bytes) the origin is willing to receive piggybacked on the
-	// reply, so it can install a local read replica or reader lease (§2.3,
-	// DESIGN.md §14). Zero means the origin does not want one (replication
-	// disabled, or a hop forwarded by a node that should not learn a copy on
-	// the origin's behalf).
-	SnapMax uint64
-	// Flags carries the read/lease classification bits (rmFlag*).
+	// Flags carries the read/copy classification bits (rmFlag*).
 	Flags byte
 }
 
@@ -259,9 +252,9 @@ const (
 	// (WithReadOnly); the executor may run it under the shared side of the
 	// coherence lock even when the method is not registry-declared read-only.
 	rmFlagReadOnly = 1 << 0
-	// rmFlagLeaseOK: the origin is willing to install a mutable reader lease
-	// from this reply (it understands expiry + revocation). Distinct from
-	// SnapMax so forwarded hops can strip it independently.
+	// rmFlagLeaseOK: the origin accepts a copy piggybacked on this reply — a
+	// lease, which for an immutable object never expires (§2.3, DESIGN.md
+	// §10). Set by one-step journeys on a node with copies enabled.
 	rmFlagLeaseOK = 1 << 1
 	// rmFlagChain: the journey left its origin with more than one step. It
 	// stays set on the last step, whose continuation is empty, so the executor
@@ -281,20 +274,20 @@ type invokeReply struct {
 	// Fowler-style versioned forwarding).
 	Epoch uint64
 	// Immutable reports that the executed object is in immutable mode, so
-	// the origin knows a local replica would have served this call.
+	// the origin knows a local copy would have served this call — and that
+	// the copy riding this reply, if any, never expires.
 	Immutable bool
 	// SnapType/SnapState, when SnapType is non-empty, piggyback the executed
 	// object's snapshot (type name + wire.Marshal state) so the origin can
-	// install a replica — or, with Lease set, a reader lease — in the same
-	// round trip (§2.3, DESIGN.md §14). Sent only when the request's SnapMax
-	// allowed a snapshot this large. A copy of a stateless type has a
-	// non-empty SnapType and an empty SnapState.
+	// install a copy in the same round trip (§2.3, DESIGN.md §10). Sent only
+	// when the request's rmFlagLeaseOK asked for one. A copy of a stateless
+	// type has a non-empty SnapType and an empty SnapState.
 	SnapType  string
 	SnapState []byte
-	// Lease marks the piggybacked snapshot as a mutable reader lease rather
-	// than an immutable replica; LeaseNs is its lifetime in nanoseconds,
-	// measured from receipt (a duration, not an absolute time, so the grant
-	// is clock-skew-free — the receiver stamps its own expiry).
+	// Lease marks the piggybacked copy as a mutable reader lease; LeaseNs is
+	// its lifetime in nanoseconds, measured from receipt (a duration, not an
+	// absolute time, so the grant is clock-skew-free — the receiver stamps
+	// its own expiry).
 	Lease   bool
 	LeaseNs uint64
 }
@@ -492,7 +485,6 @@ func (m *routedMsg) appendHeader(b []byte) []byte {
 	for _, hop := range m.Chain {
 		b = wire.AppendVarint(b, int64(hop))
 	}
-	b = wire.AppendUvarint(b, m.SnapMax)
 	return append(b, m.Flags)
 }
 
@@ -542,9 +534,6 @@ func (m *routedMsg) DecodeWire(b []byte) ([]byte, error) {
 			}
 			m.Chain[i] = gaddr.NodeID(v)
 		}
-	}
-	if m.SnapMax, b, err = wire.ReadUvarint(b); err != nil {
-		return nil, err
 	}
 	if len(b) < 1 {
 		return nil, wire.ErrShortBuffer

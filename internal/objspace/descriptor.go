@@ -38,7 +38,7 @@ const (
 	// StateAbsent is the zero state: a descriptor slot that was created but
 	// never initialized. Treated exactly like a missing descriptor.
 	StateAbsent State = iota
-	// StateResident: the object (or an immutable replica) lives here and
+	// StateResident: the object (or a cached copy of it) lives here and
 	// may be entered.
 	StateResident
 	// StateMoving: a move is draining the object's bound threads or
@@ -77,18 +77,17 @@ func (s State) String() string {
 //	bit  3      waiter flag: a thread is cond-waiting on pins/state; any
 //	            unpin must take the slow path and broadcast
 //	bit  4      immutable mode (§2.3)
-//	bit  5      replica (resident copy of an immutable object)
-//	bit  6      lease (resident bounded-lifetime copy of a MUTABLE object,
-//	            valid only while its expiry stands and its epoch is current)
-//	bit  7      leasable (the holder grants reader leases on this object)
+//	bit  5      copy: a resident cached copy of an object held elsewhere,
+//	            valid until its expiry — which never comes for a copy of an
+//	            immutable object (the immutable bit is up with it)
+//	bit  6      leasable (the holder grants reader leases on this object)
 //	bits 8..63  pin count (bound threads, §3.5)
 const (
 	wordStateMask = 0x7
 	wordWaiter    = 1 << 3
 	wordImmutable = 1 << 4
-	wordReplica   = 1 << 5
-	wordLease     = 1 << 6
-	wordLeasable  = 1 << 7
+	wordCopy      = 1 << 5
+	wordLeasable  = 1 << 6
 	wordPinShift  = 8
 	wordPinInc    = 1 << wordPinShift
 )
@@ -138,14 +137,14 @@ type Descriptor[P any] struct {
 	// moves), read anywhere.
 	epoch atomic.Uint64
 
-	// leaseExp is the lease copy's expiry (UnixNano; 0 = no live lease). Read
+	// expiry is a copy's expiry (UnixNano; 0 = dead or no copy). Read
 	// lock-free on the lease-serving fast path; zeroed atomically by a revoke
-	// so a pinned lease stops serving new reads immediately even before its
+	// so a pinned copy stops serving new reads immediately even before its
 	// descriptor can be torn down.
-	leaseExp atomic.Int64
+	expiry atomic.Int64
 
 	// Coh is the per-object coherence lock for leasable objects: mutating
-	// invokes hold it exclusively, read-only invokes and lease-snapshot
+	// invokes hold it exclusively, read-only invokes and copy-snapshot
 	// encodes hold it shared. Objects never marked leasable skip it entirely,
 	// so the pre-existing invoke paths pay nothing. Taken while pinned,
 	// strictly after mu would be released (never together with mu).
@@ -231,12 +230,9 @@ func (d *Descriptor[P]) Pins() int { return pinsOf(d.word.Load()) }
 // Immutable reports the §2.3 immutable mode bit.
 func (d *Descriptor[P]) Immutable() bool { return d.word.Load()&wordImmutable != 0 }
 
-// Replica reports whether this is a resident copy of an immutable object.
-func (d *Descriptor[P]) Replica() bool { return d.word.Load()&wordReplica != 0 }
-
-// Lease reports whether this is a resident bounded-lifetime copy of a
-// mutable object (a reader lease).
-func (d *Descriptor[P]) Lease() bool { return d.word.Load()&wordLease != 0 }
+// Copy reports whether this is a cached copy of an object held elsewhere: of
+// an immutable object when the immutable bit is up, otherwise a reader lease.
+func (d *Descriptor[P]) Copy() bool { return d.word.Load()&wordCopy != 0 }
 
 // Leasable reports whether the holder grants reader leases on this object.
 func (d *Descriptor[P]) Leasable() bool { return d.word.Load()&wordLeasable != 0 }
@@ -331,23 +327,13 @@ func (d *Descriptor[P]) SetImmutableLocked(on bool) {
 	})
 }
 
-// SetReplicaLocked flips the replica bit. Caller holds mu.
-func (d *Descriptor[P]) SetReplicaLocked(on bool) {
+// SetCopyLocked flips the copy bit. Caller holds mu.
+func (d *Descriptor[P]) SetCopyLocked(on bool) {
 	d.updateWord(func(w uint64) uint64 {
 		if on {
-			return w | wordReplica
+			return w | wordCopy
 		}
-		return w &^ wordReplica
-	})
-}
-
-// SetLeaseLocked flips the lease bit. Caller holds mu.
-func (d *Descriptor[P]) SetLeaseLocked(on bool) {
-	d.updateWord(func(w uint64) uint64 {
-		if on {
-			return w | wordLease
-		}
-		return w &^ wordLease
+		return w &^ wordCopy
 	})
 }
 
@@ -361,14 +347,14 @@ func (d *Descriptor[P]) SetLeasableLocked(on bool) {
 	})
 }
 
-// LeaseExpiry reads the lease copy's expiry (UnixNano; 0 = no live lease).
-func (d *Descriptor[P]) LeaseExpiry() int64 { return d.leaseExp.Load() }
+// Expiry reads a copy's expiry (UnixNano; 0 = dead or no copy).
+func (d *Descriptor[P]) Expiry() int64 { return d.expiry.Load() }
 
-// SetLeaseExpiry stores the lease copy's expiry. Safe without mu: the field
-// is independent of the packed word, and a revoke zeroing it races only with
-// installs extending it — the revoke's epoch tombstone makes the stale
-// extension harmless.
-func (d *Descriptor[P]) SetLeaseExpiry(ns int64) { d.leaseExp.Store(ns) }
+// SetExpiry stores a copy's expiry. Safe without mu: the field is independent
+// of the packed word, and a revoke zeroing it races only with installs
+// extending it — the revoke's epoch tombstone makes the stale extension
+// harmless.
+func (d *Descriptor[P]) SetExpiry(ns int64) { d.expiry.Store(ns) }
 
 // BumpEpoch atomically increments the residency version and returns the new
 // value — the write-invalidation signal for leasable objects. Safe under a

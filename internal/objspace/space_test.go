@@ -142,19 +142,19 @@ func TestModeFlagsPreservedAcrossTransitions(t *testing.T) {
 	d := s.Ensure(gaddr.Addr(5))
 	d.Lock()
 	d.SetImmutableLocked(true)
-	d.SetReplicaLocked(true)
+	d.SetCopyLocked(true)
 	d.SetStateLocked(StateResident)
 	d.SetStateLocked(StateMoving)
 	d.SetStateLocked(StateResident)
 	d.Unlock()
-	if !d.Immutable() || !d.Replica() {
+	if !d.Immutable() || !d.Copy() {
 		t.Fatal("mode flags lost across state transitions")
 	}
 	d.Lock()
 	d.SetImmutableLocked(false)
-	d.SetReplicaLocked(false)
+	d.SetCopyLocked(false)
 	d.Unlock()
-	if d.Immutable() || d.Replica() {
+	if d.Immutable() || d.Copy() {
 		t.Fatal("mode flags did not clear")
 	}
 }

@@ -43,7 +43,7 @@ var helpText = map[string]string{
 	"node_replica_evicted":          "replicas evicted by the cache's FIFO cap",
 	"node_replica_evictions_busy":   "replica evictions deferred because the replica was pinned",
 	"node_replica_snaps_encoded":    "immutable snapshots encoded onto invoke replies",
-	"node_replica_snaps_oversize":   "snapshots skipped because they exceeded the caller's SnapMax",
+	"node_replica_snaps_oversize":   "immutable copies not offered because the snapshot exceeded 64 KiB",
 	"node_replica_snap_errors":      "snapshot encodings that failed",
 	"node_replicas_installed":       "replica objects installed via explicit immutable moves",
 	"node_replicas_sent":            "replica copies shipped to other nodes",
@@ -63,7 +63,7 @@ var helpText = map[string]string{
 	"node_lease_purged_down":         "lease copies purged because their grantor was declared down",
 	"node_lease_grants_dropped_down": "grant-table entries dropped because the holder was declared down",
 	"node_lease_snap_errors":         "lease snapshot encodings that failed",
-	"node_lease_snaps_oversize":      "lease grants skipped because the snapshot exceeded the caller's SnapMax",
+	"node_lease_snaps_oversize":      "lease grants skipped because the snapshot exceeded 64 KiB",
 	"node_lease_installs_dropped":    "lease installs skipped because a descriptor state precluded them",
 	"node_lease_installs_stale":      "lease installs rejected as older than the local view",
 	"node_lease_install_errors":      "lease installs that failed to decode or register",

@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
 # bench.sh — run the headline Amber benchmarks and record the numbers.
 #
-# Runs the Table 1 local/remote invocation benchmarks (tracing off AND on),
-# the E8 forwarding-chain ablation, the E9 mobility ablation, the read-path
-# replication benchmarks (cold first-touch, warm replica hit, and the
-# no-replication cold control), the reader-lease coherence benchmarks
-# (warm mutable read via a live lease, write + invalidation fence), the
-# sharded object-space parallel-invoke benchmark at -cpu 1 and 8, the
-# skewed-workload heat-placement ablation, and the wire codec
-# microbenchmarks, then the end-to-end benchmark (benchmark/run.sh) on the
-# workloads that cross the invocation engine's four doors, and writes every
-# reported metric to BENCH_pr13.json at the repo root.
+# Runs all five Table 1 benchmarks (object create, local and remote invoke —
+# the remote one with tracing off AND on — object move, thread start/join),
+# the E8 forwarding-chain ablation, the E9 mobility ablation, the cached-copy
+# benchmarks (cold first-touch of an immutable object, warm immutable copy
+# hit, the no-copy cold control, warm mutable read via a live lease, write +
+# invalidation fence), the sharded object-space parallel-invoke benchmark at
+# -cpu 1 and 8, the skewed-workload heat-placement ablation, and the wire
+# codec microbenchmarks, then the end-to-end benchmark (benchmark/run.sh) on
+# the workloads that cross the invocation engine's four doors, and writes
+# every reported metric to BENCH_pr25.json at the repo root. The "table1"
+# section prints each of the table's ratios beside the paper's.
 #
-# This PR's gates cover the one invocation engine (DESIGN.md §13): Invoke,
+# The gates cover the one invocation engine (DESIGN.md §13): Invoke,
 # AsyncInvoke, InvokeChain and AsyncInvokeChain are one request builder, one
 # failure ladder and one executor loop, so a one-step chain must cost what an
 # invoke costs (gate 12) and neither the resident prologue (local invoke) nor
@@ -96,7 +97,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${1:-1s}"
-OUT=BENCH_pr13.json
+OUT=BENCH_pr25.json
 ALLOC_LIMIT=30       # remote invoke: at most this many allocs/op
 BYTES_LIMIT=3000     # remote invoke: at most this many B/op
 LOCAL_ALLOC_LIMIT=3  # local invoke and warm replica/lease hits: at most this
@@ -134,6 +135,13 @@ GATE_RAW=$(go test -run '^$' \
 	-bench '^(BenchmarkTable1LocalInvoke|BenchmarkTable1RemoteInvoke|BenchmarkChainOneStepRemote|BenchmarkChainTwoStepRemote|BenchmarkImmutableRemoteInvokeCold|BenchmarkImmutableRemoteInvokeWarm|BenchmarkRemoteInvokeColdBaseline)$' \
 	-benchmem -benchtime "$BENCHTIME" -count 3 .)
 echo "$GATE_RAW"
+
+echo
+echo "== the rest of Table 1: object create, object move, thread start/join (min of 3) =="
+T1_RAW=$(go test -run '^$' \
+	-bench '^(BenchmarkTable1ObjectCreate|BenchmarkTable1ObjectMove|BenchmarkTable1ThreadStartJoin)$' \
+	-benchmem -benchtime "$BENCHTIME" -count 3 .)
+echo "$T1_RAW"
 
 echo
 echo "== ablation benchmarks (benchtime=$BENCHTIME) =="
@@ -230,6 +238,9 @@ REMOTE_NS=$(bench_ns "$GATE_RAW" 'BenchmarkTable1RemoteInvoke(-[0-9]+)?')
 COLD_NS=$(bench_ns "$GATE_RAW" 'BenchmarkImmutableRemoteInvokeCold(-[0-9]+)?')
 WARM_NS=$(bench_ns "$GATE_RAW" 'BenchmarkImmutableRemoteInvokeWarm(-[0-9]+)?')
 COLDBASE_NS=$(bench_ns "$GATE_RAW" 'BenchmarkRemoteInvokeColdBaseline(-[0-9]+)?')
+CREATE_NS=$(bench_ns "$T1_RAW" 'BenchmarkTable1ObjectCreate(-[0-9]+)?')
+MOVE_NS=$(bench_ns "$T1_RAW" 'BenchmarkTable1ObjectMove(-[0-9]+)?')
+STARTJOIN_NS=$(bench_ns "$T1_RAW" 'BenchmarkTable1ThreadStartJoin(-[0-9]+)?')
 CHAIN1_NS=$(bench_ns "$GATE_RAW" 'BenchmarkChainOneStepRemote(-[0-9]+)?')
 CHAIN2_NS=$(bench_ns "$GATE_RAW" 'BenchmarkChainTwoStepRemote(-[0-9]+)?')
 CHAIN2_MSGS=$(echo "$GATE_RAW" | awk '$1 ~ /^BenchmarkChainTwoStepRemote(-[0-9]+)?$/ {
@@ -286,6 +297,14 @@ SKEW_X=$(ratio "$SKEW_STATIC_NS" "$SKEW_HEAT_NS")
 FANIN_X=$(ratio "$FANIN_SERIAL_NS" "$FANIN_ASYNC_NS")
 LEASE_WARM_X=$(ratio "$LEASE_WARM_NS" "$WARM_NS")
 LEASE_WP99_X=$(ratio "${LEASE_WP99_NS:-0}" "$REMOTE_NS")
+# Table 1 as ratios: the paper's absolute numbers are 1989 hardware, but how
+# the operations compare with each other is the table's claim. The paper's
+# milliseconds: create 0.18, local invoke 0.012, remote invoke 8.32, move
+# 12.43, thread start/join 1.33.
+T1_CREATE_X=$(ratio "$CREATE_NS" "$LOCAL_NS")
+T1_REMOTE_X=$(ratio "$REMOTE_NS" "$LOCAL_NS")
+T1_MOVE_X=$(ratio "$MOVE_NS" "$REMOTE_NS")
+T1_STARTJOIN_X=$(ratio "$STARTJOIN_NS" "$LOCAL_NS")
 if [ "$NPROC" -ge 4 ]; then
 	FANIN_MIN=3.0 FANIN_GATE=full
 else
@@ -301,7 +320,7 @@ fi
 
 {
 	printf '{\n'
-	printf '  "pr": "pr13-one-invocation-engine",\n'
+	printf '  "pr": "pr25-one-cached-copy",\n'
 	printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 	printf '  "go": "%s",\n' "$(go version | awk '{print $3}')"
 	printf '  "benchtime": "%s",\n' "$BENCHTIME"
@@ -327,6 +346,19 @@ fi
 	printf '    "remote_allocs_gate_max": %s,\n' "$ALLOC_LIMIT"
 	printf '    "remote_bytes_op": %s,\n' "${REMOTE_BYTES:-0}"
 	printf '    "remote_bytes_gate_max": %s\n' "$BYTES_LIMIT"
+	printf '  },\n'
+	printf '  "table1": {\n'
+	printf '    "source": "BenchmarkTable1* on the in-process no-delay fabric, min of 3; paper_ms is the SOSP 1989 table (Fireflies on 10 Mbit Ethernet)",\n'
+	printf '    "object_create": {"ns_op": %s, "paper_ms": 0.18},\n' "$CREATE_NS"
+	printf '    "local_invoke": {"ns_op": %s, "paper_ms": 0.012},\n' "$LOCAL_NS"
+	printf '    "remote_invoke": {"ns_op": %s, "paper_ms": 8.32},\n' "$REMOTE_NS"
+	printf '    "object_move": {"ns_op": %s, "paper_ms": 12.43},\n' "$MOVE_NS"
+	printf '    "thread_start_join": {"ns_op": %s, "paper_ms": 1.33},\n' "$STARTJOIN_NS"
+	printf '    "create_over_local": {"here": %s, "paper": 15.0},\n' "$T1_CREATE_X"
+	printf '    "remote_over_local": {"here": %s, "paper": 693.3},\n' "$T1_REMOTE_X"
+	printf '    "move_over_remote": {"here": %s, "paper": 1.49},\n' "$T1_MOVE_X"
+	printf '    "start_join_over_local": {"here": %s, "paper": 110.8},\n' "$T1_STARTJOIN_X"
+	printf '    "why_remote_over_local_differs": "in process a remote invoke crosses no wire and no kernel, only a fabric hop and goroutine hand-offs, while the paper paid two Ethernet packets and Topaz RPC against a 12 us local call"\n'
 	printf '  },\n'
 	printf '  "end_to_end": {\n'
 	printf '    "source": "benchmark/run.sh -workload W (closed loop, 3 processes, loopback TCP; also in benchmark/out/results.json)",\n'
@@ -401,7 +433,7 @@ fi
 	printf '    "gate_min_x": %s\n' "$SCALE_MIN"
 	printf '  },\n'
 	printf '  "results": {\n'
-	{ echo "$GATE_RAW"; echo "$HEAD_RAW"; echo "$SKEW_RAW"; echo "$FANIN_RAW"; echo "$LEASE_RAW"; echo "$WIRE_RAW"; } | tojson
+	{ echo "$GATE_RAW"; echo "$T1_RAW"; echo "$HEAD_RAW"; echo "$SKEW_RAW"; echo "$FANIN_RAW"; echo "$LEASE_RAW"; echo "$WIRE_RAW"; } | tojson
 	printf ',\n'
 	echo "$PAR_RAW" | tojson 1
 	printf '  }\n'
@@ -413,6 +445,8 @@ echo "wrote $OUT"
 echo "local invoke:  ${LOCAL_NS}ns/op vs baseline ${BASE_LOCAL_NS}ns/op (${LOCAL_PCT}%) at ${LOCAL_ALLOCS} allocs/op"
 echo "dispatch allocs: local ${LOCAL_ALLOCS}/op, warm replica ${WARM_ALLOCS}/op, lease warm ${LEASE_WARM_ALLOCS}/op (budget ${LOCAL_ALLOC_LIMIT}/op)"
 echo "remote invoke: ${REMOTE_NS}ns/op vs baseline ${BASE_REMOTE_NS}ns/op (${REMOTE_PCT}%) at ${REMOTE_ALLOCS} allocs/op, ${REMOTE_BYTES} B/op"
+echo "table 1:       create ${CREATE_NS}ns, local ${LOCAL_NS}ns, remote ${REMOTE_NS}ns, move ${MOVE_NS}ns, thread start/join ${STARTJOIN_NS}ns/op"
+echo "table 1 ratio: remote/local ${T1_REMOTE_X}x (paper 693x), move/remote ${T1_MOVE_X}x (paper 1.5x), create/local ${T1_CREATE_X}x (paper 15x), start-join/local ${T1_STARTJOIN_X}x (paper 111x)"
 echo "one engine:    one-step chain ${CHAIN1_NS}ns/op (${CHAIN1_PCT}% vs the invoke) at ${CHAIN1_ALLOCS} allocs/op; two-step chain ${CHAIN2_NS}ns/op, ${CHAIN2_MSGS:-?} msgs/op"
 for w in $E2E_WORKLOADS; do
 	echo "end to end:    $w $(e2e "$w" ops_per_s) ops/s, p50 $(e2e "$w" p50_us)us, p95 $(e2e "$w" p95_us)us, $(e2e "$w" mem.bytes_per_op) B/op, $(e2e "$w" transport.bytes_per_op) wire B/op"

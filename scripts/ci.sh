@@ -38,14 +38,16 @@ echo "== fault suite (crash/partition injection, retry, dedup) =="
 # second time under -race with fresh state: seeded injectors make the fault
 # schedules deterministic, and any flake here is a real ordering bug.
 go test -race -count=1 \
-	-run 'TestFaults|FuzzFaultRules|TestTimeoutClassified|TestRetry|TestIdempotent|TestNonIdempotent|TestGeneration|TestWatchPeer|TestDedup|TestCrash|TestOrphaned|TestForwardingChainRepair|TestThreeNodeCrash|TestSimCrash|TestCapture|TestFleet|TestRetryExhaustedTrigger|TestEntryPointParity|TestInvokeChain|TestAsync|TestLease|TestChainSteps' \
+	-run 'TestFaults|FuzzFaultRules|TestTimeoutClassified|TestRetry|TestIdempotent|TestNonIdempotent|TestGeneration|TestWatchPeer|TestDedup|TestCrash|TestOrphaned|TestForwardingChainRepair|TestThreeNodeCrash|TestSimCrash|TestCapture|TestFleet|TestRetryExhaustedTrigger|TestEntryPointParity|TestInvokeChain|TestAsync|TestLease|TestChainSteps|TestReplica|TestCopyParity' \
 	./internal/transport/ ./internal/rpc/ ./internal/core/ ./internal/sim/
 
-echo "== one invocation engine (structure check, protocol fuzzing) =="
+echo "== one invocation engine, one cached copy (structure check, protocol fuzzing) =="
 # Invoke, AsyncInvoke, InvokeChain and AsyncInvokeChain are one engine
-# (DESIGN.md §13): TestEngineSaysItOnce parses internal/core with go/ast and
-# fails if a second request builder, failure ladder, forwarder or executor has
-# grown beside the first. The protocol decoders then run their seed corpus
+# (DESIGN.md §13), and immutable replicas and reader leases are one copy
+# (DESIGN.md §10): TestEngineSaysItOnce parses internal/core with go/ast and
+# fails if a second request builder, failure ladder, forwarder, executor, copy
+# offer, installer or serve rule has grown beside the first. The protocol
+# decoders then run their seed corpus
 # plus five seconds of fresh inputs each (go test -fuzz takes one target per
 # run).
 go test -count=1 -run 'TestEngineSaysItOnce' ./internal/core/
