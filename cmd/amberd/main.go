@@ -117,7 +117,6 @@ func main() {
 		capCooldown = flag.Duration("capture-cooldown", trace.DefaultCaptureCooldown, "minimum spacing between anomaly-triggered cluster trace captures (0 = recorder off)")
 		capOut      = flag.String("capture-out", "amber-capture", "anomaly capture file prefix; dumps land in <prefix>-<seq>.json")
 		spaceShards = flag.Int("space-shards", 0, "lock stripes in the object space (0 = default, rounded up to a power of two)")
-		hintCache   = flag.Int("hint-cache", 0, "total location-hint cache capacity, split across shards (0 = default)")
 		replicaCap  = flag.Int("replica-cache", 0, "demand-pulled copy cache capacity, split across shards (0 = default, negative = disable cached copies)")
 		leaseTTL    = flag.Duration("lease-ttl", 0, "reader-lease lifetime for cacheable mutable objects (0 = default 2s, negative = disable leases)")
 		steal       = flag.Bool("steal", true, "let idle processor slots steal queued threads from busy slots' run queues")
@@ -200,7 +199,6 @@ func main() {
 		RPCTimeout:   *rpcTO,
 		Generation:   uint64(time.Now().UnixNano()),
 		SpaceShards:  *spaceShards,
-		HintCache:    *hintCache,
 		ReplicaCache: *replicaCap,
 		LeaseTTL:     *leaseTTL,
 		HeatInterval: *heatIvl,

@@ -37,9 +37,6 @@ type ClusterConfig struct {
 	// SpaceShards sets each node's object-space stripe count (see
 	// NodeConfig.SpaceShards; 0 = default).
 	SpaceShards int
-	// HintCache caps each node's location-hint cache (see
-	// NodeConfig.HintCache; 0 = default).
-	HintCache int
 	// ReplicaCache caps each node's demand-pulled copy cache (see
 	// NodeConfig.ReplicaCache; 0 = default, negative disables copies).
 	ReplicaCache int
@@ -134,7 +131,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			TraceBuffer:      cfg.TraceBuffer,
 			TraceSample:      cfg.TraceSample,
 			SpaceShards:      cfg.SpaceShards,
-			HintCache:        cfg.HintCache,
 			ReplicaCache:     cfg.ReplicaCache,
 			LeaseTTL:         cfg.LeaseTTL,
 			HeatInterval:     cfg.HeatInterval,

@@ -157,7 +157,7 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 		d.Unlock()
 		// Any hint for this object is now stale at best; the descriptor is
 		// authoritative.
-		n.hintDrop(snap.Addr)
+		n.space.HintDrop(snap.Addr)
 	}
 	if msg.Copy {
 		n.counts.Add("replicas_installed", int64(len(msg.Objects)))
@@ -183,15 +183,15 @@ func (n *Node) control(c *Ctx, msg *routedMsg, o callOpts) (any, error) {
 		case actError:
 			return nil, err
 		case actExecute:
-			rep, err := n.executeControlLocal(d, msg)
-			if err == nil {
-				return rep, nil
-			}
-			if errors.Is(err, errRetryRoute) && retries < 256 {
+			rep, at, err := n.executeControl(d, msg)
+			switch {
+			case errors.Is(err, errRetryRoute) && retries < 256:
 				time.Sleep(500 * time.Microsecond)
 				continue
+			case err == nil && at != gaddr.NoNode:
+				return nil, &forwardedTo{node: at}
 			}
-			return nil, err
+			return rep, err
 		case actForward:
 			rep, err := n.shipControl(c, msg, to, ro)
 			if err == nil {
@@ -205,48 +205,44 @@ func (n *Node) control(c *Ctx, msg *routedMsg, o callOpts) (any, error) {
 	}
 }
 
-// executeControlLocal dispatches a control op whose object is resident here.
-// d arrives locked (resolve's control contract); each executor releases it.
-// A second return of errForwardedTo wraps a handoff (attach co-location).
-func (n *Node) executeControlLocal(d *descriptor, msg *routedMsg) (any, error) {
+// executeControl runs a control operation whose object resolve found resident
+// here, for a thread of this node (control) and an arrival (handleRouted)
+// alike. d arrives locked (resolve's control contract); each per-op executor
+// releases it. It returns the typed reply (nil for an empty ack), or the node
+// at which the operation continues — an attach whose child just migrated to
+// its parent's node finishes there — or an error; errRetryRoute asks the
+// caller to run the entry protocol again.
+func (n *Node) executeControl(d *descriptor, msg *routedMsg) (rep any, continueAt gaddr.NodeID, err error) {
+	continueAt = gaddr.NoNode
 	switch msg.Op {
 	case opLocate:
-		rep := locateReply{Node: n.id, Immutable: d.Immutable()}
+		rep = &locateReply{Node: n.id, Immutable: d.Immutable(), Epoch: d.Epoch()}
 		d.Unlock()
 		n.counts.Inc("locates_answered")
-		return &rep, nil
 	case opMove:
-		rep, err := n.executeMove(d, msg, false)
-		if err != nil {
-			return nil, err
+		var mr moveReply
+		if mr, err = n.executeMove(d, msg, false); err == nil {
+			rep = &mr
 		}
-		return &rep, nil
 	case opSetImmutable:
-		return nil, n.executeSetImmutable(d, msg)
+		err = n.executeSetImmutable(d, msg)
 	case opSetCacheable:
-		return nil, n.executeSetCacheable(d, msg)
+		err = n.executeSetCacheable(d, msg)
 	case opDelete:
-		return nil, n.executeDelete(d, msg)
+		err = n.executeDelete(d, msg)
 	case opAttach:
-		fwd, err := n.executeAttach(d, msg)
-		if err != nil {
-			return nil, err
-		}
-		if fwd != gaddr.NoNode {
-			// The child just migrated to the parent's node; finish there.
-			return nil, &forwardedTo{node: fwd}
-		}
-		return nil, nil
+		continueAt, err = n.executeAttach(d, msg)
 	case opUnattach:
-		return nil, n.executeUnattach(d, msg)
+		err = n.executeUnattach(d, msg)
 	default:
 		d.Unlock()
-		return nil, fmt.Errorf("amber: unknown control op %d", msg.Op)
+		err = fmt.Errorf("amber: unknown control op %d", msg.Op)
 	}
+	return rep, continueAt, err
 }
 
 // forwardedTo signals that a locally-driven control op must continue at
-// another node.
+// another node (executeControl's continueAt).
 type forwardedTo struct{ node gaddr.NodeID }
 
 func (f *forwardedTo) Error() string {
@@ -297,13 +293,12 @@ func (n *Node) shipControl(c *Ctx, msg *routedMsg, to gaddr.NodeID, ro rpc.CallO
 func (c *Ctx) MoveTo(obj Ref, node gaddr.NodeID, opts ...CallOption) error {
 	start := time.Now()
 	msg := routedMsg{Op: opMove, Obj: obj, Dest: node}
-	rep, err := c.node.control(c, &msg, gatherOptions(opts))
+	// The new location needs no learning here: a move executed on this node
+	// left its own tombstone, and shipControl learnt a remote one's reply.
+	_, err := c.node.control(c, &msg, gatherOptions(opts))
 	c.node.histMove.Observe(time.Since(start))
 	if err != nil {
 		return err
-	}
-	if mr, ok := rep.(*moveReply); ok && !mr.Deferred {
-		c.node.learnLocation(obj, mr.Node, mr.Epoch)
 	}
 	if tr := c.node.tracer; tr.OnFor(c.rec.ID) {
 		tr.Emit(trace.Event{Kind: trace.KObjectMove, Trace: c.rec.ID, Parent: c.span,

@@ -310,7 +310,7 @@ func (n *Node) climb(l *ladder, obj gaddr.Addr, to gaddr.NodeID, ro rpc.CallOpts
 		// marking a peer down purges every hint to it (purgePeer), and that can
 		// win the race to this line. The tell is then a target that neither a
 		// descriptor here nor the home computation would have named.
-		if !l.hintRetried && (n.hintDrop(obj) || n.desc(obj) == nil && to != n.homeOf(obj)) {
+		if !l.hintRetried && (n.space.HintDrop(obj) || n.desc(obj) == nil && to != n.homeOf(obj)) {
 			l.hintRetried = true
 			n.counts.Inc("hint_retries")
 			if n.tracer.On() {
@@ -375,44 +375,52 @@ func (n *Node) handleRouted(rc *rpc.Ctx) {
 	ran := 0
 	for retries := 0; ; retries++ {
 		d, act, to, err := n.resolve(&msg, &msg.Thread)
-		switch act {
-		case actError:
+		switch {
+		case act == actError:
 			rc.Reply(nil, err)
 			return
-		case actExecute:
-			if msg.Op == opInvoke {
-				var more bool
-				if prev, more = n.executeStep(rc, d, &msg, prev, ran); !more {
-					return
-				}
-				ran++
-				continue
-			}
-			err := n.executeRouted(rc, d, &msg)
-			if err == nil {
+		case act == actExecute && msg.Op == opInvoke:
+			var more bool
+			if prev, more = n.executeStep(rc, d, &msg, prev, ran); !more {
 				return
 			}
+			ran++
+			continue
+		case act == actExecute:
+			var rep any
+			rep, to, err = n.executeControl(d, &msg)
 			if errors.Is(err, errRetryRoute) && retries < 256 {
 				time.Sleep(500 * time.Microsecond)
 				continue
 			}
-			rc.Reply(nil, err)
-			return
-		case actForward:
-			count := n.cForwards
-			if ran > 0 {
-				// A mid-chain hand-off: the previous step ran here and its
-				// results are not on the wire, so bind them into the head's
-				// ChainPrev arguments before the thread moves on.
-				count = n.cChainsForwarded
-				if err := bindPrev(&msg, prev); err != nil {
-					rc.Reply(nil, err)
-					return
+			if err != nil || to == gaddr.NoNode {
+				var body []byte
+				if rep != nil {
+					body, err = wire.MarshalInto(rep)
 				}
-			}
-			if !n.forward(rc, &msg, to, retries, count) {
+				rc.Reply(body, err)
+				if lr, ok := rep.(*locateReply); ok {
+					// A Locate back-patches the nodes its request passed
+					// through (§3.3).
+					n.sendChainUpdates(msg.Obj, lr.Epoch, msg.Chain, rc.Origin)
+				}
 				return
 			}
+			// An attach continues at the node its child just migrated to.
+		}
+		count := n.cForwards
+		if ran > 0 {
+			// A mid-chain hand-off: the previous step ran here and its
+			// results are not on the wire, so bind them into the head's
+			// ChainPrev arguments before the thread moves on.
+			count = n.cChainsForwarded
+			if err := bindPrev(&msg, prev); err != nil {
+				rc.Reply(nil, err)
+				return
+			}
+		}
+		if !n.forward(rc, &msg, to, retries, count) {
+			return
 		}
 	}
 }

@@ -124,7 +124,7 @@ func TestEntryPointParity(t *testing.T) {
 				cl := newTestCluster(t, 3, 2)
 				head, _ := cl.Node(1).Root().New(&Counter{})
 				tail, _ := cl.Node(2).Root().New(&Counter{})
-				cl.Node(0).hintSet(head, 1)
+				cl.Node(0).learnLocation(head, 1, 1)
 				if err := cl.Node(1).Root().MoveTo(head, 2); err != nil {
 					t.Fatal(err)
 				}
@@ -145,7 +145,7 @@ func TestEntryPointParity(t *testing.T) {
 				cl, fl := newFailureCluster(t, 3, 7)
 				head, _ := cl.Node(1).Root().New(&Counter{})
 				tail, _ := cl.Node(1).Root().New(&Counter{})
-				cl.Node(0).hintSet(head, 2)
+				cl.Node(0).learnLocation(head, 2, 1)
 				fl.Crash(2)
 				return cl, &parityCase{head: head, tail: tail, method: "Add", args: []any{1},
 					opts: []CallOption{WithDeadline(150 * time.Millisecond)}}
@@ -330,12 +330,13 @@ func TestEntryPointParity(t *testing.T) {
 	}
 }
 
-// TestEngineSaysItOnce is the structural half of the one-engine and the
-// one-copy claims: each of the engine's jobs, and each of the cached copy's,
-// is done in exactly one function of this package. It parses the package's
-// non-test files, so a second request builder, failure ladder, forwarder,
-// executor, copy offer, installer or serve rule growing beside the first
-// fails here rather than in review.
+// TestEngineSaysItOnce is the structural half of the one-engine, one-copy
+// and one-location-rule claims: each of the engine's jobs, each of the cached
+// copy's, and each of location's is done in exactly one function of this
+// package. It parses the package's non-test files, so a second request
+// builder, failure ladder, forwarder, executor, copy offer, installer, serve
+// rule or location writer growing beside the first fails here rather than in
+// review.
 func TestEngineSaysItOnce(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -346,10 +347,12 @@ func TestEngineSaysItOnce(t *testing.T) {
 	// uses maps a name — an identifier, a selected field or method, or the
 	// contents of a string literal — to the functions whose bodies mention it,
 	// and mentions counts every mention. raisesCopy collects the functions
-	// that call SetCopyLocked(true).
+	// that call SetCopyLocked(true), and setsFwd those that assign a
+	// descriptor's forwarding address.
 	uses := map[string]map[string]bool{}
 	mentions := map[string]int{}
 	raisesCopy := map[string]bool{}
+	setsFwd := map[string]bool{}
 	for _, file := range pkgs["core"].Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -359,6 +362,13 @@ func TestEngineSaysItOnce(t *testing.T) {
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				var name string
 				switch x := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range x.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Fwd" {
+							setsFwd[fn.Name.Name] = true
+						}
+					}
+					return true
 				case *ast.CallExpr:
 					if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "SetCopyLocked" && len(x.Args) == 1 {
 						if arg, ok := x.Args[0].(*ast.Ident); ok && arg.Name == "true" {
@@ -410,6 +420,14 @@ func TestEngineSaysItOnce(t *testing.T) {
 		{"tears a copy down to a tombstone", "tombstoneCopyLocked", []string{"evictCopy", "handleLease", "handleInstall"}},
 		{"raises or drops the copy bit", "SetCopyLocked", []string{"publishCopyLocked", "tombstoneCopyLocked", "handleInstall"}},
 		{"decides what a lease copy serves", "leaseRedirect", []string{"resolve"}},
+		// One location rule (DESIGN.md §9.5): one writer of location gossip,
+		// for owned tombstones and advisory hints alike, and one control-op
+		// executor.
+		{"applies the location rule", "Supersedes", []string{"learnLocked"}},
+		{"writes a location hint", "HintLearn", []string{"learnLocation"}},
+		{"reads a location hint", "HintGet", []string{"homeFallback"}},
+		{"refreshes a tombstone from gossip", "learnLocked", []string{"learnLocation", "handleLease"}},
+		{"executes a control operation", "executeControl", []string{"control", "handleRouted"}},
 	} {
 		allowed := map[string]bool{}
 		for _, f := range c.funcs {
@@ -430,10 +448,33 @@ func TestEngineSaysItOnce(t *testing.T) {
 	if got := mentions["leaseRedirect"]; got != 1 {
 		t.Errorf("leaseRedirect is mentioned %d times: resolve's serve rule is the one call", got)
 	}
+	// A descriptor's forwarding address is written by a move leaving it
+	// (ship), an object or copy arriving (handleInstall, publishCopyLocked), a
+	// copy's teardown, and the one gossip writer — never by a message handler
+	// of its own.
+	wantFwd := map[string]bool{"ship": true, "handleInstall": true, "publishCopyLocked": true,
+		"tombstoneCopyLocked": true, "learnLocked": true}
+	for f := range setsFwd {
+		if !wantFwd[f] {
+			t.Errorf("%s assigns a descriptor's Fwd: location gossip goes through learnLocked", f)
+		}
+	}
+	for f := range wantFwd {
+		if !setsFwd[f] {
+			t.Errorf("%s no longer assigns Fwd — update this test with the location rule", f)
+		}
+	}
+	for _, f := range []string{"handleLocUpdate", "handleLease"} {
+		if setsFwd[f] {
+			t.Errorf("%s assigns Fwd itself instead of calling the gossip writer", f)
+		}
+	}
 	for _, retired := range []string{"opChain", "executeChain", "shipChain", "chainInvoke", "chainMsg",
 		"shipInvoke", "runAsyncLocal", "asyncDispatch", "asyncFail", "callWith",
 		"installReplica", "replicaSnapshot", "SetReplicaLocked", "Replica", "replicaInstall",
-		"installLease", "leaseGrantTo", "SnapMax", "replicaMax", "replicaOn"} {
+		"installLease", "leaseGrantTo", "SnapMax", "replicaMax", "replicaOn",
+		"hintSet", "hintGet", "hintDrop", "dropHintsTo", "HintSet", "HintCache",
+		"executeControlLocal", "executeRouted"} {
 		for f := range uses[retired] {
 			t.Errorf("%s mentions %s, which the one engine or the one copy replaced", f, retired)
 		}

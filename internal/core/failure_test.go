@@ -211,7 +211,7 @@ func TestForwardingChainRepairAfterCrash(t *testing.T) {
 	}
 	hintDeadline := time.Now().Add(5 * time.Second)
 	for {
-		if at, ok := cl.Node(0).hintGet(ref); ok && at == 2 {
+		if h, ok := cl.Node(0).space.HintGet(ref); ok && h.Node == 2 {
 			break
 		}
 		if time.Now().After(hintDeadline) {
@@ -241,12 +241,12 @@ func TestForwardingChainRepairAfterCrash(t *testing.T) {
 	// holds a hint into the dead node drops it up front (no send) and falls
 	// back to home. Re-seed the hint to model the many other objects whose
 	// cached locations also point at the dead incarnation.
-	cl.Node(0).hintSet(ref, 2)
+	cl.Node(0).learnLocation(ref, 2, 0)
 	ctx.Invoke(ref, "Add", 1)
 	if got := cl.Node(0).Stats().Value("hints_dropped_down"); got < 1 {
 		t.Fatalf("hints_dropped_down = %d, want >= 1", got)
 	}
-	if _, ok := cl.Node(0).hintGet(ref); ok {
+	if _, ok := cl.Node(0).space.HintGet(ref); ok {
 		t.Fatal("stale hint into down peer survived")
 	}
 	// Forwarding-chain repair: home (node 1) learns its next hop is down from
@@ -342,7 +342,7 @@ func TestGenerationChangeDropsHints(t *testing.T) {
 	// must disappear.
 	hintDeadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, ok := cl.Node(0).hintGet(ref); !ok {
+		if _, ok := cl.Node(0).space.HintGet(ref); !ok {
 			break
 		}
 		if time.Now().After(hintDeadline) {

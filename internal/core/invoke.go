@@ -6,7 +6,6 @@ import (
 	"reflect"
 
 	"amber/internal/gaddr"
-	"amber/internal/rpc"
 	"amber/internal/trace"
 	"amber/internal/wire"
 )
@@ -127,16 +126,16 @@ func (n *Node) enterLocked(d *descriptor, msg *routedMsg, thread *ThreadRec) (ac
 // followed — hint-cache repair, so stale hints cannot keep routing threads
 // into a dead node — and the request falls back to the home path.
 func (n *Node) homeFallback(obj gaddr.Addr) (action, gaddr.NodeID, error) {
-	if at, ok := n.hintGet(obj); ok && at != n.id {
-		if n.ep.PeerDown(at) {
-			n.hintDrop(obj)
+	if h, ok := n.space.HintGet(obj); ok {
+		if n.ep.PeerDown(h.Node) {
+			n.space.HintDrop(obj)
 			n.counts.Inc("hints_dropped_down")
 		} else {
 			n.cHintHits.Inc()
 			if n.tracer.On() {
-				n.tracer.Emit(trace.Event{Kind: trace.KHintHit, Obj: uint64(obj), Arg: int64(at)})
+				n.tracer.Emit(trace.Event{Kind: trace.KHintHit, Obj: uint64(obj), Arg: int64(h.Node)})
 			}
-			return actForward, at, nil
+			return actForward, h.Node, nil
 		}
 	}
 	n.cHintMisses.Inc()
@@ -154,34 +153,6 @@ func (n *Node) homeFallback(obj gaddr.Addr) (action, gaddr.NodeID, error) {
 		return actError, 0, fmt.Errorf("%w: %#x", ErrNoSuchObject, uint64(obj))
 	}
 	return actForward, home, nil
-}
-
-// learnLocation caches where an object was last seen (the originating node's
-// share of chain caching): a real descriptor (move tombstone) is refreshed in
-// place; otherwise the location lands in the hint cache.
-//
-// epoch versions the claim (the residency version at the reporting node when
-// it held the object). A tombstone is only overwritten by strictly newer
-// information: replies can be processed long after they were generated — the
-// object may have moved on, even back through this node — and an unversioned
-// refresh could aim this tombstone backward in time, forming a routing cycle
-// with another node's newer tombstone. Epoch zero means "unversioned" (e.g. a
-// deferred move reply) and never touches a descriptor.
-func (n *Node) learnLocation(obj gaddr.Addr, at gaddr.NodeID, epoch uint64) {
-	if at == n.id || at == gaddr.NoNode {
-		return
-	}
-	if d := n.desc(obj); d != nil {
-		d.Lock()
-		if st := d.State(); (st == stateAbsent || st == stateForwarded) && epoch > d.Epoch() {
-			d.SetStateLocked(stateForwarded)
-			d.Fwd = at
-			d.SetEpochLocked(epoch)
-		}
-		d.Unlock()
-		return
-	}
-	n.hintSet(obj, at)
 }
 
 // runPinned executes one operation on a resident object whose descriptor we
@@ -264,79 +235,5 @@ func (n *Node) runPinned(c *Ctx, d *descriptor, obj gaddr.Addr, method string, a
 func (n *Node) unpin(d *descriptor) {
 	if mv := d.Unpin(); mv != nil {
 		mv.MemberDrained()
-	}
-}
-
-// executeRouted performs a routed control operation that resolve directed at
-// this node (invocations go through executeStep). Lock contract: d arrives
-// locked and the per-op executor releases it. Returns nil when a reply or
-// forward has been sent; errRetryRoute to re-run the entry protocol; any other
-// error for the caller to report.
-func (n *Node) executeRouted(rc *rpc.Ctx, d *descriptor, msg *routedMsg) error {
-	switch msg.Op {
-	case opLocate:
-		rep := locateReply{Node: n.id, Immutable: d.Immutable(), Epoch: d.Epoch()}
-		d.Unlock()
-		body, err := wire.MarshalInto(&rep)
-		rc.Reply(body, err)
-		n.counts.Inc("locates_answered")
-		n.sendChainUpdates(msg.Obj, rep.Epoch, msg.Chain, rc.Origin)
-		return nil
-
-	case opMove:
-		rep, err := n.executeMove(d, msg, false)
-		if err != nil {
-			return err
-		}
-		body, err := wire.MarshalInto(&rep)
-		rc.Reply(body, err)
-		return nil
-
-	case opSetImmutable:
-		if err := n.executeSetImmutable(d, msg); err != nil {
-			return err
-		}
-		rc.Reply(nil, nil)
-		return nil
-
-	case opSetCacheable:
-		if err := n.executeSetCacheable(d, msg); err != nil {
-			return err
-		}
-		rc.Reply(nil, nil)
-		return nil
-
-	case opDelete:
-		if err := n.executeDelete(d, msg); err != nil {
-			return err
-		}
-		rc.Reply(nil, nil)
-		return nil
-
-	case opAttach:
-		fwd, err := n.executeAttach(d, msg)
-		if err != nil {
-			return err
-		}
-		if fwd != gaddr.NoNode {
-			// The child just migrated to the parent's node; finish there.
-			if n.forward(rc, msg, fwd, 0, n.cForwards) {
-				return errRetryRoute
-			}
-			return nil
-		}
-		rc.Reply(nil, nil)
-		return nil
-
-	case opUnattach:
-		if err := n.executeUnattach(d, msg); err != nil {
-			return err
-		}
-		rc.Reply(nil, nil)
-		return nil
-
-	default:
-		d.Unlock()
-		return fmt.Errorf("amber: unknown routed op %d", msg.Op)
 	}
 }

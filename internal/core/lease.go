@@ -242,16 +242,11 @@ func (n *Node) handleLease(rc *rpc.Ctx) {
 		}
 		// Resident without the copy bit: the real object lives here now
 		// (it moved in after the grant); local truth wins over the revoke.
-	case stateAbsent, stateForwarded:
-		// No resident copy — land/refresh the tombstone that kills any
-		// queued install carrying a pre-revoke snapshot.
-		if msg.Epoch > d.Epoch() {
-			d.SetStateLocked(stateForwarded)
-			d.Fwd = msg.Src
-			d.SetEpochLocked(msg.Epoch)
-		}
 	default:
-		// Moving or deleted: newer local truth wins.
+		// No resident copy — land/refresh the tombstone that kills any
+		// queued install carrying a pre-revoke snapshot. Moving or deleted:
+		// newer local truth wins, and learnLocked leaves it alone.
+		learnLocked(d, msg.Src, msg.Epoch)
 	}
 	d.Unlock()
 	if dropTracked {
@@ -307,7 +302,11 @@ func (n *Node) leaseRedirect(d *descriptor, msg *routedMsg) (to gaddr.NodeID, se
 // target is gone either way. Grants TO the peer are dropped too, so writes
 // stop burning fence timeouts on it.
 func (n *Node) purgePeer(peer gaddr.NodeID) {
-	n.dropHintsTo(peer)
+	// The hint sweep walks the sharded cache stripe by stripe — bounded maps
+	// under per-shard locks, never one giant map under a single lock.
+	if dropped := n.space.DropHintsTo(peer); dropped > 0 {
+		n.counts.Add("hints_dropped_restart", int64(dropped))
+	}
 	for _, v := range n.space.DropReplicasFrom(peer) {
 		if !n.evictCopy(v.Addr, v.Source) {
 			// Pinned by an executing invoke: a lease must stop serving new

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -129,6 +130,65 @@ func TestForwardingChainCaching(t *testing.T) {
 	}
 	if got := cl.Node(2).Stats().Value("forwards"); got != fwdBefore {
 		t.Fatalf("node 2 forwarded again (%d → %d): cache not used", fwdBefore, got)
+	}
+}
+
+// TestHintNeverAimsBackward: a location hint obeys the same rule as a
+// tombstone — only a strictly newer epoch moves it. Node 0 never hosts the
+// object, learns (node 2, epoch 5) from a reply, and then receives a late
+// chain update claiming (node 1, epoch 3). The late claim must not retarget
+// the hint: the next invoke ships straight to node 2.
+func TestHintNeverAimsBackward(t *testing.T) {
+	cl := newTestCluster(t, 4, 1)
+	ref, _ := cl.Node(1).Root().New(&Counter{}) // epoch 1 at node 1, its home
+	// Each hop is instructed by the holder: 1→2 (epoch 2), 2→1 (3), 1→3 (4),
+	// 3→2 (5).
+	for _, hop := range [][2]int{{1, 2}, {2, 1}, {1, 3}, {3, 2}} {
+		if err := cl.Node(hop[0]).Root().MoveTo(ref, gaddr.NodeID(hop[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cl.Node(2).desc(ref).Epoch(); got != 5 {
+		t.Fatalf("epoch at node 2 = %d, want 5", got)
+	}
+	ctx := cl.Node(0).Root()
+	if _, err := ctx.Invoke(ref, "Add", 1); err != nil {
+		t.Fatal(err)
+	}
+	if h, ok := cl.Node(0).space.HintGet(ref); !ok || h.Node != 2 {
+		t.Fatalf("hint after the reply = %+v (%v), want node 2", h, ok)
+	}
+	// Node 1 held the object at epoch 3; its stale claim arrives now.
+	n0 := cl.Node(0).Stats()
+	landed := n0.Value("chain_updates_applied") + n0.Value("chain_updates_stale")
+	cl.Node(1).sendChainUpdates(ref, 3, []gaddr.NodeID{0}, gaddr.NoNode)
+	deadline := time.Now().Add(5 * time.Second)
+	for n0.Value("chain_updates_applied")+n0.Value("chain_updates_stale") == landed {
+		if time.Now().After(deadline) {
+			t.Fatal("the chain update never landed at node 0")
+		}
+		runtime.Gosched()
+	}
+	shipped := n0.Value("invokes_shipped")
+	forwards := int64(0)
+	for i := 0; i < cl.NumNodes(); i++ {
+		forwards += cl.Node(i).Stats().Value("forwards")
+	}
+	out, err := ctx.Invoke(ref, "Where")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0].(gaddr.NodeID) != 2 {
+		t.Fatalf("executed on node %v, want 2", out[0])
+	}
+	if got := n0.Value("invokes_shipped") - shipped; got != 1 {
+		t.Fatalf("invokes shipped = %d, want 1", got)
+	}
+	for i := 0; i < cl.NumNodes(); i++ {
+		forwards -= cl.Node(i).Stats().Value("forwards")
+	}
+	if forwards != 0 {
+		t.Fatalf("the invoke was forwarded %d times: the stale update aimed the hint backward", -forwards)
 	}
 }
 

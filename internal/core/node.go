@@ -81,11 +81,6 @@ type NodeConfig struct {
 	// shards means more concurrency between independent lookups, hints and
 	// moves, at a small fixed memory cost per shard.
 	SpaceShards int
-	// HintCache caps the location-hint cache (total entries, split across
-	// shards; 0 = objspace.DefaultHintCap). Hints beyond the cap evict the
-	// oldest entry in the shard (FIFO), so churny workloads cannot grow the
-	// cache without bound.
-	HintCache int
 	// ReplicaCache caps the demand-pulled copies this node keeps (total
 	// entries, split across shards; 0 = objspace.DefaultReplicaCap, negative
 	// disables cached copies). A full shard evicts its oldest copy (FIFO),
@@ -270,7 +265,7 @@ func NewNode(cfg NodeConfig, reg *Registry, tr transport.Transport, server *gadd
 		sch:    sched.New(cfg.Procs, cfg.Policy),
 		counts: stats.NewSet(),
 		tracer: cfg.Tracer,
-		space:  objspace.New[payload](cfg.SpaceShards, cfg.HintCache, cfg.ReplicaCache),
+		space:  objspace.New[payload](cfg.SpaceShards, 0, cfg.ReplicaCache),
 		server: server,
 		pipes:  make(map[gaddr.NodeID]*peerPipe),
 	}
@@ -661,37 +656,45 @@ func (n *Node) newLocalObject(obj any) (gaddr.Addr, error) {
 	return a, nil
 }
 
-// --- location update (chain caching, §3.3) ---
+// --- location (Fowler forwarding and chain caching, §3.3) ---
 
-// hintGet consults the location-hint cache.
-func (n *Node) hintGet(obj gaddr.Addr) (gaddr.NodeID, bool) {
-	return n.space.HintGet(obj)
-}
-
-// hintSet records where obj was last seen. Self- and unknown-node hints are
-// useless and dropped; a full shard evicts its oldest hint (FIFO).
-func (n *Node) hintSet(obj gaddr.Addr, at gaddr.NodeID) {
+// learnLocation is the one writer of location gossip: a claim, from a reply
+// or a oneway chain update, that obj lives at node at in the residency whose
+// version is epoch (0 = unversioned). A node's answer to "where is obj" is
+// one forwarding entry, either owned or advisory:
+//
+//   - owned: a descriptor in the absent or forwarded state — a tombstone this
+//     node keeps because it hosted the object (learnLocked);
+//   - advisory: a hint in the bounded FIFO cache, for an object this node
+//     never hosted, so no descriptor is fabricated for it.
+//
+// Both obey objspace.Supersedes: only a strictly newer epoch moves an entry.
+// Descriptors always outrank hints: a hint is read only when no initialised
+// descriptor exists. Reports whether the claim was stored.
+func (n *Node) learnLocation(obj gaddr.Addr, at gaddr.NodeID, epoch uint64) bool {
 	if at == n.id || at == gaddr.NoNode {
-		return
+		return false
 	}
-	if n.space.HintSet(obj, at) {
-		n.counts.Inc("hint_evictions")
+	if d := n.desc(obj); d != nil {
+		d.Lock()
+		stored := learnLocked(d, at, epoch)
+		d.Unlock()
+		return stored
 	}
+	return n.space.HintLearn(obj, objspace.Hint{Node: at, Epoch: epoch})
 }
 
-// hintDrop forgets a (presumed stale) hint, reporting whether one existed.
-func (n *Node) hintDrop(obj gaddr.Addr) bool {
-	return n.space.HintDrop(obj)
-}
-
-// dropHintsTo forgets every hint pointing at a peer (used when the peer is
-// discovered to have restarted without its memory). The sweep walks the
-// sharded hint cache stripe by stripe — bounded maps under per-shard locks,
-// never one giant map under a single lock.
-func (n *Node) dropHintsTo(peer gaddr.NodeID) {
-	if dropped := n.space.DropHintsTo(peer); dropped > 0 {
-		n.counts.Add("hints_dropped_restart", int64(dropped))
+// learnLocked is learnLocation's owned half: it aims an absent or forwarded
+// descriptor at at, if epoch supersedes the one it holds. A resident, moving
+// or deleted descriptor knows better than any gossip. d.mu held.
+func learnLocked(d *descriptor, at gaddr.NodeID, epoch uint64) bool {
+	if st := d.State(); st != stateAbsent && st != stateForwarded || !objspace.Supersedes(epoch, d.Epoch()) {
+		return false
 	}
+	d.SetStateLocked(stateForwarded)
+	d.Fwd = at
+	d.SetEpochLocked(epoch)
+	return true
 }
 
 func (n *Node) handleLocUpdate(c *rpc.Ctx) {
@@ -699,33 +702,11 @@ func (n *Node) handleLocUpdate(c *rpc.Ctx) {
 	if err := wire.UnmarshalFrom(c.Body, &msg); err != nil {
 		return
 	}
-	if d := n.desc(msg.Obj); d != nil {
-		d.Lock()
-		switch d.State() {
-		case stateResident, stateMoving, stateDeleted:
-			// We know better than the hint.
-		default:
-			// Refresh the forwarding tombstone a real move left behind —
-			// but only with strictly newer information. Oneway updates can
-			// arrive arbitrarily late; an unversioned refresh here could
-			// point this tombstone *backward* and close a forwarding cycle
-			// with some other node's newer tombstone.
-			if msg.Epoch > d.Epoch() {
-				d.SetStateLocked(stateForwarded)
-				d.Fwd = msg.Node
-				d.SetEpochLocked(msg.Epoch)
-				n.counts.Inc("chain_updates_applied")
-			} else {
-				n.counts.Inc("chain_updates_stale")
-			}
-		}
-		d.Unlock()
-		return
+	if n.learnLocation(msg.Obj, msg.Node, msg.Epoch) {
+		n.counts.Inc("chain_updates_applied")
+	} else {
+		n.counts.Inc("chain_updates_stale")
 	}
-	// Never hosted the object here: remember the location as a cache hint
-	// instead of fabricating a descriptor for it.
-	n.hintSet(msg.Obj, msg.Node)
-	n.counts.Inc("chain_updates_applied")
 }
 
 // sendChainUpdates back-patches the nodes an operation traversed so their

@@ -255,7 +255,7 @@ func (n *Node) installCopy(r copyInstall) {
 	}
 	publishCopyLocked(d, p, r.epoch, expiry)
 	d.Unlock()
-	n.hintDrop(r.obj)
+	n.space.HintDrop(r.obj)
 	if imm {
 		n.cReplicaInst.Inc()
 	} else {

@@ -40,7 +40,7 @@ type shard[P any] struct {
 	ndesc atomic.Int64
 
 	mu       sync.Mutex // guards hints + fifo and the replica FIFO below
-	hints    map[gaddr.Addr]gaddr.NodeID
+	hints    map[gaddr.Addr]Hint
 	fifo     []gaddr.Addr // insertion order; may carry stale (dropped) keys
 	fifoHead int
 
@@ -211,30 +211,51 @@ func (s *Space[P]) Descriptors() int {
 
 // --- location hints (chain caching without descriptors, §3.3) ---
 
-// HintGet consults the shard's location-hint cache.
-func (s *Space[P]) HintGet(a gaddr.Addr) (gaddr.NodeID, bool) {
-	sh := s.shardOf(a)
-	sh.lockHints()
-	at, ok := sh.hints[a]
-	sh.mu.Unlock()
-	return at, ok
+// Hint is an advisory forwarding entry: the object was last seen at Node, in
+// the residency whose version is Epoch (0 = an unversioned claim). It is the
+// forwarding tombstone of a node that never hosted the object — nobody owns
+// it, so it lives in a bounded cache and may be evicted or dropped at will.
+type Hint struct {
+	Node  gaddr.NodeID
+	Epoch uint64
 }
 
-// HintSet records where a was last seen, evicting the oldest hint in the
-// shard (FIFO) when the shard is at capacity. Reports whether an eviction
-// happened.
-func (s *Space[P]) HintSet(a gaddr.Addr, at gaddr.NodeID) (evicted bool) {
+// Supersedes is the one location rule, for owned forwarding tombstones and
+// advisory hints alike: a claim replaces an entry held at epoch held only
+// when it is strictly newer. Location gossip arrives arbitrarily late, and
+// anything weaker could aim an entry backward in time, into a forwarding
+// cycle with some other node's newer entry. An unversioned claim (epoch 0)
+// therefore never replaces anything; it can only fill an empty hint slot.
+func Supersedes(claim, held uint64) bool { return claim > held }
+
+// HintGet consults the shard's location-hint cache.
+func (s *Space[P]) HintGet(a gaddr.Addr) (Hint, bool) {
 	sh := s.shardOf(a)
 	sh.lockHints()
-	if _, ok := sh.hints[a]; ok {
-		sh.hints[a] = at // refresh in place; keeps its FIFO position
+	h, ok := sh.hints[a]
+	sh.mu.Unlock()
+	return h, ok
+}
+
+// HintLearn records that a was last seen at h.Node. An existing hint is
+// refreshed in place (keeping its FIFO position) only when h Supersedes it;
+// a new one evicts the oldest hint in the shard (FIFO) when the shard is at
+// capacity. Reports whether h was stored.
+func (s *Space[P]) HintLearn(a gaddr.Addr, h Hint) bool {
+	sh := s.shardOf(a)
+	sh.lockHints()
+	if cur, ok := sh.hints[a]; ok {
+		stored := Supersedes(h.Epoch, cur.Epoch)
+		if stored {
+			sh.hints[a] = h
+		}
 		sh.mu.Unlock()
-		return false
+		return stored
 	}
 	if sh.hints == nil {
-		sh.hints = make(map[gaddr.Addr]gaddr.NodeID, s.hintCap)
+		sh.hints = make(map[gaddr.Addr]Hint, s.hintCap)
 	}
-	sh.hints[a] = at
+	sh.hints[a] = h
 	sh.fifo = append(sh.fifo, a)
 	for len(sh.hints) > s.hintCap {
 		// Pop FIFO entries until one still names a live hint; dropped keys
@@ -244,7 +265,6 @@ func (s *Space[P]) HintSet(a gaddr.Addr, at gaddr.NodeID) (evicted bool) {
 		if _, ok := sh.hints[old]; ok {
 			delete(sh.hints, old)
 			sh.evictions.Add(1)
-			evicted = true
 		}
 	}
 	// Compact the queue once the dead prefix dominates.
@@ -253,7 +273,7 @@ func (s *Space[P]) HintSet(a gaddr.Addr, at gaddr.NodeID) (evicted bool) {
 		sh.fifoHead = 0
 	}
 	sh.mu.Unlock()
-	return evicted
+	return true
 }
 
 // HintDrop forgets a (presumed stale) hint, reporting whether one existed.
@@ -278,8 +298,8 @@ func (s *Space[P]) DropHintsTo(peer gaddr.NodeID) int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.lockHints()
-		for a, at := range sh.hints {
-			if at == peer {
+		for a, h := range sh.hints {
+			if h.Node == peer {
 				delete(sh.hints, a)
 				dropped++
 			}

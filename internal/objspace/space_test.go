@@ -245,14 +245,13 @@ func TestHintCacheBoundedFIFO(t *testing.T) {
 	if cap != minHintsPerShard {
 		t.Fatalf("HintCapPerShard = %d, want floor %d", cap, minHintsPerShard)
 	}
-	evicted := 0
 	for i := 1; i <= cap+3; i++ {
-		if s.HintSet(gaddr.Addr(i), gaddr.NodeID(i)) {
-			evicted++
+		if !s.HintLearn(gaddr.Addr(i), Hint{Node: gaddr.NodeID(i), Epoch: 1}) {
+			t.Fatalf("hint %d refused by an empty slot", i)
 		}
 	}
-	if evicted != 3 {
-		t.Fatalf("evictions = %d, want 3", evicted)
+	if got := s.Snapshot()["hint_evictions"]; got != 3 {
+		t.Fatalf("hint_evictions = %d, want 3", got)
 	}
 	// Oldest entries left first.
 	for i := 1; i <= 3; i++ {
@@ -261,12 +260,9 @@ func TestHintCacheBoundedFIFO(t *testing.T) {
 		}
 	}
 	for i := 4; i <= cap+3; i++ {
-		if n, ok := s.HintGet(gaddr.Addr(i)); !ok || n != gaddr.NodeID(i) {
+		if h, ok := s.HintGet(gaddr.Addr(i)); !ok || h.Node != gaddr.NodeID(i) {
 			t.Fatalf("hint %d missing after eviction round", i)
 		}
-	}
-	if got := s.Snapshot()["hint_evictions"]; got != 3 {
-		t.Fatalf("hint_evictions = %d, want 3", got)
 	}
 }
 
@@ -274,17 +270,49 @@ func TestHintRefreshInPlace(t *testing.T) {
 	s := New[tpay](1, 1, 0)
 	cap := s.HintCapPerShard()
 	for i := 1; i <= cap; i++ {
-		s.HintSet(gaddr.Addr(i), gaddr.NodeID(1))
+		s.HintLearn(gaddr.Addr(i), Hint{Node: 1, Epoch: 2})
 	}
-	// Refreshing an existing key must not evict anyone.
-	if s.HintSet(gaddr.Addr(1), gaddr.NodeID(9)) {
-		t.Fatal("refresh of an existing hint evicted")
+	// Refreshing an existing key with a newer claim must not evict anyone.
+	if !s.HintLearn(gaddr.Addr(1), Hint{Node: 9, Epoch: 3}) {
+		t.Fatal("newer claim refused")
 	}
-	if n, _ := s.HintGet(gaddr.Addr(1)); n != 9 {
-		t.Fatalf("refreshed hint = %d, want 9", n)
+	if got := s.Snapshot()["hint_evictions"]; got != 0 {
+		t.Fatalf("refresh of an existing hint evicted %d", got)
+	}
+	if h, _ := s.HintGet(gaddr.Addr(1)); h != (Hint{Node: 9, Epoch: 3}) {
+		t.Fatalf("refreshed hint = %+v, want node 9 @ 3", h)
 	}
 	if got := s.Hints(); got != cap {
 		t.Fatalf("Hints = %d, want %d", got, cap)
+	}
+}
+
+// TestHintLocationRule: a hint moves only to a strictly newer epoch, and an
+// unversioned claim only fills an empty slot.
+func TestHintLocationRule(t *testing.T) {
+	s := New[tpay](1, 0, 0)
+	a := gaddr.Addr(7)
+	if !s.HintLearn(a, Hint{Node: 2, Epoch: 0}) {
+		t.Fatal("unversioned claim refused by an empty slot")
+	}
+	for _, c := range []struct {
+		claim  Hint
+		stored bool
+		want   Hint
+	}{
+		{Hint{Node: 3, Epoch: 0}, false, Hint{Node: 2, Epoch: 0}},
+		{Hint{Node: 2, Epoch: 5}, true, Hint{Node: 2, Epoch: 5}},
+		{Hint{Node: 1, Epoch: 3}, false, Hint{Node: 2, Epoch: 5}},
+		{Hint{Node: 1, Epoch: 5}, false, Hint{Node: 2, Epoch: 5}},
+		{Hint{Node: 4, Epoch: 0}, false, Hint{Node: 2, Epoch: 5}},
+		{Hint{Node: 4, Epoch: 6}, true, Hint{Node: 4, Epoch: 6}},
+	} {
+		if got := s.HintLearn(a, c.claim); got != c.stored {
+			t.Errorf("HintLearn(%+v) = %v, want %v", c.claim, got, c.stored)
+		}
+		if h, _ := s.HintGet(a); h != c.want {
+			t.Errorf("after %+v the hint is %+v, want %+v", c.claim, h, c.want)
+		}
 	}
 }
 
@@ -292,7 +320,7 @@ func TestHintDropAndStaleFIFOSlots(t *testing.T) {
 	s := New[tpay](1, 1, 0)
 	cap := s.HintCapPerShard()
 	for i := 1; i <= cap; i++ {
-		s.HintSet(gaddr.Addr(i), gaddr.NodeID(i))
+		s.HintLearn(gaddr.Addr(i), Hint{Node: gaddr.NodeID(i), Epoch: 1})
 	}
 	s.HintDrop(gaddr.Addr(2))
 	if _, ok := s.HintGet(gaddr.Addr(2)); ok {
@@ -300,8 +328,9 @@ func TestHintDropAndStaleFIFOSlots(t *testing.T) {
 	}
 	// Inserting over a FIFO that contains a stale (dropped) slot must not
 	// evict a live entry while below cap.
-	if s.HintSet(gaddr.Addr(100), gaddr.NodeID(100)) {
-		t.Fatal("insert below cap evicted")
+	s.HintLearn(gaddr.Addr(100), Hint{Node: 100, Epoch: 1})
+	if got := s.Snapshot()["hint_evictions"]; got != 0 {
+		t.Fatalf("insert below cap evicted %d", got)
 	}
 	if got := s.Hints(); got != cap {
 		t.Fatalf("Hints = %d, want %d", got, cap)
@@ -311,19 +340,19 @@ func TestHintDropAndStaleFIFOSlots(t *testing.T) {
 func TestDropHintsTo(t *testing.T) {
 	s := New[tpay](8, 0, 0)
 	for i := 1; i <= 300; i++ {
-		s.HintSet(gaddr.Addr(i), gaddr.NodeID(i%3))
+		s.HintLearn(gaddr.Addr(i), Hint{Node: gaddr.NodeID(i % 3), Epoch: 1})
 	}
 	dropped := s.DropHintsTo(gaddr.NodeID(1))
 	if dropped != 100 {
 		t.Fatalf("DropHintsTo removed %d hints, want 100", dropped)
 	}
 	for i := 1; i <= 300; i++ {
-		n, ok := s.HintGet(gaddr.Addr(i))
+		h, ok := s.HintGet(gaddr.Addr(i))
 		if i%3 == 1 {
 			if ok {
 				t.Fatalf("hint %d → node 1 survived DropHintsTo", i)
 			}
-		} else if !ok || n != gaddr.NodeID(i%3) {
+		} else if !ok || h.Node != gaddr.NodeID(i%3) {
 			t.Fatalf("unrelated hint %d disturbed", i)
 		}
 	}
@@ -394,7 +423,7 @@ func TestContentionCounters(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 3000; i++ {
-				s.HintSet(gaddr.Addr(i%50+1), gaddr.NodeID(g))
+				s.HintLearn(gaddr.Addr(i%50+1), Hint{Node: gaddr.NodeID(g), Epoch: uint64(i)})
 			}
 		}(g)
 	}
@@ -414,7 +443,7 @@ func TestShardStatsMatchesSnapshot(t *testing.T) {
 	s := New[tpay](4, 0, 0)
 	for i := 1; i <= 40; i++ {
 		s.Ensure(gaddr.Addr(i))
-		s.HintSet(gaddr.Addr(i+1000), gaddr.NodeID(1))
+		s.HintLearn(gaddr.Addr(i+1000), Hint{Node: 1, Epoch: 1})
 	}
 	var descs int64
 	var hints int

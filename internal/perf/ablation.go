@@ -21,6 +21,12 @@ type ChainRow struct {
 	// are warm.
 	FirstFwd  int64
 	SecondFwd int64
+	// FirstUpdates and FirstProbes split the rest of the first reference's
+	// bill: the chain-update oneways the executor sends back along the chain,
+	// and the health probes (a ping and a pong each) the forwarders send to
+	// check their next hop is alive.
+	FirstUpdates int64
+	FirstProbes  int64
 	// HintHits counts location-hint cache hits during the second reference
 	// (the origin never hosted the object, so its knowledge lives in the
 	// hint cache rather than a descriptor).
@@ -34,6 +40,15 @@ func sumNodeStat(cl *core.Cluster, name string) int64 {
 	var total int64
 	for i := 0; i < cl.NumNodes(); i++ {
 		total += cl.Node(i).Stats().Value(name)
+	}
+	return total
+}
+
+// sumRPCStat totals one rpc-endpoint counter across every node.
+func sumRPCStat(cl *core.Cluster, name string) int64 {
+	var total int64
+	for i := 0; i < cl.NumNodes(); i++ {
+		total += cl.Node(i).RPCStats().Value(name)
 	}
 	return total
 }
@@ -82,14 +97,29 @@ func ForwardingChains(maxHops int) ([]ChainRow, error) {
 		ctx := cl.Node(0).Root()
 		before := cl.NetStats().Value("msgs_sent")
 		fwdBefore := sumNodeStat(cl, "forwards")
+		updBefore := sumNodeStat(cl, "chain_updates_sent")
+		probesBefore := sumRPCStat(cl, "rpc_probes_sent")
 		if _, err := ctx.Invoke(ref, "Touch"); err != nil {
 			return nil, err
 		}
-		// The chain-cache updates are asynchronous oneways; wait for them
-		// to land so the first-reference bill is complete.
-		waitForQuiesce(cl)
+		// The chain-cache updates and the forwarders' probes are asynchronous;
+		// wait for them to land so the first-reference bill is complete: in
+		// this fresh cluster, every forwarder k has had its probe of node k+1
+		// answered and has received the executor's chain update.
+		settle(func() bool {
+			for k := 1; k <= hops; k++ {
+				n := cl.Node(k)
+				if _, ok := n.Endpoint().PeerClockOffset(gaddr.NodeID(k + 1)); !ok ||
+					n.Stats().Value("chain_updates_applied")+n.Stats().Value("chain_updates_stale") == 0 {
+					return false
+				}
+			}
+			return true
+		})
 		first := cl.NetStats().Value("msgs_sent") - before
 		firstFwd := sumNodeStat(cl, "forwards") - fwdBefore
+		firstUpd := sumNodeStat(cl, "chain_updates_sent") - updBefore
+		firstProbes := sumRPCStat(cl, "rpc_probes_sent") - probesBefore
 
 		before = cl.NetStats().Value("msgs_sent")
 		fwdBefore = sumNodeStat(cl, "forwards")
@@ -103,30 +133,25 @@ func ForwardingChains(maxHops int) ([]ChainRow, error) {
 		cl.Close()
 
 		rows = append(rows, ChainRow{
-			Hops:       hops,
-			FirstMsgs:  first,
-			SecondMsgs: second,
-			FirstFwd:   firstFwd,
-			SecondFwd:  secondFwd,
-			HintHits:   hits,
-			FirstTime:  modelTime(CVAX1989, first, first*200),
-			SecondTime: modelTime(CVAX1989, second, second*200),
+			Hops:         hops,
+			FirstMsgs:    first,
+			SecondMsgs:   second,
+			FirstFwd:     firstFwd,
+			SecondFwd:    secondFwd,
+			FirstUpdates: firstUpd,
+			FirstProbes:  firstProbes,
+			HintHits:     hits,
+			FirstTime:    modelTime(CVAX1989, first, first*200),
+			SecondTime:   modelTime(CVAX1989, second, second*200),
 		})
 	}
 	return rows, nil
 }
 
-// waitForQuiesce waits briefly until the fabric's send counter stops moving
-// (oneway cache updates are asynchronous).
-func waitForQuiesce(cl *core.Cluster) {
-	last := cl.NetStats().Value("msgs_sent")
-	for i := 0; i < 100; i++ {
-		time.Sleep(2 * time.Millisecond)
-		cur := cl.NetStats().Value("msgs_sent")
-		if cur == last {
-			return
-		}
-		last = cur
+// settle polls done until it holds, for at most five seconds.
+func settle(done func() bool) {
+	for deadline := time.Now().Add(5 * time.Second); !done() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 }
 

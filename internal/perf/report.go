@@ -157,11 +157,11 @@ func FormatCompare(title string, rows []CompareRow) string {
 func FormatChains(rows []ChainRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "E8: forwarding chains and chain caching (§3.3)\n")
-	fmt.Fprintf(&b, "%6s %10s %8s %10s %10s %8s %9s %10s\n",
-		"hops", "1st msgs", "1st fwd", "1st (ms)", "2nd msgs", "2nd fwd", "hint hit", "2nd (ms)")
+	fmt.Fprintf(&b, "%6s %10s %8s %8s %8s %10s %10s %8s %9s %10s\n",
+		"hops", "1st msgs", "1st fwd", "1st upd", "1st prb", "1st (ms)", "2nd msgs", "2nd fwd", "hint hit", "2nd (ms)")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%6d %10d %8d %10s %10d %8d %9d %10s\n",
-			r.Hops, r.FirstMsgs, r.FirstFwd, msf(r.FirstTime),
+		fmt.Fprintf(&b, "%6d %10d %8d %8d %8d %10s %10d %8d %9d %10s\n",
+			r.Hops, r.FirstMsgs, r.FirstFwd, r.FirstUpdates, r.FirstProbes, msf(r.FirstTime),
 			r.SecondMsgs, r.SecondFwd, r.HintHits, msf(r.SecondTime))
 	}
 	return b.String()

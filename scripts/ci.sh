@@ -38,15 +38,17 @@ echo "== fault suite (crash/partition injection, retry, dedup) =="
 # second time under -race with fresh state: seeded injectors make the fault
 # schedules deterministic, and any flake here is a real ordering bug.
 go test -race -count=1 \
-	-run 'TestFaults|FuzzFaultRules|TestTimeoutClassified|TestRetry|TestIdempotent|TestNonIdempotent|TestGeneration|TestWatchPeer|TestDedup|TestCrash|TestOrphaned|TestForwardingChainRepair|TestThreeNodeCrash|TestSimCrash|TestCapture|TestFleet|TestRetryExhaustedTrigger|TestEntryPointParity|TestInvokeChain|TestAsync|TestLease|TestChainSteps|TestReplica|TestCopyParity' \
+	-run 'TestFaults|FuzzFaultRules|TestTimeoutClassified|TestRetry|TestIdempotent|TestNonIdempotent|TestGeneration|TestWatchPeer|TestDedup|TestCrash|TestOrphaned|TestForwardingChainRepair|TestThreeNodeCrash|TestSimCrash|TestCapture|TestFleet|TestRetryExhaustedTrigger|TestEntryPointParity|TestInvokeChain|TestAsync|TestLease|TestChainSteps|TestReplica|TestCopyParity|TestForwardingChain|TestMoveChain|TestGenerationChangeDropsHints|TestHint' \
 	./internal/transport/ ./internal/rpc/ ./internal/core/ ./internal/sim/
 
-echo "== one invocation engine, one cached copy (structure check, protocol fuzzing) =="
+echo "== one invocation engine, one cached copy, one location rule (structure check, protocol fuzzing) =="
 # Invoke, AsyncInvoke, InvokeChain and AsyncInvokeChain are one engine
-# (DESIGN.md §13), and immutable replicas and reader leases are one copy
-# (DESIGN.md §10): TestEngineSaysItOnce parses internal/core with go/ast and
-# fails if a second request builder, failure ladder, forwarder, executor, copy
-# offer, installer or serve rule has grown beside the first. The protocol
+# (DESIGN.md §13), immutable replicas and reader leases are one copy
+# (DESIGN.md §10), and tombstones and hints are one forwarding entry under one
+# update rule (DESIGN.md §9.5): TestEngineSaysItOnce parses internal/core with
+# go/ast and fails if a second request builder, failure ladder, forwarder,
+# executor, copy offer, installer, serve rule or location writer has grown
+# beside the first. The protocol
 # decoders then run their seed corpus
 # plus five seconds of fresh inputs each (go test -fuzz takes one target per
 # run).
