@@ -13,7 +13,9 @@ import (
 
 // Reducer is the "master" of Figure 1: sections report their per-iteration
 // maximum change; every caller blocks until all parties have reported and
-// receives the global maximum. It acts as the between-iteration barrier.
+// receives the global maximum, so every section stops on the same
+// iteration. It is the solve's only cluster-wide synchronization: the color
+// phases are ordered by the ghost pushes between neighbours alone.
 type Reducer struct {
 	Parties int
 
@@ -186,10 +188,6 @@ func RunDistributedCtx(ctx *core.Ctx, numNodes int, cfg Config) (*Result, error)
 		}
 	}
 
-	barrier, err := ctx.New(amsync.NewBarrier(sections))
-	if err != nil {
-		return nil, err
-	}
 	reducer, err := ctx.New(&Reducer{Parties: sections})
 	if err != nil {
 		return nil, err
@@ -199,7 +197,7 @@ func RunDistributedCtx(ctx *core.Ctx, numNodes int, cfg Config) (*Result, error)
 	threads := make([]core.Thread, sections)
 	for i, ref := range refs {
 		th, err := ctx.StartThread(ref, "Run",
-			barrier, reducer, cfg.Eps, cfg.MaxIters, cfg.Overlap, cfg.ComputeThreads)
+			reducer, cfg.Eps, cfg.MaxIters, cfg.Overlap, cfg.ComputeThreads)
 		if err != nil {
 			return nil, err
 		}
@@ -241,11 +239,11 @@ func RunDistributedCtx(ctx *core.Ctx, numNodes int, cfg Config) (*Result, error)
 func PrintStructure(sections int) string {
 	s := "Amber Red/Black SOR program structure (paper Figure 1)\n"
 	s += "=======================================================\n"
-	s += "master thread ── creates sections, barrier, reducer; joins controllers\n"
+	s += "master thread ── creates sections, reducer; joins controllers\n"
 	for i := 0; i < sections; i++ {
 		s += fmt.Sprintf("node[%d]\n", i)
 		s += fmt.Sprintf("  Section[%d] object (strip of grid rows + 2 ghost rows)\n", i)
-		s += "    controller thread: iterate { black; barrier; red; reduce }\n"
+		s += "    controller thread: iterate { await red ghosts; black; await black ghosts; red; reduce }\n"
 		s += "    compute threads:   relax points of current color in parallel\n"
 		s += "    edge threads:      push edge rows to neighbours, overlapped\n"
 		s += "    convergence:       ReduceMax with master each iteration\n"

@@ -26,6 +26,13 @@ type Section struct {
 	// Up and Down are the neighbouring sections (NilRef at the plate
 	// boundary).
 	Up, Down core.Ref
+
+	// ghostMu guards the ghost-arrival ledger: arrived[c] counts the
+	// neighbour pushes of color c installed so far, and wake, when non-nil,
+	// is closed on the next arrival to release the waiting controller.
+	ghostMu sync.Mutex
+	arrived [2]int
+	wake    chan struct{}
 }
 
 // ownedRows reports N, the number of interior rows this section owns.
@@ -34,7 +41,7 @@ func (s *Section) ownedRows() int { return len(s.U) - 2 }
 // Dispatch implements core.AmberDispatch for the section's hot operations —
 // the ghost-row install, edge-row read, and relaxation kernel that dominate
 // an SOR iteration — with direct type switches instead of reflection. Cold
-// control-plane operations (SetNeighbors, Run, Rows, PushEdges) and any call
+// control-plane operations (SetNeighbors, Run, Rows) and any call
 // whose arguments need coercion fall back to the runtime's reflective plan
 // via ErrNotDispatched, which keeps the lenient argument rules intact. The
 // args vector is runtime-owned scratch; nothing here retains it.
@@ -80,7 +87,8 @@ func (s *Section) SetNeighbors(up, down core.Ref) {
 // into a ghost row. which is -1 for the upper ghost (row 0), +1 for the
 // lower ghost. Only cells of the given color are written, so a neighbour's
 // push never races with this section reading the *other* color's cells
-// during an overlapped phase.
+// during an overlapped phase. Each install counts as one arrival of its
+// color, which is what the controller waits on instead of a barrier.
 func (s *Section) SetGhostColor(which int, color int, vals []float64) {
 	row := 0
 	grow := s.GlobalStart - 1 // global index of the upper ghost row
@@ -94,6 +102,30 @@ func (s *Section) SetGhostColor(which int, color int, vals []float64) {
 			dst[j] = vals[j]
 		}
 	}
+	s.ghostMu.Lock()
+	s.arrived[color]++
+	if s.wake != nil {
+		close(s.wake)
+		s.wake = nil
+	}
+	s.ghostMu.Unlock()
+}
+
+// awaitGhosts blocks the controller until want pushes of color have arrived
+// from the neighbours. The counts run over the whole solve, so the k-th
+// half-step of a color waits for k pushes per neighbour.
+func (s *Section) awaitGhosts(ctx *core.Ctx, color, want int) {
+	s.ghostMu.Lock()
+	for s.arrived[color] < want {
+		if s.wake == nil {
+			s.wake = make(chan struct{})
+		}
+		ch := s.wake
+		s.ghostMu.Unlock()
+		ctx.Block(func() { <-ch })
+		s.ghostMu.Lock()
+	}
+	s.ghostMu.Unlock()
 }
 
 // EdgeRow returns a copy of an owned edge row: which=-1 for the first owned
@@ -147,57 +179,51 @@ func (s *Section) ComputeColorRange(color, from, to int) float64 {
 	return maxDelta
 }
 
-// PushEdges sends this section's freshly-updated edge cells of one color to
-// the neighbouring sections' ghost rows. One invocation per neighbour —
-// "a single network exchange per edge per iteration".
-func (s *Section) PushEdges(ctx *core.Ctx, color int) error {
+// pushEdges starts shipping this section's freshly-updated edge cells of one
+// color to the neighbouring sections' ghost rows: one invocation per
+// neighbour, "a single network exchange per edge per iteration", both in
+// flight at once. The futures are Figure 1's edge-exchange threads.
+func (s *Section) pushEdges(ctx *core.Ctx, color int) []*core.Future {
+	var pushes []*core.Future
 	if s.Up != core.NilRef {
-		if _, err := ctx.Invoke(s.Up, "SetGhostColor", +1, color, s.EdgeRow(-1)); err != nil {
-			return err
-		}
+		pushes = append(pushes, ctx.AsyncInvoke(s.Up, "SetGhostColor", +1, color, s.EdgeRow(-1)))
 	}
 	if s.Down != core.NilRef {
-		if _, err := ctx.Invoke(s.Down, "SetGhostColor", -1, color, s.EdgeRow(+1)); err != nil {
-			return err
-		}
+		pushes = append(pushes, ctx.AsyncInvoke(s.Down, "SetGhostColor", -1, color, s.EdgeRow(+1)))
 	}
-	return nil
+	return pushes
 }
 
-// phase performs one half-iteration (one color) with optional
-// communication/computation overlap (§6): edge rows are relaxed first, then
-// edge-exchange threads push them to the neighbours while the interior is
-// relaxed, and finally the exchanges are joined.
-func (s *Section) phase(ctx *core.Ctx, color int, overlap bool, computeThreads int) (float64, error) {
+// joinPushes waits for every push and returns the first error.
+func joinPushes(ctx *core.Ctx, pushes []*core.Future) error {
+	var first error
+	for _, f := range pushes {
+		if _, err := f.Join(ctx); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// phase performs one half-iteration (one color) and returns its largest
+// change with the edge pushes still in flight. With overlap (§6) the edge
+// rows are relaxed first and shipped while the interior relaxes; without it
+// the pushes start once the whole strip is done.
+func (s *Section) phase(ctx *core.Ctx, color int, overlap bool, computeThreads int) (float64, []*core.Future) {
 	n := s.ownedRows()
 	if !overlap {
 		delta := s.computeParallel(ctx, color, 1, n, computeThreads)
-		return delta, s.PushEdges(ctx, color)
+		return delta, s.pushEdges(ctx, color)
 	}
-	// Edge rows first...
 	delta := s.ComputeColorRange(color, 1, 1)
 	if n > 1 {
-		if d := s.ComputeColorRange(color, n, n); d > delta {
-			delta = d
-		}
+		delta = max(delta, s.ComputeColorRange(color, n, n))
 	}
-	// ...then ship them while the interior relaxes.
-	var pushErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		// The edge-exchange thread of Figure 1: a separate Amber thread so
-		// the invocation's network time overlaps the interior compute.
-		pushErr = s.PushEdges(ctx.Spawn(), color)
-	}()
+	pushes := s.pushEdges(ctx, color)
 	if n > 2 {
-		if d := s.computeParallel(ctx, color, 2, n-1, computeThreads); d > delta {
-			delta = d
-		}
+		delta = max(delta, s.computeParallel(ctx, color, 2, n-1, computeThreads))
 	}
-	ctx.Block(wg.Wait)
-	return delta, pushErr
+	return delta, pushes
 }
 
 // computeParallel relaxes rows [from,to] of one color, fanning out over
@@ -245,30 +271,37 @@ func (s *Section) computeParallel(ctx *core.Ctx, color, from, to, computeThreads
 	return maxDelta
 }
 
-// Run is the section's controller thread (Figure 1): it drives iterations,
-// synchronizes colors at the barrier, and reports convergence through the
-// reducer. It returns the number of iterations executed.
-func (s *Section) Run(ctx *core.Ctx, barrier, reducer core.Ref, eps float64, maxIters int, overlap bool, computeThreads int) (int, error) {
+// Run is the section's controller thread (Figure 1): it drives iterations
+// and reports convergence through the reducer. It returns the number of
+// iterations executed.
+//
+// No barrier separates the colors. Red points read only black ghost cells
+// and black points only red ones, so before relaxing a color the section
+// waits for its own neighbours' latest pushes of the other color: iteration
+// k relaxes black once k-1 red pushes per neighbour have arrived, and red
+// once k black pushes have. Neighbours drift at most half a step apart, and
+// the reduction is the only cluster-wide synchronization.
+func (s *Section) Run(ctx *core.Ctx, reducer core.Ref, eps float64, maxIters int, overlap bool, computeThreads int) (int, error) {
+	neighbours := 0
+	for _, r := range []core.Ref{s.Up, s.Down} {
+		if r != core.NilRef {
+			neighbours++
+		}
+	}
 	for iter := 1; iter <= maxIters; iter++ {
-		dB, err := s.phase(ctx, Black, overlap, computeThreads)
-		if err != nil {
+		s.awaitGhosts(ctx, Red, (iter-1)*neighbours)
+		dB, pushes := s.phase(ctx, Black, overlap, computeThreads)
+		s.awaitGhosts(ctx, Black, iter*neighbours)
+		if err := joinPushes(ctx, pushes); err != nil {
 			return iter, err
 		}
-		// All black pushes complete cluster-wide before red reads ghosts.
-		if _, err := ctx.Invoke(barrier, "Arrive"); err != nil {
-			return iter, err
+		dR, pushes := s.phase(ctx, Red, overlap, computeThreads)
+		// The convergence thread's exchange with the master (Figure 1): a
+		// blocking max-reduction, made while the red pushes are in flight.
+		out, err := ctx.Invoke(reducer, "ReduceMax", max(dB, dR))
+		if perr := joinPushes(ctx, pushes); err == nil {
+			err = perr
 		}
-		dR, err := s.phase(ctx, Red, overlap, computeThreads)
-		if err != nil {
-			return iter, err
-		}
-		delta := dB
-		if dR > delta {
-			delta = dR
-		}
-		// The convergence thread's exchange with the master (Figure 1):
-		// a blocking max-reduction that doubles as the iteration barrier.
-		out, err := ctx.Invoke(reducer, "ReduceMax", delta)
 		if err != nil {
 			return iter, err
 		}

@@ -3,9 +3,15 @@ package sor
 import (
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"amber/internal/core"
+	"amber/internal/gaddr"
+	"amber/internal/rpc"
+	"amber/internal/trace"
+	"amber/internal/transport"
 )
 
 func TestSequentialConverges(t *testing.T) {
@@ -202,6 +208,104 @@ func TestQuickRandomConfigsMatchSequential(t *testing.T) {
 			t.Fatalf("trial %d (%dx%d, %dN %dP, %d sections, overlap=%v): iters %d vs %d, Δ=%g",
 				trial, rows, cols, nodes, procs, sections, overlap,
 				res.Iters, wantIters, MaxAbsDiff(want, res.Grid))
+		}
+	}
+}
+
+// ledgerSolve runs a traced solve of exactly iters iterations (eps = 0 never
+// converges early) with one section per node, and returns the messages the
+// cluster sent and how many invocation events each method produced. Health
+// probes are left out of the count: setup's forwarders probe their next hop
+// only when they have not heard from it lately, so those few messages depend
+// on timing, and none of them belongs to the iteration loop.
+func ledgerSolve(t *testing.T, nodes, iters int) (int64, map[string]int) {
+	t.Helper()
+	cl := newSORCluster(t, nodes, 1)
+	var msgs atomic.Int64
+	cl.Fabric().SetFault(func(m transport.Message) bool {
+		if !rpc.IsHealthProbe(m.Kind) {
+			msgs.Add(1)
+		}
+		return false
+	})
+	cl.SetTracing(true)
+	res, err := RunDistributed(cl, Config{
+		Problem: DefaultProblem(34, 34), Omega: 1.5, Eps: 0, MaxIters: iters,
+		Sections: nodes, Overlap: true, ComputeThreads: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iters != iters {
+		t.Fatalf("ran %d iterations, want %d", res.Iters, iters)
+	}
+	methods := map[string]int{}
+	for _, ev := range cl.CollectTrace() {
+		if ev.Kind == trace.KInvokeStart {
+			methods[ev.Label]++
+		}
+	}
+	return msgs.Load(), methods
+}
+
+// The per-iteration message ledger, exactly: each section pushes one edge
+// per neighbour per color (a request and a reply each), and every section
+// but the reducer's co-resident one reports to the reducer. Nothing else
+// crosses the network inside the iteration loop — in particular no barrier.
+func TestSORMessageLedger(t *testing.T) {
+	for _, tc := range []struct {
+		nodes   int
+		perIter int64
+	}{
+		{3, 16 + 4}, // 2 edges × 2 directions × 2 colors × 2 msgs; 2 remote reports
+		{4, 24 + 6}, // 3 edges × 8 msgs; 3 remote reports
+	} {
+		short, shortMethods := ledgerSolve(t, tc.nodes, 10)
+		long, _ := ledgerSolve(t, tc.nodes, 20)
+		if got := long - short; got != 10*tc.perIter {
+			t.Errorf("%d nodes: 10 more iterations sent %d msgs, want %d (%d per iteration)",
+				tc.nodes, got, 10*tc.perIter, tc.perIter)
+		}
+		if n := shortMethods["Arrive"]; n != 0 {
+			t.Errorf("%d nodes: %d barrier Arrives executed", tc.nodes, n)
+		}
+		if want := 10 * 2 * 2 * (tc.nodes - 1); shortMethods["SetGhostColor"] != want {
+			t.Errorf("%d nodes: %d ghost pushes in 10 iterations, want %d",
+				tc.nodes, shortMethods["SetGhostColor"], want)
+		}
+	}
+}
+
+// Ghost pushes that arrive late must not change a single bit: every
+// neighbour link delays each message by a random 0–2 ms, so the middle
+// section's two neighbours land their pushes at unrelated times and the
+// sections drift apart within the half-step the protocol allows.
+func TestGhostsUnderJitter(t *testing.T) {
+	p := DefaultProblem(14, 18)
+	const omega, eps, maxIters = 1.5, 1e-3, 2000
+	want, wantIters, err := SolveSequential(p, omega, eps, maxIters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jitter := transport.LinkRule{DelayMin: 0, DelayMax: 2 * time.Millisecond}
+	for _, overlap := range []bool{false, true} {
+		cl := newSORCluster(t, 3, 1)
+		for _, link := range [][2]gaddr.NodeID{{0, 1}, {1, 2}} {
+			cl.Faults().SetLink(link[0], link[1], jitter)
+			cl.Faults().SetLink(link[1], link[0], jitter)
+		}
+		res, err := RunDistributed(cl, Config{
+			Problem: p, Omega: omega, Eps: eps, MaxIters: maxIters,
+			Sections: 3, Overlap: overlap, ComputeThreads: 1,
+		})
+		if err != nil {
+			t.Fatalf("overlap=%v: %v", overlap, err)
+		}
+		if res.Iters != wantIters {
+			t.Fatalf("overlap=%v: %d iterations, sequential %d", overlap, res.Iters, wantIters)
+		}
+		if d := MaxAbsDiff(want, res.Grid); d != 0 {
+			t.Fatalf("overlap=%v: grid differs from sequential by %g", overlap, d)
 		}
 	}
 }
