@@ -1,9 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"time"
 
 	"amber/internal/gaddr"
@@ -26,11 +26,17 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 	// the batch applies all-or-nothing. An error reply makes the source
 	// revert the WHOLE component to resident; if a prefix of the batch had
 	// already been made resident here, both nodes would hold live copies of
-	// those objects.
+	// those objects. Address order is the order the batch's descriptors are
+	// locked in below (executeAttach's rule), and it puts a repeated address,
+	// which would lock one descriptor twice, next to its twin.
+	sort.Slice(msg.Objects, func(i, j int) bool { return msg.Objects[i].Addr < msg.Objects[j].Addr })
 	tis := make([]*typeInfo, len(msg.Objects))
 	pvs := make([]reflect.Value, len(msg.Objects))
 	for i, snap := range msg.Objects {
 		ti, err := n.reg.lookupName(snap.TypeName)
+		if err == nil && i > 0 && snap.Addr == msg.Objects[i-1].Addr {
+			err = fmt.Errorf("amber: install %#x: listed twice", uint64(snap.Addr))
+		}
 		if err != nil {
 			rc.Reply(nil, err)
 			return
@@ -84,17 +90,22 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 			n.space.ReplicaDrop(snap.Addr)
 		}
 	}
+	// The batch lands at once: every descriptor is locked before the first
+	// is published and unlocked after the last. A component walk from a member
+	// already published would otherwise find the next one still a tombstone,
+	// or absent, and an operation that reran at once would spin on it.
+	for _, snap := range msg.Objects {
+		n.descEnsure(snap.Addr).Lock()
+	}
 	for i, snap := range msg.Objects {
 		ti, pv := tis[i], pvs[i]
 
-		d := n.descEnsure(snap.Addr)
-		d.Lock()
+		d := n.desc(snap.Addr)
 		if !msg.Copy && snap.Epoch != 0 && snap.Epoch <= d.Epoch() {
 			// Stale or duplicate install: this node already has newer
 			// information about the object (the residency the snapshot
 			// describes has been and gone). Installing it would wind the
 			// epoch backward and corrupt routing.
-			d.Unlock()
 			n.counts.Inc("installs_stale")
 			continue
 		}
@@ -104,7 +115,6 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 			// immutable object are byte-identical at the same epoch, so there
 			// is nothing to gain — and overwriting a resident payload would
 			// race its pinned readers.
-			d.Unlock()
 			n.counts.Inc("replica_installs_dup")
 			continue
 		}
@@ -154,7 +164,9 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 			d.SetStateLocked(stateResident)
 			d.Broadcast()
 		}
-		d.Unlock()
+	}
+	for _, snap := range msg.Objects {
+		n.desc(snap.Addr).Unlock()
 		// Any hint for this object is now stale at best; the descriptor is
 		// authoritative.
 		n.space.HintDrop(snap.Addr)
@@ -169,7 +181,9 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 
 // control drives a mobility/control operation initiated locally by thread c:
 // run the entry protocol here, execute if the object is local, otherwise
-// ship the request and decode the typed reply. A shipped request that fails
+// ship the request and decode the typed reply. An attach that executes here
+// and continues at the node its child migrated to ships the same way, as an
+// arrival's does in handleRouted. A shipped request that fails
 // climbs the same ladder as an invocation (engine.go) for its routing rungs;
 // both dead ends it recovers from are replies generated before any execution,
 // so resolving again cannot double-apply the operation.
@@ -177,31 +191,30 @@ func (n *Node) control(c *Ctx, msg *routedMsg, o callOpts) (any, error) {
 	msg.Thread = c.rec
 	ro := n.policy(o)
 	var lad ladder
-	for retries := 0; ; retries++ {
+	tries := 0
+	for {
 		d, act, to, err := n.resolve(msg, &msg.Thread)
 		switch act {
 		case actError:
 			return nil, err
 		case actExecute:
-			rep, at, err := n.executeControl(d, msg)
-			switch {
-			case errors.Is(err, errRetryRoute) && retries < 256:
-				time.Sleep(500 * time.Microsecond)
+			var rep any
+			rep, to, err = n.executeControl(d, msg)
+			if again, err := n.awaitTransition(msg, &tries, err); again {
 				continue
-			case err == nil && at != gaddr.NoNode:
-				return nil, &forwardedTo{node: at}
+			} else if err != nil || to == gaddr.NoNode {
+				return rep, err
 			}
-			return rep, err
-		case actForward:
-			rep, err := n.shipControl(c, msg, to, ro)
-			if err == nil {
-				return rep, nil
-			}
-			if v, _ := n.climb(&lad, msg.Obj, to, ro, err); v == verdictFinal {
-				return nil, err
-			}
-			msg.Chain = nil
+			// An attach continues at the node its child just migrated to.
 		}
+		rep, err := n.shipControl(c, msg, to, ro)
+		if err == nil {
+			return rep, nil
+		}
+		if v, _ := n.climb(&lad, msg.Obj, to, ro, err); v == verdictFinal {
+			return nil, err
+		}
+		msg.Chain = nil
 	}
 }
 
@@ -210,8 +223,8 @@ func (n *Node) control(c *Ctx, msg *routedMsg, o callOpts) (any, error) {
 // alike. d arrives locked (resolve's control contract); each per-op executor
 // releases it. It returns the typed reply (nil for an empty ack), or the node
 // at which the operation continues — an attach whose child just migrated to
-// its parent's node finishes there — or an error; errRetryRoute asks the
-// caller to run the entry protocol again.
+// its parent's node finishes there — or an error; a retryRoute asks the
+// caller to run the entry protocol again, through awaitTransition.
 func (n *Node) executeControl(d *descriptor, msg *routedMsg) (rep any, continueAt gaddr.NodeID, err error) {
 	continueAt = gaddr.NoNode
 	switch msg.Op {
@@ -239,14 +252,6 @@ func (n *Node) executeControl(d *descriptor, msg *routedMsg) (rep any, continueA
 		err = fmt.Errorf("amber: unknown control op %d", msg.Op)
 	}
 	return rep, continueAt, err
-}
-
-// forwardedTo signals that a locally-driven control op must continue at
-// another node (executeControl's continueAt).
-type forwardedTo struct{ node gaddr.NodeID }
-
-func (f *forwardedTo) Error() string {
-	return fmt.Sprintf("amber: internal: continue at node %d", f.node)
 }
 
 // shipControl sends a control request to another node and decodes the typed
@@ -373,19 +378,8 @@ func (c *Ctx) Delete(obj Ref, opts ...CallOption) error {
 // Options (WithDeadline, WithRetry) bound and retry each routed request.
 func (c *Ctx) Attach(obj, peer Ref, opts ...CallOption) error {
 	msg := routedMsg{Op: opAttach, Obj: obj, Peer: peer}
-	o := gatherOptions(opts)
-	for hops := 0; hops < 8; hops++ {
-		_, err := c.node.control(c, &msg, o)
-		var fw *forwardedTo
-		if errors.As(err, &fw) {
-			// Continue at the node the child moved to; reset the chain so
-			// the fresh request routes cleanly.
-			msg.Chain = nil
-			continue
-		}
-		return err
-	}
-	return fmt.Errorf("%w: attach kept chasing a moving parent", ErrRoutingLost)
+	_, err := c.node.control(c, &msg, gatherOptions(opts))
+	return err
 }
 
 // Unattach removes the attachment between obj and peer. Options

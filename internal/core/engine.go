@@ -360,20 +360,18 @@ func (n *Node) handleRouted(rc *rpc.Ctx) {
 		return
 	}
 	if len(msg.Chain) > n.cfg.MaxHops {
-		n.counts.Inc("routing_lost")
 		tail := msg.Chain
 		if len(tail) > 12 {
 			tail = tail[len(tail)-12:]
 		}
-		rc.Reply(nil, fmt.Errorf("%w: %s %#x after %d hops (tail %v)",
-			ErrRoutingLost, msg.Op, uint64(msg.Obj), len(msg.Chain), tail))
+		rc.Reply(nil, n.routingLost(&msg, fmt.Sprintf("after %d hops (tail %v)", len(msg.Chain), tail)))
 		return
 	}
 	// prev holds the results of the step this node ran last; ran counts the
-	// steps it has run for this arrival.
+	// steps it has run for this arrival, tries its entry-protocol reruns.
 	var prev []any
-	ran := 0
-	for retries := 0; ; retries++ {
+	ran, tries := 0, 0
+	for {
 		d, act, to, err := n.resolve(&msg, &msg.Thread)
 		switch {
 		case act == actError:
@@ -389,11 +387,9 @@ func (n *Node) handleRouted(rc *rpc.Ctx) {
 		case act == actExecute:
 			var rep any
 			rep, to, err = n.executeControl(d, &msg)
-			if errors.Is(err, errRetryRoute) && retries < 256 {
-				time.Sleep(500 * time.Microsecond)
+			if again, err := n.awaitTransition(&msg, &tries, err); again {
 				continue
-			}
-			if err != nil || to == gaddr.NoNode {
+			} else if err != nil || to == gaddr.NoNode {
 				var body []byte
 				if rep != nil {
 					body, err = wire.MarshalInto(rep)
@@ -419,10 +415,16 @@ func (n *Node) handleRouted(rc *rpc.Ctx) {
 				return
 			}
 		}
-		if !n.forward(rc, &msg, to, retries, count) {
-			return
-		}
+		n.forward(rc, &msg, to, count)
+		return
 	}
+}
+
+// routingLost counts an operation this node gives up routing and builds the
+// error its caller receives.
+func (n *Node) routingLost(msg *routedMsg, why string) error {
+	n.counts.Inc("routing_lost")
+	return fmt.Errorf("%w: %s %#x %s", ErrRoutingLost, msg.Op, uint64(msg.Obj), why)
 }
 
 // bindPrev substitutes prev into the head step's encoded arguments.
@@ -551,24 +553,19 @@ func (n *Node) executeStep(rc *rpc.Ctx, d *descriptor, msg *routedMsg, prev []an
 }
 
 // forward hands a routed operation on to node to, which answers the origin
-// directly (a detached reply, §3.3). It reports true when nothing was sent
-// and the caller should run the entry protocol again.
+// directly (a detached reply, §3.3).
 //
 // Revisiting a node is legitimate — an object can move back to a node a
 // request already passed through, and the node's descriptor will have changed
 // by the second visit. True cycles cannot exist because a destination is made
 // resident *before* the source flips to forwarded, so every forwarding
 // pointer points forward in time; MaxHops is only a backstop. A self-pointer
-// would be a bug (or a racing transition): wait it out.
-func (n *Node) forward(rc *rpc.Ctx, msg *routedMsg, to gaddr.NodeID, retries int, count *stats.Counter) (again bool) {
+// is a bug — no writer aims a node at itself (learnLocation refuses it, and
+// the home fallback answers for itself) — so it fails at once.
+func (n *Node) forward(rc *rpc.Ctx, msg *routedMsg, to gaddr.NodeID, count *stats.Counter) {
 	if to == n.id {
-		if retries < 64 {
-			time.Sleep(time.Millisecond)
-			return true
-		}
-		n.counts.Inc("routing_lost")
-		rc.Reply(nil, fmt.Errorf("%w: %s %#x", ErrRoutingLost, msg.Op, uint64(msg.Obj)))
-		return false
+		rc.Reply(nil, n.routingLost(msg, "forwarding pointer aims at this node"))
+		return
 	}
 	// Forwarding-chain repair: refuse to forward into a peer this node
 	// believes dead — answer the origin with ErrNodeDown now instead of
@@ -579,7 +576,7 @@ func (n *Node) forward(rc *rpc.Ctx, msg *routedMsg, to gaddr.NodeID, retries int
 		n.counts.Inc("forwards_refused_down")
 		rc.Reply(nil, fmt.Errorf("%w: next hop %d for %s %#x",
 			ErrNodeDown, to, msg.Op, uint64(msg.Obj)))
-		return false
+		return
 	}
 	n.ep.WatchPeer(to)
 	// A long chain means we are chasing an object that migrates about as fast
@@ -600,5 +597,4 @@ func (n *Node) forward(rc *rpc.Ctx, msg *routedMsg, to gaddr.NodeID, retries int
 	if ferr := rc.Forward(to, procRouted, body); ferr != nil {
 		n.counts.Inc("forward_failed")
 	}
-	return false
 }

@@ -335,8 +335,8 @@ func TestEntryPointParity(t *testing.T) {
 // copy's, and each of location's is done in exactly one function of this
 // package. It parses the package's non-test files, so a second request
 // builder, failure ladder, forwarder, executor, copy offer, installer, serve
-// rule or location writer growing beside the first fails here rather than in
-// review.
+// rule, location writer or retry loop growing beside the first fails here
+// rather than in review.
 func TestEngineSaysItOnce(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -348,11 +348,12 @@ func TestEngineSaysItOnce(t *testing.T) {
 	// contents of a string literal — to the functions whose bodies mention it,
 	// and mentions counts every mention. raisesCopy collects the functions
 	// that call SetCopyLocked(true), and setsFwd those that assign a
-	// descriptor's forwarding address.
+	// descriptor's forwarding address, and sleeps those that call time.Sleep.
 	uses := map[string]map[string]bool{}
 	mentions := map[string]int{}
 	raisesCopy := map[string]bool{}
 	setsFwd := map[string]bool{}
+	sleeps := map[string]int{}
 	for _, file := range pkgs["core"].Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -373,6 +374,11 @@ func TestEngineSaysItOnce(t *testing.T) {
 					if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "SetCopyLocked" && len(x.Args) == 1 {
 						if arg, ok := x.Args[0].(*ast.Ident); ok && arg.Name == "true" {
 							raisesCopy[fn.Name.Name] = true
+						}
+					}
+					if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sleep" {
+						if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" {
+							sleeps[fn.Name.Name]++
 						}
 					}
 					return true
@@ -428,6 +434,12 @@ func TestEngineSaysItOnce(t *testing.T) {
 		{"reads a location hint", "HintGet", []string{"homeFallback"}},
 		{"refreshes a tombstone from gossip", "learnLocked", []string{"learnLocation", "handleLease"}},
 		{"executes a control operation", "executeControl", []string{"control", "handleRouted"}},
+		// One way to wait out a racing transition: the executors name the
+		// descriptor that was not resident, and one helper waits on it.
+		{"asks for the entry protocol to run again", "retryRoute", []string{"executeMove", "component",
+			"executeSetImmutable", "executeSetCacheable", "executeDelete", "executeAttach", "executeUnattach",
+			"awaitTransition"}},
+		{"waits out a racing transition", "awaitTransition", []string{"control", "handleRouted"}},
 	} {
 		allowed := map[string]bool{}
 		for _, f := range c.funcs {
@@ -447,6 +459,11 @@ func TestEngineSaysItOnce(t *testing.T) {
 	}
 	if got := mentions["leaseRedirect"]; got != 1 {
 		t.Errorf("leaseRedirect is mentioned %d times: resolve's serve rule is the one call", got)
+	}
+	// A racing transition is waited on, never polled: the runtime does not
+	// sleep.
+	for f, k := range sleeps {
+		t.Errorf("%s calls time.Sleep %d times: wait on the descriptor (awaitTransition) instead", f, k)
 	}
 	// A descriptor's forwarding address is written by a move leaving it
 	// (ship), an object or copy arriving (handleInstall, publishCopyLocked), a
@@ -474,7 +491,7 @@ func TestEngineSaysItOnce(t *testing.T) {
 		"installReplica", "replicaSnapshot", "SetReplicaLocked", "Replica", "replicaInstall",
 		"installLease", "leaseGrantTo", "SnapMax", "replicaMax", "replicaOn",
 		"hintSet", "hintGet", "hintDrop", "dropHintsTo", "HintSet", "HintCache",
-		"executeControlLocal", "executeRouted"} {
+		"executeControlLocal", "executeRouted", "errRetryRoute", "forwardedTo"} {
 		for f := range uses[retired] {
 			t.Errorf("%s mentions %s, which the one engine or the one copy replaced", f, retired)
 		}

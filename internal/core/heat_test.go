@@ -174,6 +174,13 @@ func TestHeatMigratesHotObjectToDominantCaller(t *testing.T) {
 				cl.Node(0).HeatTracked())
 		}
 	}
+	// The object is resident at node 1 before node 0's MoveTo returns, and
+	// the tick counts the move only after that. Ticks run one at a time, so
+	// once the next tick has started the moving one has finished.
+	ticks := cl.Node(0).Stats().Get("heat_ticks").Load()
+	spinUntil(t, "the next heat tick", func() bool {
+		return cl.Node(0).Stats().Get("heat_ticks").Load() > ticks
+	}, nil)
 	if got := cl.Node(0).Stats().Get("heat_moves").Load(); got < 1 {
 		t.Fatalf("heat_moves = %d, want >= 1", got)
 	}

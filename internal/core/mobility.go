@@ -12,9 +12,45 @@ import (
 	"amber/internal/wire"
 )
 
-// errRetryRoute is an internal sentinel: the descriptor's state changed
-// between routing and execution; re-run the entry protocol.
-var errRetryRoute = errors.New("amber: internal: retry routing")
+// retryRoute is what an executor returns when a descriptor it needed resident
+// was in another state: the state changed between routing and execution. It
+// names that descriptor — the operation's own object, a component member or
+// an attach peer — so awaitTransition can wait out a move in progress before
+// the caller runs the entry protocol again. It never leaves this node.
+type retryRoute struct{ d *descriptor }
+
+func (*retryRoute) Error() string { return "amber: state changed under the operation" }
+
+// awaitTransition is the one answer to an executor's retryRoute, for control
+// (a thread of this node) and handleRouted (an arrival) alike. If the named
+// descriptor is mid-move, it waits on the descriptor's condition variable —
+// the wait enterLocked makes — until the move ends; otherwise its state has
+// already changed, which is progress, and the rerun is immediate. It reports
+// whether the caller should run the entry protocol again; otherwise the
+// returned error stands: err itself when it asks for no rerun, or a counted
+// ErrRoutingLost once tries passes 64. Every wait ends with a transition —
+// each exit from stateMoving broadcasts, and a move that never drains is
+// rolled back by its drain timeout — and every immediate rerun follows a
+// state change (an install batch lands at once, see handleInstall), so an
+// operation that runs past the bound is looking at a condition that does not
+// clear by itself, such as an attach edge to a member that left.
+func (n *Node) awaitTransition(msg *routedMsg, tries *int, err error) (again bool, _ error) {
+	var rr *retryRoute
+	if !errors.As(err, &rr) {
+		return false, err
+	}
+	if *tries++; *tries > 64 {
+		return false, n.routingLost(msg, "kept changing state under the operation")
+	}
+	d := rr.d
+	d.Lock()
+	for d.State() == stateMoving {
+		n.counts.Inc("entries_blocked_on_move")
+		d.Wait()
+	}
+	d.Unlock()
+	return true, nil
+}
 
 // errWouldDefer is an internal sentinel: the move would have to defer until
 // the requesting thread unpins, and the caller asked for no deferral
@@ -229,7 +265,7 @@ func (n *Node) installRemote(dest gaddr.NodeID, frame []byte) error {
 
 // executeMove performs opMove at the node where the object is resident.
 // Contract: d.mu is held on entry and released by this function. Returns
-// errRetryRoute if the state changed under us. With noDefer set, a move
+// a retryRoute if the state changed under us. With noDefer set, a move
 // that would defer (the requesting thread is bound to a component member)
 // fails with errWouldDefer *before* any member is marked stateMoving, so
 // the caller can surface an error without the component migrating anyway.
@@ -237,7 +273,7 @@ func (n *Node) executeMove(d *descriptor, msg *routedMsg, noDefer bool) (moveRep
 	dest := msg.Dest
 	if d.State() != stateResident {
 		d.Unlock()
-		return moveReply{}, errRetryRoute
+		return moveReply{}, &retryRoute{d}
 	}
 
 	// Immutable objects copy instead of moving (§2.3); the original stays.
@@ -273,9 +309,6 @@ func (n *Node) executeMove(d *descriptor, msg *routedMsg, noDefer bool) (moveRep
 	// concurrently.
 	addrs, mems, shards, err := n.lockComponent(msg.Obj)
 	if err != nil {
-		if errors.Is(err, errRetryRoute) {
-			return moveReply{}, errRetryRoute
-		}
 		return moveReply{}, err
 	}
 	// Requester-bound detection (the self-move of §3.5). The thread's pin
@@ -301,7 +334,7 @@ func (n *Node) executeMove(d *descriptor, msg *routedMsg, noDefer bool) (moveRep
 		if m.State() != stateResident {
 			m.Unlock()
 			n.space.UnlockMove(shards)
-			return moveReply{}, errRetryRoute
+			return moveReply{}, &retryRoute{m}
 		}
 		ti := m.Payload.ti
 		if ti == nil || !ti.serializable {
@@ -441,7 +474,7 @@ func (n *Node) component(root gaddr.Addr) ([]gaddr.Addr, []*descriptor, error) {
 		d.Lock()
 		if d.State() != stateResident {
 			d.Unlock()
-			return nil, nil, errRetryRoute
+			return nil, nil, &retryRoute{d}
 		}
 		peers := d.AttachPeers()
 		d.Unlock()
@@ -457,7 +490,7 @@ func (n *Node) component(root gaddr.Addr) ([]gaddr.Addr, []*descriptor, error) {
 func (n *Node) executeSetImmutable(d *descriptor, msg *routedMsg) error {
 	defer d.Unlock()
 	if d.State() != stateResident {
-		return errRetryRoute
+		return &retryRoute{d}
 	}
 	if d.Immutable() {
 		return nil // idempotent
@@ -501,7 +534,7 @@ func (n *Node) executeSetImmutable(d *descriptor, msg *routedMsg) error {
 func (n *Node) executeSetCacheable(d *descriptor, msg *routedMsg) error {
 	if d.State() != stateResident {
 		d.Unlock()
-		return errRetryRoute
+		return &retryRoute{d}
 	}
 	if d.Leasable() {
 		d.Unlock()
@@ -539,7 +572,7 @@ func (n *Node) executeSetCacheable(d *descriptor, msg *routedMsg) error {
 func (n *Node) executeDelete(d *descriptor, msg *routedMsg) error {
 	if d.State() != stateResident {
 		d.Unlock()
-		return errRetryRoute
+		return &retryRoute{d}
 	}
 	if d.Immutable() {
 		d.Unlock()
@@ -632,7 +665,7 @@ func waitPinsLocked(d *descriptor, timeout time.Duration) bool {
 func (n *Node) executeAttach(d *descriptor, msg *routedMsg) (forwardTo gaddr.NodeID, err error) {
 	if d.State() != stateResident {
 		d.Unlock()
-		return gaddr.NoNode, errRetryRoute
+		return gaddr.NoNode, &retryRoute{d}
 	}
 	if msg.Obj == msg.Peer {
 		d.Unlock()
@@ -678,7 +711,8 @@ func (n *Node) executeAttach(d *descriptor, msg *routedMsg) (forwardTo gaddr.Nod
 	defer n.space.UnlockMove(shards)
 	pd := n.desc(msg.Peer)
 	if pd == nil {
-		return gaddr.NoNode, errRetryRoute // parent moved away between locate and now
+		// Locate found the parent here, and descriptors are never removed.
+		return gaddr.NoNode, fmt.Errorf("amber: attach parent %#x missing locally", uint64(msg.Peer))
 	}
 	first, second := d, pd
 	if msg.Peer < msg.Obj {
@@ -689,7 +723,9 @@ func (n *Node) executeAttach(d *descriptor, msg *routedMsg) (forwardTo gaddr.Nod
 	defer first.Unlock()
 	defer second.Unlock()
 	if d.State() != stateResident || pd.State() != stateResident {
-		return gaddr.NoNode, errRetryRoute
+		// Naming the parent is enough: if the child is the one that changed,
+		// the rerun's entry protocol waits on it.
+		return gaddr.NoNode, &retryRoute{pd}
 	}
 	if pd.Immutable() {
 		return gaddr.NoNode, fmt.Errorf("%w: cannot attach to an immutable object", ErrNotMovable)
@@ -705,7 +741,7 @@ func (n *Node) executeAttach(d *descriptor, msg *routedMsg) (forwardTo gaddr.Nod
 func (n *Node) executeUnattach(d *descriptor, msg *routedMsg) error {
 	if d.State() != stateResident {
 		d.Unlock()
-		return errRetryRoute
+		return &retryRoute{d}
 	}
 	if !d.HasAttach(msg.Peer) {
 		d.Unlock()
@@ -722,31 +758,24 @@ func (n *Node) executeUnattach(d *descriptor, msg *routedMsg) error {
 		first, second = pd, d
 	}
 	first.Lock()
+	defer first.Unlock()
 	if second != nil && second != first {
 		second.Lock()
+		defer second.Unlock()
 	}
-	if d.State() != stateResident || !d.HasAttach(msg.Peer) {
+	if d.State() != stateResident {
 		// The descriptor was unlocked while the move locks were taken: if the
 		// component shipped out in that window its edges went with it, and
 		// the answer is to chase it, not to report the pair unattached.
-		err := errRetryRoute
-		if d.State() == stateResident {
-			err = fmt.Errorf("%w: %#x and %#x", ErrNotAttached, uint64(msg.Obj), uint64(msg.Peer))
-		}
-		if second != nil && second != first {
-			second.Unlock()
-		}
-		first.Unlock()
-		return err
+		return &retryRoute{d}
+	}
+	if !d.HasAttach(msg.Peer) {
+		return fmt.Errorf("%w: %#x and %#x", ErrNotAttached, uint64(msg.Obj), uint64(msg.Peer))
 	}
 	d.RemoveAttach(msg.Peer)
 	if pd != nil {
 		pd.RemoveAttach(msg.Obj)
 	}
-	if second != nil && second != first {
-		second.Unlock()
-	}
-	first.Unlock()
 	n.counts.Inc("unattaches")
 	return nil
 }
@@ -754,33 +783,26 @@ func (n *Node) executeUnattach(d *descriptor, msg *routedMsg) error {
 // locateInternal resolves an object's current residence (kernel-level, no
 // thread context).
 func (n *Node) locateInternal(obj gaddr.Addr) (gaddr.NodeID, bool, error) {
-	msg := routedMsg{Op: opLocate, Obj: obj}
-	for retries := 0; ; retries++ {
-		d, act, to, err := n.resolve(&msg, &msg.Thread)
-		switch act {
-		case actError:
-			return gaddr.NoNode, false, err
-		case actExecute:
-			node, imm := n.id, d.Immutable()
-			d.Unlock()
-			return node, imm, nil
-		case actForward:
-			msg.Chain = append(msg.Chain, n.id)
-			if len(msg.Chain) > n.cfg.MaxHops {
-				return gaddr.NoNode, false, ErrRoutingLost
-			}
-			resp, cerr := n.call(to, procRouted, msg.frame())
-			if cerr != nil {
-				return gaddr.NoNode, false, mapRemoteError(cerr)
-			}
-			var lr locateReply
-			derr := wire.UnmarshalFrom(resp, &lr)
-			wire.PutBuf(resp)
-			if derr != nil {
-				return gaddr.NoNode, false, derr
-			}
-			n.learnLocation(obj, lr.Node, lr.Epoch)
-			return lr.Node, lr.Immutable, nil
-		}
+	msg := routedMsg{Op: opLocate, Obj: obj, Chain: []gaddr.NodeID{n.id}}
+	d, act, to, err := n.resolve(&msg, &msg.Thread)
+	switch act {
+	case actError:
+		return gaddr.NoNode, false, err
+	case actExecute:
+		node, imm := n.id, d.Immutable()
+		d.Unlock()
+		return node, imm, nil
 	}
+	resp, err := n.call(to, procRouted, msg.frame())
+	if err != nil {
+		return gaddr.NoNode, false, mapRemoteError(err)
+	}
+	var lr locateReply
+	err = wire.UnmarshalFrom(resp, &lr)
+	wire.PutBuf(resp)
+	if err != nil {
+		return gaddr.NoNode, false, err
+	}
+	n.learnLocation(obj, lr.Node, lr.Epoch)
+	return lr.Node, lr.Immutable, nil
 }

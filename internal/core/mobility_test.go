@@ -786,3 +786,181 @@ func TestMigrationStorm(t *testing.T) {
 		t.Fatal("no progress during storm")
 	}
 }
+
+// spinUntil returns once cond holds, failing the test if the operation that
+// reports on op finishes first. It is a barrier on an event the runtime
+// counts, not a pause: it yields the processor between looks and never
+// sleeps.
+func spinUntil(t *testing.T, what string, cond func() bool, op <-chan error) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		select {
+		case err := <-op:
+			t.Fatalf("returned (%v) before %s", err, what)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("never saw %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestControlWaitsOutTransition holds a component move in its drain — a
+// thread is parked inside one member — and issues each control operation on
+// the other member, or naming it as the peer. Each must wait for the move to
+// end and then complete with the result it would have had after the move.
+// entries_blocked_on_move counts the wait: the entry protocol's for an
+// operation on the member, awaitTransition's for an attach whose executor
+// finds its peer mid-move (on an arrival's node and on the caller's own).
+func TestControlWaitsOutTransition(t *testing.T) {
+	locIs := func(t *testing.T, cl *Cluster, ref Ref, want gaddr.NodeID) {
+		t.Helper()
+		if got, err := cl.Node(2).Root().Locate(ref); err != nil || got != want {
+			t.Errorf("Locate(%#x) = %d, %v; want %d", uint64(ref), got, err, want)
+		}
+	}
+	member := func(cl *Cluster, ref Ref) *descriptor { return cl.Node(1).Space().Get(gaddr.Addr(ref)) }
+	for _, tc := range []struct {
+		name  string
+		from  int // the issuing node
+		op    func(c *Ctx, a, b, x Ref) error
+		want  error // nil, or what errors.Is must find
+		check func(t *testing.T, cl *Cluster, a, b, x Ref)
+	}{
+		{"Move", 2, func(c *Ctx, a, b, x Ref) error { return c.MoveTo(b, 2) }, nil,
+			func(t *testing.T, cl *Cluster, a, b, x Ref) { locIs(t, cl, a, 2); locIs(t, cl, b, 2) }},
+		{"Delete", 2, func(c *Ctx, a, b, x Ref) error { return c.Delete(b) }, ErrNotAttached,
+			func(t *testing.T, cl *Cluster, a, b, x Ref) { locIs(t, cl, b, 1) }},
+		{"SetImmutable", 2, func(c *Ctx, a, b, x Ref) error { return c.SetImmutable(b) }, ErrNotMovable,
+			func(t *testing.T, cl *Cluster, a, b, x Ref) {
+				if member(cl, b).Immutable() {
+					t.Error("an attached object was marked immutable")
+				}
+			}},
+		{"SetCacheable", 2, func(c *Ctx, a, b, x Ref) error { return c.SetCacheable(b) }, nil,
+			func(t *testing.T, cl *Cluster, a, b, x Ref) {
+				if !member(cl, b).Leasable() {
+					t.Error("the moved object is not cacheable at its new node")
+				}
+			}},
+		{"Attach", 2, func(c *Ctx, a, b, x Ref) error { return c.Attach(x, b) }, nil,
+			func(t *testing.T, cl *Cluster, a, b, x Ref) { locIs(t, cl, x, 1) }},
+		{"AttachFromHome", 0, func(c *Ctx, a, b, x Ref) error { return c.Attach(x, b) }, nil,
+			func(t *testing.T, cl *Cluster, a, b, x Ref) { locIs(t, cl, x, 1) }},
+		{"Unattach", 2, func(c *Ctx, a, b, x Ref) error { return c.Unattach(b, a) }, nil,
+			func(t *testing.T, cl *Cluster, a, b, x Ref) {
+				d := member(cl, b)
+				d.Lock()
+				defer d.Unlock()
+				if d.HasAttach(gaddr.Addr(a)) {
+					t.Error("the edge survived the unattach")
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := newTestCluster(t, 3, 2)
+			if err := cl.Register(&GatedCounter{}); err != nil {
+				t.Fatal(err)
+			}
+			n0 := cl.Node(0)
+			home := n0.Root()
+			a, err := home.New(&GatedCounter{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := home.New(&Counter{})
+			x, _ := home.New(&Counter{})
+			if err := home.Attach(b, a); err != nil {
+				t.Fatal(err)
+			}
+
+			// A thread parks inside a; the move of {a, b} marks both members
+			// moving and then waits for that pin to drain.
+			gate := &struct{ entered, release chan struct{} }{make(chan struct{}), make(chan struct{})}
+			heldGate.Store(gate)
+			defer heldGate.Store(nil)
+			var once sync.Once
+			release := func() { once.Do(func() { close(gate.release) }) }
+			defer release() // a failed assertion must not leave the thread parked
+			held := make(chan error, 1)
+			go func() { _, err := n0.Root().Invoke(a, "HeldGet"); held <- err }()
+			<-gate.entered
+			moved := make(chan error, 1)
+			go func() { moved <- n0.Root().MoveTo(a, 1) }()
+			spinUntil(t, "the move marked its members", func() bool {
+				return n0.Stats().Value("moves_started") > 0
+			}, moved)
+
+			// The operation blocks on b. The wait is counted under b's mutex
+			// just before it sleeps on b's condition variable, so once the
+			// count is up, taking that mutex means the waiter is parked.
+			blocked := n0.Stats().Value("entries_blocked_on_move")
+			done := make(chan error, 1)
+			go func() { done <- tc.op(cl.Node(tc.from).Root(), a, b, x) }()
+			spinUntil(t, "the operation waited on the move", func() bool {
+				return n0.Stats().Value("entries_blocked_on_move") > blocked
+			}, done)
+			d := n0.Space().Get(gaddr.Addr(b))
+			d.Lock()
+			d.Unlock()
+			select {
+			case err := <-done:
+				t.Fatalf("returned (%v) while the move was still draining", err)
+			default:
+			}
+
+			release()
+			if err := <-held; err != nil {
+				t.Fatalf("held invoke: %v", err)
+			}
+			if err := <-moved; err != nil {
+				t.Fatalf("move: %v", err)
+			}
+			err = <-done
+			if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("%s = %v, want %v", tc.name, err, tc.want)
+			}
+			tc.check(t, cl, a, b, x)
+		})
+	}
+}
+
+// TestStaleAttachEdgeIsRoutingLost: an attach edge that names an object no
+// longer resident here is a condition no wait clears — every component walk
+// finds the member forwarded. The move gives up after its bounded reruns with
+// one counted ErrRoutingLost, never with the internal retry, and the object
+// stays where it was.
+func TestStaleAttachEdgeIsRoutingLost(t *testing.T) {
+	cl := newTestCluster(t, 2, 1)
+	n0 := cl.Node(0)
+	ctx := n0.Root()
+	a, _ := ctx.New(&Counter{})
+	b, _ := ctx.New(&Counter{})
+	if err := ctx.MoveTo(b, 1); err != nil {
+		t.Fatal(err)
+	}
+	if st := n0.Space().Get(gaddr.Addr(b)).State(); st != stateForwarded {
+		t.Fatalf("b's descriptor on node 0 is %v, want forwarded", st)
+	}
+	d := n0.Space().Get(gaddr.Addr(a))
+	d.Lock()
+	d.AddAttach(gaddr.Addr(b))
+	d.Unlock()
+
+	before := n0.Stats().Value("routing_lost")
+	err := ctx.MoveTo(a, 1)
+	if !errors.Is(err, ErrRoutingLost) {
+		t.Fatalf("MoveTo over a stale edge = %v, want ErrRoutingLost", err)
+	}
+	if errorContains(err, "internal:") {
+		t.Errorf("internal error text reached the caller: %v", err)
+	}
+	if got := n0.Stats().Value("routing_lost") - before; got != 1 {
+		t.Errorf("routing_lost rose by %d, want 1", got)
+	}
+	if out, err := ctx.Invoke(a, "Add", 1); err != nil || out[0].(int) != 1 {
+		t.Errorf("a after the failed move: %v, %v", out, err)
+	}
+}

@@ -47,18 +47,26 @@ echo "== SOR ghost exchange (no barrier: waits on neighbour pushes, exact messag
 # here with fresh state instead of surfacing as a stalled benchmark.
 go test -race -count=10 -run 'TestDistributed|TestMoreSections|TestQuickRandom|TestSORMessageLedger|TestGhostsUnderJitter' ./internal/sor/
 
-echo "== one invocation engine, one cached copy, one location rule (structure check, protocol fuzzing) =="
+echo "== one invocation engine, one cached copy, one location rule (structure check, wait tests, protocol fuzzing) =="
 # Invoke, AsyncInvoke, InvokeChain and AsyncInvokeChain are one engine
 # (DESIGN.md §13), immutable replicas and reader leases are one copy
 # (DESIGN.md §10), and tombstones and hints are one forwarding entry under one
 # update rule (DESIGN.md §9.5): TestEngineSaysItOnce parses internal/core with
 # go/ast and fails if a second request builder, failure ladder, forwarder,
 # executor, copy offer, installer, serve rule or location writer has grown
-# beside the first. The protocol
-# decoders then run their seed corpus
-# plus five seconds of fresh inputs each (go test -fuzz takes one target per
-# run).
-go test -count=1 -run 'TestEngineSaysItOnce' ./internal/core/
+# beside the first, or if the package's non-test code calls time.Sleep: a
+# racing transition is waited on through the descriptor's condition variable
+# (awaitTransition), never polled.
+# The wait tests run 20 times under -race, so a lost wake-up shows up here as
+# a hang. TestPinStateInvariants then runs 200 times: an install batch lands
+# at once (DESIGN.md §9.3), and a component walk that meets a member still
+# missing, or an attach edge left one-sided, fails its audit. The protocol
+# decoders then run their seed corpus plus five seconds of fresh inputs each
+# (go test -fuzz takes one target per run).
+go test -race -count=20 \
+	-run 'TestEngineSaysItOnce|TestControlWaitsOutTransition|TestStaleAttachEdgeIsRoutingLost' \
+	./internal/core/
+go test -count=200 -run 'TestPinStateInvariants$' ./internal/core/
 for target in FuzzRoutedMsg FuzzInvokeReply FuzzInstallMsg; do
 	go test -run '^$' -fuzz "^$target\$" -fuzztime 5s ./internal/core/
 done
