@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"amber/internal/gaddr"
+	"amber/internal/objspace"
 	"amber/internal/rpc"
 	"amber/internal/trace"
 	"amber/internal/wire"
@@ -64,10 +65,17 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 	// race their lock-free reads. The teardown runs as a pre-pass so a drain
 	// timeout still fails the batch all-or-nothing. Lease pins are
 	// method-call-short, so the wait is brief.
-	if !msg.Copy {
+	//
+	// Then the batch lands at once: every descriptor is locked before the
+	// first is published and unlocked after the last. A component walk from a
+	// member already published would otherwise find the next one still a
+	// tombstone, or absent, and an operation that reran at once would spin on
+	// it. A copy the installer worker landed between the two steps is found
+	// under the locks, and the teardown runs again.
+	for landed := true; landed; {
 		for _, snap := range msg.Objects {
 			d := n.desc(snap.Addr)
-			if d == nil {
+			if msg.Copy || d == nil {
 				continue
 			}
 			d.Lock()
@@ -76,30 +84,29 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 				continue
 			}
 			d.SetExpiry(0) // stop serving immediately
-			d.SetStateLocked(stateMoving)
-			if !waitPinsLocked(d, n.cfg.MoveDrainTimeout) {
-				d.SetStateLocked(stateResident)
-				d.Broadcast()
+			if !d.Drain(n.cfg.MoveDrainTimeout) {
 				d.Unlock()
 				rc.Reply(nil, fmt.Errorf("%w: install %#x over a pinned lease",
 					ErrMoveTimeout, uint64(snap.Addr)))
 				return
 			}
-			tombstoneCopyLocked(d, msg.From)
+			d.ForwardTo(nil, msg.From, d.Epoch())
 			d.Unlock()
 			n.space.ReplicaDrop(snap.Addr)
 		}
-	}
-	// The batch lands at once: every descriptor is locked before the first
-	// is published and unlocked after the last. A component walk from a member
-	// already published would otherwise find the next one still a tombstone,
-	// or absent, and an operation that reran at once would spin on it.
-	for _, snap := range msg.Objects {
-		n.descEnsure(snap.Addr).Lock()
+		landed = false
+		for _, snap := range msg.Objects {
+			d := n.descEnsure(snap.Addr)
+			d.Lock()
+			landed = landed || !msg.Copy && d.State() == stateResident && d.Copy()
+		}
+		if landed {
+			for _, snap := range msg.Objects {
+				n.desc(snap.Addr).Unlock()
+			}
+		}
 	}
 	for i, snap := range msg.Objects {
-		ti, pv := tis[i], pvs[i]
-
 		d := n.desc(snap.Addr)
 		if !msg.Copy && snap.Epoch != 0 && snap.Epoch <= d.Epoch() {
 			// Stale or duplicate install: this node already has newer
@@ -121,16 +128,14 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 		if d.State() == stateMoving {
 			// Pre-flip window of an outbound move: the object left here and
 			// is already coming back. This inbound residency supersedes the
-			// outbound op — clearing Mv turns its pending tombstone flip
-			// into a no-op (see ship).
-			d.Mv = nil
+			// outbound op, whose tombstone flip then fails (see ship).
 			n.counts.Inc("installs_superseded_move")
 		}
 		// Immutable arrivals keep their marshalled form in the snap cell so
 		// onward copies (reply piggyback, further moves) never re-encode.
 		// snap.State aliases the request payload, which the rpc layer
 		// recycles when this handler returns — the cell needs its own copy.
-		p := newPayload(pv, ti)
+		p := newPayload(pvs[i], tis[i])
 		if snap.Immutable {
 			p.snap = &snapCell{}
 			if len(snap.State) > 0 {
@@ -138,32 +143,15 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 				p.snap.v.Store(&st)
 			}
 		}
+		// The leasable mark travels with the object: the new holder grants
+		// leases from an empty grant table (the source fenced every
+		// outstanding grant when it shipped the object out).
+		mode, expiry, attached := objspace.Mode{Immutable: snap.Immutable, Leasable: snap.Leasable}, int64(0), snap.Attached
 		if msg.Copy {
 			p.src = msg.From
-			publishCopyLocked(d, p, snap.Epoch, copyForever)
-		} else {
-			// Publication order matters: the payload, mode bits and edges are
-			// all in place before the state word flips to resident — the
-			// transition is what licenses lock-free TryPin readers to look at
-			// the payload. The leasable mark travels with the object: the new
-			// holder grants leases from an empty grant table (the source
-			// fenced every outstanding grant when it shipped the object out).
-			// The copy bit is cleared here too: the installer worker may have
-			// landed a queued copy since the pre-pass tore the last one down.
-			d.Payload = p
-			d.Fwd = gaddr.NoNode
-			d.ClearAttachLocked()
-			for _, a := range snap.Attached {
-				d.AddAttach(a)
-			}
-			d.SetImmutableLocked(snap.Immutable)
-			d.SetLeasableLocked(snap.Leasable)
-			d.SetCopyLocked(false)
-			d.SetExpiry(0)
-			d.SetEpochLocked(snap.Epoch)
-			d.SetStateLocked(stateResident)
-			d.Broadcast()
+			mode, expiry, attached = objspace.Mode{Immutable: true, Copy: true}, copyForever, nil
 		}
+		d.Publish(p, snap.Epoch, mode, expiry, attached)
 	}
 	for _, snap := range msg.Objects {
 		n.desc(snap.Addr).Unlock()

@@ -330,13 +330,14 @@ func TestEntryPointParity(t *testing.T) {
 	}
 }
 
-// TestEngineSaysItOnce is the structural half of the one-engine, one-copy
-// and one-location-rule claims: each of the engine's jobs, each of the cached
-// copy's, and each of location's is done in exactly one function of this
-// package. It parses the package's non-test files, so a second request
-// builder, failure ladder, forwarder, executor, copy offer, installer, serve
-// rule, location writer or retry loop growing beside the first fails here
-// rather than in review.
+// TestEngineSaysItOnce is the structural half of the one-engine, one-copy,
+// one-location-rule and one-state-machine claims: each of the engine's jobs,
+// each of the cached copy's, and each of location's is done in exactly one
+// function of this package, and a descriptor's residency is written only by
+// objspace's transitions. It parses the package's non-test files, so a second
+// request builder, failure ladder, forwarder, executor, copy offer,
+// installer, serve rule, location writer, retry loop or hand-written
+// residency change growing beside the first fails here rather than in review.
 func TestEngineSaysItOnce(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -347,12 +348,13 @@ func TestEngineSaysItOnce(t *testing.T) {
 	// uses maps a name — an identifier, a selected field or method, or the
 	// contents of a string literal — to the functions whose bodies mention it,
 	// and mentions counts every mention. raisesCopy collects the functions
-	// that call SetCopyLocked(true), and setsFwd those that assign a
-	// descriptor's forwarding address, and sleeps those that call time.Sleep.
+	// that build an objspace.Mode with the copy bit, writes counts, per
+	// function, the assignments to a descriptor's forwarding address, mover or
+	// payload, and sleeps the calls to time.Sleep.
 	uses := map[string]map[string]bool{}
 	mentions := map[string]int{}
 	raisesCopy := map[string]bool{}
-	setsFwd := map[string]bool{}
+	writes := map[string]int{}
 	sleeps := map[string]int{}
 	for _, file := range pkgs["core"].Files {
 		for _, decl := range file.Decls {
@@ -365,17 +367,26 @@ func TestEngineSaysItOnce(t *testing.T) {
 				switch x := n.(type) {
 				case *ast.AssignStmt:
 					for _, lhs := range x.Lhs {
-						if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Fwd" {
-							setsFwd[fn.Name.Name] = true
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							switch sel.Sel.Name {
+							case "Fwd", "Mv", "Payload":
+								writes[fn.Name.Name]++
+							}
+						}
+					}
+					return true
+				case *ast.CompositeLit:
+					if sel, ok := x.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "Mode" {
+						for _, e := range x.Elts {
+							if kv, ok := e.(*ast.KeyValueExpr); ok {
+								if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Copy" {
+									raisesCopy[fn.Name.Name] = true
+								}
+							}
 						}
 					}
 					return true
 				case *ast.CallExpr:
-					if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "SetCopyLocked" && len(x.Args) == 1 {
-						if arg, ok := x.Args[0].(*ast.Ident); ok && arg.Name == "true" {
-							raisesCopy[fn.Name.Name] = true
-						}
-					}
 					if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sleep" {
 						if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" {
 							sleeps[fn.Name.Name]++
@@ -422,17 +433,26 @@ func TestEngineSaysItOnce(t *testing.T) {
 		{"records a lease grant", "leaseRecord", []string{"offerCopy"}},
 		{"fills a reply's copy", "SnapState", []string{"offerCopy", "acceptReply", "AppendWire", "DecodeWire", "sizeHint"}},
 		{"installs a copy pulled off a reply", "installCopy", []string{"copyWorker"}},
-		{"publishes a copy", "publishCopyLocked", []string{"installCopy", "handleInstall"}},
-		{"tears a copy down to a tombstone", "tombstoneCopyLocked", []string{"evictCopy", "handleLease", "handleInstall"}},
-		{"raises or drops the copy bit", "SetCopyLocked", []string{"publishCopyLocked", "tombstoneCopyLocked", "handleInstall"}},
+		{"drains a copy or an object", "Drain", []string{"evictCopy", "handleLease", "handleInstall",
+			"executeSetCacheable", "executeDelete"}},
+		{"leaves a forwarding address behind a move or a copy", "ForwardTo", []string{"ship", "evictCopy",
+			"handleLease", "handleInstall"}},
 		{"decides what a lease copy serves", "leaseRedirect", []string{"resolve"}},
 		// One location rule (DESIGN.md §9.5): one writer of location gossip,
 		// for owned tombstones and advisory hints alike, and one control-op
 		// executor.
-		{"applies the location rule", "Supersedes", []string{"learnLocked"}},
 		{"writes a location hint", "HintLearn", []string{"learnLocation"}},
 		{"reads a location hint", "HintGet", []string{"homeFallback"}},
-		{"refreshes a tombstone from gossip", "learnLocked", []string{"learnLocation", "handleLease"}},
+		{"refreshes a tombstone from gossip", "LearnAt", []string{"learnLocation", "handleLease"}},
+		// One residency state machine (DESIGN.md §9.2): core names a
+		// transition, objspace writes its fields. Attach edges are written on
+		// both sides by the two attach executors and by Publish.
+		{"publishes a descriptor", "Publish", []string{"newLocalObject", "handleInstall", "installCopy"}},
+		{"marks a move", "BeginMove", []string{"executeMove"}},
+		{"ends a move or a drain in place", "Resume", []string{"revert", "executeSetCacheable"}},
+		{"deletes an object", "Delete", []string{"executeDelete"}},
+		{"writes an attach edge", "AddAttach", []string{"executeAttach"}},
+		{"removes an attach edge", "RemoveAttach", []string{"executeUnattach"}},
 		{"executes a control operation", "executeControl", []string{"control", "handleRouted"}},
 		// One way to wait out a racing transition: the executors name the
 		// descriptor that was not resident, and one helper waits on it.
@@ -454,8 +474,10 @@ func TestEngineSaysItOnce(t *testing.T) {
 			}
 		}
 	}
-	if len(raisesCopy) != 1 || !raisesCopy["publishCopyLocked"] {
-		t.Errorf("the copy bit is raised in %v: publishCopyLocked is the one place", raisesCopy)
+	// The copy bit goes up only with a copy's Publish: a demand-pulled copy
+	// (installCopy) or a placed copy of an immutable object (handleInstall).
+	if len(raisesCopy) != 2 || !raisesCopy["installCopy"] || !raisesCopy["handleInstall"] {
+		t.Errorf("the copy bit is raised in %v: installCopy and handleInstall's copy branch are the places", raisesCopy)
 	}
 	if got := mentions["leaseRedirect"]; got != 1 {
 		t.Errorf("leaseRedirect is mentioned %d times: resolve's serve rule is the one call", got)
@@ -465,35 +487,30 @@ func TestEngineSaysItOnce(t *testing.T) {
 	for f, k := range sleeps {
 		t.Errorf("%s calls time.Sleep %d times: wait on the descriptor (awaitTransition) instead", f, k)
 	}
-	// A descriptor's forwarding address is written by a move leaving it
-	// (ship), an object or copy arriving (handleInstall, publishCopyLocked), a
-	// copy's teardown, and the one gossip writer — never by a message handler
-	// of its own.
-	wantFwd := map[string]bool{"ship": true, "handleInstall": true, "publishCopyLocked": true,
-		"tombstoneCopyLocked": true, "learnLocked": true}
-	for f := range setsFwd {
-		if !wantFwd[f] {
-			t.Errorf("%s assigns a descriptor's Fwd: location gossip goes through learnLocked", f)
+	// A descriptor's residency — state, forwarding address, mover, payload —
+	// is written only by objspace's transitions. (Filling an immutable
+	// payload's snap cell, executeSetImmutable, is not a residency write.)
+	for f, k := range writes {
+		t.Errorf("%s assigns a descriptor's Fwd, Mv or Payload %d times: call an objspace transition", f, k)
+	}
+	for _, setter := range []string{"SetStateLocked", "SetCopyLocked", "ClearAttachLocked"} {
+		for f := range uses[setter] {
+			t.Errorf("%s calls %s: residency changes through an objspace transition", f, setter)
 		}
 	}
-	for f := range wantFwd {
-		if !setsFwd[f] {
-			t.Errorf("%s no longer assigns Fwd — update this test with the location rule", f)
-		}
-	}
-	for _, f := range []string{"handleLocUpdate", "handleLease"} {
-		if setsFwd[f] {
-			t.Errorf("%s assigns Fwd itself instead of calling the gossip writer", f)
-		}
+	// The location rule lives in objspace: core names no epoch comparison.
+	for f := range uses["Supersedes"] {
+		t.Errorf("%s applies objspace.Supersedes itself: Descriptor.LearnAt and Space.HintLearn own the rule", f)
 	}
 	for _, retired := range []string{"opChain", "executeChain", "shipChain", "chainInvoke", "chainMsg",
 		"shipInvoke", "runAsyncLocal", "asyncDispatch", "asyncFail", "callWith",
 		"installReplica", "replicaSnapshot", "SetReplicaLocked", "Replica", "replicaInstall",
 		"installLease", "leaseGrantTo", "SnapMax", "replicaMax", "replicaOn",
 		"hintSet", "hintGet", "hintDrop", "dropHintsTo", "HintSet", "HintCache",
-		"executeControlLocal", "executeRouted", "errRetryRoute", "forwardedTo"} {
+		"executeControlLocal", "executeRouted", "errRetryRoute", "forwardedTo",
+		"publishCopyLocked", "tombstoneCopyLocked", "markDrainedLocked", "waitPinsLocked", "learnLocked"} {
 		for f := range uses[retired] {
-			t.Errorf("%s mentions %s, which the one engine or the one copy replaced", f, retired)
+			t.Errorf("%s mentions %s, which the one engine, the one copy or the one state machine replaced", f, retired)
 		}
 	}
 	// One copy bit in the object space: the packed word has no replica bit
@@ -512,9 +529,25 @@ func TestEngineSaysItOnce(t *testing.T) {
 	if !bits["wordCopy"] {
 		t.Error("objspace has no wordCopy bit — update this test with the descriptor")
 	}
-	for _, retired := range []string{"wordReplica", "wordLease", "SetReplicaLocked", "SetLeaseLocked", "Replica"} {
+	for _, retired := range []string{"wordReplica", "wordLease", "SetReplicaLocked", "SetLeaseLocked", "Replica",
+		"SetCopyLocked", "ClearAttachLocked"} {
 		if bits[retired] {
-			t.Errorf("objspace still has %s beside the one copy bit", retired)
+			t.Errorf("objspace still has %s beside the one copy bit and the transitions", retired)
 		}
+	}
+	// The owned half of the location rule is the LearnAt transition.
+	learnRule := false
+	for _, decl := range objspace.Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "LearnAt" {
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && id.Name == "Supersedes" {
+					learnRule = true
+				}
+				return true
+			})
+		}
+	}
+	if !learnRule {
+		t.Error("Descriptor.LearnAt no longer applies Supersedes — update this test with the location rule")
 	}
 }

@@ -235,18 +235,15 @@ func (n *Node) handleLease(rc *rpc.Ctx) {
 			if msg.Epoch > d.Epoch() {
 				d.SetEpochLocked(msg.Epoch)
 			}
-			if markDrainedLocked(d) {
-				tombstoneCopyLocked(d, msg.Src)
-				dropTracked = true
-			}
+			dropTracked = d.Drain(0) && d.ForwardTo(nil, msg.Src, d.Epoch())
 		}
 		// Resident without the copy bit: the real object lives here now
 		// (it moved in after the grant); local truth wins over the revoke.
 	default:
 		// No resident copy — land/refresh the tombstone that kills any
 		// queued install carrying a pre-revoke snapshot. Moving or deleted:
-		// newer local truth wins, and learnLocked leaves it alone.
-		learnLocked(d, msg.Src, msg.Epoch)
+		// newer local truth wins, and LearnAt leaves it alone.
+		d.LearnAt(msg.Src, msg.Epoch)
 	}
 	d.Unlock()
 	if dropTracked {

@@ -145,29 +145,18 @@ func (op *moveOp) ship() error {
 		return err
 	}
 	for i, m := range op.mems {
+		// ForwardTo flips only if our mark is still in effect. Between
+		// installRemote returning and this loop running, the destination can
+		// complete a whole move *back* to this node: handleInstall's Publish
+		// supersedes our mark, and writing the tombstone anyway would destroy
+		// that residency — aiming routing backward in time and clearing a
+		// payload new readers may already have pinned. The tombstone takes the
+		// destination's epoch: it points at residency version Epoch, and only
+		// gossip newer than that may retarget it.
 		m.Lock()
-		// Flip only if our mark is still in effect. Between installRemote
-		// returning and this loop running, the destination can complete a
-		// whole move *back* to this node: handleInstall supersedes our mark
-		// (newer residency, Mv cleared), and writing the tombstone anyway
-		// would destroy that residency — aiming routing backward in time and
-		// clearing a payload new readers may already have pinned.
-		if m.State() != stateMoving || m.Mv != objspace.Drainer(op) {
-			m.Unlock()
+		if !m.ForwardTo(op, op.dest, epochs[i]) {
 			n.counts.Inc("move_flips_superseded")
-			continue
 		}
-		// Pins have drained and new ones are refused while stateMoving, so
-		// no lock-free reader can still be looking at the payload. The
-		// tombstone takes the destination's epoch: it points at residency
-		// version Epoch, and only gossip newer than that may retarget it.
-		m.SetStateLocked(stateForwarded)
-		m.Fwd = op.dest
-		m.SetEpochLocked(epochs[i])
-		m.Payload = payload{}
-		m.ClearAttachLocked()
-		m.Mv = nil
-		m.Broadcast()
 		m.Unlock()
 	}
 	n.counts.Add("objects_moved_out", int64(len(op.mems)))
@@ -192,11 +181,7 @@ func (op *moveOp) ship() error {
 func (op *moveOp) revert() {
 	for _, m := range op.mems {
 		m.Lock()
-		if m.State() == stateMoving && m.Mv == objspace.Drainer(op) {
-			m.SetStateLocked(stateResident)
-			m.Mv = nil
-		}
-		m.Broadcast()
+		m.Resume(op)
 		m.Unlock()
 	}
 }
@@ -358,14 +343,23 @@ func (n *Node) executeMove(d *descriptor, msg *routedMsg, noDefer bool) (moveRep
 	// phase so a member whose last pin leaves mid-loop cannot run
 	// MemberDrained before op.remaining is final (it blocks on op.mu; the
 	// pin count it reacted to was captured atomically with the state flip).
+	// A member a delete or a cacheable mark began draining since the veto
+	// (neither takes the move locks) aborts the move before anything ships.
 	op.mu.Lock()
 	for _, m := range mems {
 		m.Lock()
-		m.Mv = op
-		if pins := m.SetStateLocked(stateMoving); pins > 0 {
+		pins, ok := m.BeginMove(op)
+		m.Unlock()
+		if !ok {
+			op.aborted = true
+			op.mu.Unlock()
+			op.revert()
+			n.space.UnlockMove(shards)
+			return moveReply{}, &retryRoute{m}
+		}
+		if pins > 0 {
 			op.remaining++
 		}
-		m.Unlock()
 	}
 	pending := op.remaining
 	op.deferred = requesterBound && pending > 0
@@ -552,16 +546,12 @@ func (n *Node) executeSetCacheable(d *descriptor, msg *routedMsg) error {
 		d.Unlock()
 		return fmt.Errorf("%w: cannot mark an object cacheable from inside its own operation", ErrNotMovable)
 	}
-	d.SetStateLocked(stateMoving)
-	if !waitPinsLocked(d, n.cfg.MoveDrainTimeout) {
-		d.SetStateLocked(stateResident)
-		d.Broadcast()
+	if !d.Drain(n.cfg.MoveDrainTimeout) {
 		d.Unlock()
 		return fmt.Errorf("%w: set-cacheable %#x", ErrMoveTimeout, uint64(msg.Obj))
 	}
 	d.SetLeasableLocked(true)
-	d.SetStateLocked(stateResident)
-	d.Broadcast()
+	d.Resume(nil)
 	d.Unlock()
 	n.counts.Inc("set_cacheable")
 	return nil
@@ -586,24 +576,14 @@ func (n *Node) executeDelete(d *descriptor, msg *routedMsg) error {
 		d.Unlock()
 		return fmt.Errorf("%w: cannot delete an object from inside its own operation", ErrNotMovable)
 	}
-	// Drain protocol, mirroring the move's mark phase: flip to stateMoving
-	// *before* waiting, so the lock-free TryPin fast path refuses new pins
-	// and fresh entries wait on the descriptor. Draining while still
-	// resident would let a pin slip in between the count reaching zero and
-	// the flip to stateDeleted — and clearing Payload below would then race
-	// with that pinned reader's lock-free payload read. The mark also stops
-	// a stream of TryPins on a hot object from starving the drain outright.
-	// Mv stays nil (there is no shipment to trigger); the waiter flag raised
-	// by waitPinsLocked makes every unpin broadcast.
-	d.SetStateLocked(stateMoving)
-	if !waitPinsLocked(d, n.cfg.MoveDrainTimeout) {
-		d.SetStateLocked(stateResident)
-		d.Broadcast()
+	// Drain, mirroring the move's mark phase: the descriptor is moving
+	// *before* the wait, so the lock-free TryPin fast path refuses new pins
+	// and fresh entries wait on the descriptor, and no pinned reader can
+	// still be looking at the payload Delete clears.
+	if !d.Drain(n.cfg.MoveDrainTimeout) {
 		d.Unlock()
 		return fmt.Errorf("%w: delete %#x", ErrMoveTimeout, uint64(msg.Obj))
 	}
-	// Pins have drained and new ones were refused while stateMoving, so no
-	// lock-free reader can still be looking at the payload.
 	leasable := d.Leasable()
 	var fenceEpoch uint64
 	if leasable {
@@ -611,9 +591,7 @@ func (n *Node) executeDelete(d *descriptor, msg *routedMsg) error {
 		// stale-install rule at the holders) outrank any lease in flight.
 		fenceEpoch = d.BumpEpoch()
 	}
-	d.SetStateLocked(stateDeleted)
-	d.Payload = payload{}
-	d.Broadcast()
+	d.Delete()
 	d.Unlock()
 	if leasable {
 		// Revoke outstanding reader leases so holders stop serving the dead
@@ -625,37 +603,6 @@ func (n *Node) executeDelete(d *descriptor, msg *routedMsg) error {
 	}
 	n.counts.Inc("objects_deleted")
 	return nil
-}
-
-// waitPinsLocked waits (holding d.mu, via the condition variable) until the
-// pin count reaches zero or the timeout expires. Reports success.
-//
-// The waiter registration brackets the entire loop — including the first
-// pin-count check — because the predicate races with the lock-free Unpin
-// fast path: only once the waiter flag is up is every unpin guaranteed to
-// broadcast (see Descriptor.Wait).
-func waitPinsLocked(d *descriptor, timeout time.Duration) bool {
-	d.AddWaiter()
-	defer d.RemoveWaiter()
-	if d.Pins() == 0 {
-		return true
-	}
-	deadline := time.Now().Add(timeout)
-	expired := false
-	timer := time.AfterFunc(timeout, func() {
-		d.Lock()
-		expired = true
-		d.Broadcast()
-		d.Unlock()
-	})
-	defer timer.Stop()
-	for d.Pins() > 0 {
-		if expired || time.Now().After(deadline) {
-			return false
-		}
-		d.CondWait()
-	}
-	return true
 }
 
 // executeAttach runs at the node where the child (msg.Obj) resides; the
@@ -753,16 +700,19 @@ func (n *Node) executeUnattach(d *descriptor, msg *routedMsg) error {
 	n.space.LockMove(shards)
 	defer n.space.UnlockMove(shards)
 	pd := n.desc(msg.Peer)
+	if pd == nil {
+		// Every edge is written on both sides, and descriptors are never
+		// removed.
+		return fmt.Errorf("amber: unattach peer %#x missing locally", uint64(msg.Peer))
+	}
 	first, second := d, pd
-	if pd != nil && msg.Peer < msg.Obj {
+	if msg.Peer < msg.Obj {
 		first, second = pd, d
 	}
 	first.Lock()
+	second.Lock()
 	defer first.Unlock()
-	if second != nil && second != first {
-		second.Lock()
-		defer second.Unlock()
-	}
+	defer second.Unlock()
 	if d.State() != stateResident {
 		// The descriptor was unlocked while the move locks were taken: if the
 		// component shipped out in that window its edges went with it, and
@@ -773,9 +723,7 @@ func (n *Node) executeUnattach(d *descriptor, msg *routedMsg) error {
 		return fmt.Errorf("%w: %#x and %#x", ErrNotAttached, uint64(msg.Obj), uint64(msg.Peer))
 	}
 	d.RemoveAttach(msg.Peer)
-	if pd != nil {
-		pd.RemoveAttach(msg.Obj)
-	}
+	pd.RemoveAttach(msg.Obj)
 	n.counts.Inc("unattaches")
 	return nil
 }

@@ -646,11 +646,7 @@ func (n *Node) newLocalObject(obj any) (gaddr.Addr, error) {
 	}
 	d := n.descEnsure(a)
 	d.Lock()
-	// Payload before the resident transition: the atomic state word is what
-	// publishes it to lock-free TryPin readers.
-	d.Payload = newPayload(valueOf(obj), ti)
-	d.SetEpochLocked(1)
-	d.SetStateLocked(stateResident)
+	d.Publish(newPayload(valueOf(obj), ti), 1, objspace.Mode{}, 0, nil)
 	d.Unlock()
 	n.counts.Inc("objects_created")
 	return a, nil
@@ -664,7 +660,7 @@ func (n *Node) newLocalObject(obj any) (gaddr.Addr, error) {
 // one forwarding entry, either owned or advisory:
 //
 //   - owned: a descriptor in the absent or forwarded state — a tombstone this
-//     node keeps because it hosted the object (learnLocked);
+//     node keeps because it hosted the object (Descriptor.LearnAt);
 //   - advisory: a hint in the bounded FIFO cache, for an object this node
 //     never hosted, so no descriptor is fabricated for it.
 //
@@ -677,24 +673,11 @@ func (n *Node) learnLocation(obj gaddr.Addr, at gaddr.NodeID, epoch uint64) bool
 	}
 	if d := n.desc(obj); d != nil {
 		d.Lock()
-		stored := learnLocked(d, at, epoch)
+		stored := d.LearnAt(at, epoch)
 		d.Unlock()
 		return stored
 	}
 	return n.space.HintLearn(obj, objspace.Hint{Node: at, Epoch: epoch})
-}
-
-// learnLocked is learnLocation's owned half: it aims an absent or forwarded
-// descriptor at at, if epoch supersedes the one it holds. A resident, moving
-// or deleted descriptor knows better than any gossip. d.mu held.
-func learnLocked(d *descriptor, at gaddr.NodeID, epoch uint64) bool {
-	if st := d.State(); st != stateAbsent && st != stateForwarded || !objspace.Supersedes(epoch, d.Epoch()) {
-		return false
-	}
-	d.SetStateLocked(stateForwarded)
-	d.Fwd = at
-	d.SetEpochLocked(epoch)
-	return true
 }
 
 func (n *Node) handleLocUpdate(c *rpc.Ctx) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"amber/internal/gaddr"
+	"amber/internal/objspace"
 	"amber/internal/trace"
 	"amber/internal/wire"
 )
@@ -26,9 +27,9 @@ import (
 //
 // A one-step journey's reply carries a copy when the origin accepts one
 // (offerCopy); the origin's installer worker installs it off the reply path
-// (installCopy); one helper publishes a copy (publishCopyLocked) and one tears
-// it down to a forwarding tombstone (tombstoneCopyLocked), whether it is
-// evicted, revoked or purged.
+// (installCopy), publishing it with the descriptor's Publish transition; a
+// copy is torn down to a forwarding tombstone by Drain then ForwardTo, whether
+// it is evicted, revoked or purged.
 //
 // A copy shares its source's residency epoch: a copy is not a move, so the
 // version of the residency does not advance (executeMove's immutable branch
@@ -243,18 +244,17 @@ func (n *Node) installCopy(r copyInstall) {
 	d := n.descEnsure(r.obj)
 	d.Lock()
 	verdict := installVerdictLocked(d, r.epoch, imm, expiry)
-	if verdict == "" && d.State() == stateResident && !markDrainedLocked(d) {
-		// An older or dead copy is replaced only once no pinned reader is
-		// still executing against it.
+	// Publish replaces an older or dead copy only once no pinned reader is
+	// still executing against it. The leasable bit stays clear: a copy never
+	// grants leases of its own.
+	if verdict == "" && !d.Publish(p, r.epoch, objspace.Mode{Immutable: imm, Copy: true}, expiry, nil) {
 		verdict = copyCounter(imm, "replica_installs_dropped", "lease_installs_dropped")
 	}
+	d.Unlock()
 	if verdict != "" {
-		d.Unlock()
 		n.counts.Inc(verdict)
 		return
 	}
-	publishCopyLocked(d, p, r.epoch, expiry)
-	d.Unlock()
 	n.space.HintDrop(r.obj)
 	if imm {
 		n.cReplicaInst.Inc()
@@ -307,52 +307,6 @@ func installVerdictLocked(d *descriptor, epoch uint64, imm bool, expiry int64) s
 	return ""
 }
 
-// publishCopyLocked makes d a resident copy with payload p (whose src names
-// where it came from) at residency version epoch: the one place the copy bit
-// goes up. An expiry of copyForever marks a copy of an immutable object.
-// Publication order as for any install: payload and mode bits before the
-// resident transition that licenses lock-free TryPin readers. The leasable
-// bit stays clear: a copy never grants leases of its own. d.mu held.
-func publishCopyLocked(d *descriptor, p payload, epoch uint64, expiry int64) {
-	d.Payload = p
-	d.Fwd = gaddr.NoNode
-	d.ClearAttachLocked()
-	d.SetImmutableLocked(expiry == copyForever)
-	d.SetLeasableLocked(false)
-	d.SetCopyLocked(true)
-	d.SetExpiry(expiry)
-	d.SetEpochLocked(epoch)
-	d.SetStateLocked(stateResident)
-	d.Broadcast()
-}
-
-// markDrainedLocked marks a resident d moving and reports whether no pin was
-// held at that instant; otherwise it puts d back to resident. Mark-then-check,
-// like the move/delete drain protocol: flipping to moving first makes the
-// lock-free TryPin fast path refuse new pins, so the count cannot be raced
-// upward. d.mu held.
-func markDrainedLocked(d *descriptor) bool {
-	if d.SetStateLocked(stateMoving) == 0 {
-		return true
-	}
-	d.SetStateLocked(stateResident)
-	d.Broadcast()
-	return false
-}
-
-// tombstoneCopyLocked tears a copy whose pins have drained down to a
-// forwarding tombstone aimed at fwd — its source, or wherever a revoke or the
-// arriving object says current state now lives — so later references chase
-// there and re-pull on demand. The epoch is the caller's to set. d.mu held.
-func tombstoneCopyLocked(d *descriptor, fwd gaddr.NodeID) {
-	d.SetStateLocked(stateForwarded)
-	d.Fwd = fwd
-	d.SetCopyLocked(false)
-	d.SetExpiry(0)
-	d.Payload = payload{}
-	d.Broadcast()
-}
-
 // evictCopy tears a demand-pulled copy down to a forwarding tombstone aimed
 // at its source. Returns false when the copy is currently pinned (the caller
 // re-tracks it). The epoch is left unchanged: the tombstone points at the same
@@ -368,10 +322,10 @@ func (n *Node) evictCopy(obj gaddr.Addr, src gaddr.NodeID) bool {
 	if d.State() != stateResident || !d.Copy() {
 		return true // already gone or superseded by something newer
 	}
-	if !markDrainedLocked(d) {
+	if !d.Drain(0) {
 		return false
 	}
-	tombstoneCopyLocked(d, src)
+	d.ForwardTo(nil, src, d.Epoch())
 	n.counts.Inc("replica_evicted")
 	return true
 }

@@ -22,6 +22,7 @@ package objspace
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"amber/internal/gaddr"
 )
@@ -112,13 +113,13 @@ type Drainer interface{ MemberDrained() }
 //     source of truth. The lock-free mutators are TryPin and Unpin's fast
 //     path; every other word update happens while holding mu (still via CAS,
 //     because the fast paths race with it).
-//   - Payload, Fwd, Mv and the attachment set are guarded by mu — with one
+//   - Payload, Fwd, Mv and the attachment set are guarded by mu and written
+//     only by the residency transitions (Publish … Delete, below) — with one
 //     deliberate exception: Payload may be *read* without mu by a thread
-//     holding a pin. A pin is only obtainable while resident, payload
-//     writes happen strictly before the word transitions to StateResident,
-//     and the payload is only cleared after pins have drained (ship,
-//     delete), so a pinned reader's view is stable and the atomic word
-//     publishes it.
+//     holding a pin. A pin is only obtainable while resident, Publish writes
+//     the payload strictly before the word transitions to StateResident,
+//     and ForwardTo and Delete clear it only after pins have drained, so a
+//     pinned reader's view is stable and the atomic word publishes it.
 type Descriptor[P any] struct {
 	mu      sync.Mutex
 	cond    sync.Cond
@@ -217,9 +218,6 @@ func (d *Descriptor[P]) RemoveWaiter() {
 // holds mu and has registered via AddWaiter.
 func (d *Descriptor[P]) CondWait() { d.cond.Wait() }
 
-// Broadcast wakes all waiters. Caller holds mu.
-func (d *Descriptor[P]) Broadcast() { d.cond.Broadcast() }
-
 // State reads the descriptor's lifecycle state (one atomic load; callers
 // that need a stable state across several reads must hold mu).
 func (d *Descriptor[P]) State() State { return stateOf(d.word.Load()) }
@@ -306,45 +304,178 @@ func (d *Descriptor[P]) Epoch() uint64 { return d.epoch.Load() }
 // SetEpochLocked stores the residency version. Caller holds mu.
 func (d *Descriptor[P]) SetEpochLocked(e uint64) { d.epoch.Store(e) }
 
-// SetStateLocked transitions the lifecycle state, preserving flags and pins,
-// and returns the pin count observed atomically with the transition (the
-// mark phase of a move needs exactly that: the set of threads bound at the
-// instant the object stopped being freely enterable). Caller holds mu.
-func (d *Descriptor[P]) SetStateLocked(s State) (pins int) {
+// SetStateLocked overwrites the lifecycle state, preserving flags and pins,
+// and returns the pin count observed atomically with the write. It checks
+// nothing and writes nothing else: the runtime changes residency only through
+// the transitions below; this is for tests and probes that need a bare
+// descriptor in a given state. Caller holds mu.
+func (d *Descriptor[P]) SetStateLocked(s State) (pins int) { return d.enter(s, 0, 0) }
+
+// --- residency transitions ---
+//
+// Every change of a descriptor's residency goes through one of the methods
+// below, called with mu held. Each checks its precondition and, if it fails,
+// returns false having written nothing. Otherwise it writes every field it
+// owns, moves the state (and, for Publish, the mode bits) in one CAS, and
+// broadcasts. DESIGN.md §9.2 tabulates them.
+
+// Mode is the set of mode bits Publish installs with the resident state.
+type Mode struct{ Immutable, Leasable, Copy bool }
+
+func (m Mode) word() uint64 {
+	return bitIf(m.Immutable, wordImmutable) | bitIf(m.Leasable, wordLeasable) | bitIf(m.Copy, wordCopy)
+}
+
+func bitIf(on bool, bit uint64) uint64 {
+	if on {
+		return bit
+	}
+	return 0
+}
+
+// enter stores state s, replacing the mode bits under clear with set, and
+// wakes every waiter. Returns the pin count observed atomically with it.
+func (d *Descriptor[P]) enter(s State, clear, set uint64) (pins int) {
 	w := d.updateWord(func(w uint64) uint64 {
-		return w&^uint64(wordStateMask) | uint64(s)
+		return w&^(wordStateMask|clear) | set | uint64(s)
 	})
+	d.cond.Broadcast()
 	return pinsOf(w)
 }
 
-// SetImmutableLocked flips the immutable mode bit. Caller holds mu.
-func (d *Descriptor[P]) SetImmutableLocked(on bool) {
-	d.updateWord(func(w uint64) uint64 {
-		if on {
-			return w | wordImmutable
-		}
-		return w &^ wordImmutable
-	})
+// Publish makes a descriptor resident with payload p at residency version
+// epoch, with the given mode bits, copy expiry and attachment edges.
+// Everything is written before the state word flips, since the flip is what
+// licenses lock-free TryPin readers. It publishes over anything but a deleted
+// object or a resident one a reader still pins: a resident descriptor is
+// first drained (Drain(0)), and publishing over a moving one supersedes
+// whatever marked it, so its mover's ForwardTo and Resume then fail.
+func (d *Descriptor[P]) Publish(p P, epoch uint64, mode Mode, expiry int64, attach []gaddr.Addr) bool {
+	if st := d.State(); st == StateDeleted || st == StateResident && !d.Drain(0) {
+		return false
+	}
+	d.Payload, d.Fwd, d.Mv, d.attach = p, gaddr.NoNode, nil, nil
+	for _, a := range attach {
+		d.AddAttach(a)
+	}
+	d.expiry.Store(expiry)
+	d.epoch.Store(epoch)
+	d.enter(StateResident, wordImmutable|wordLeasable|wordCopy, mode.word())
+	return true
 }
 
-// SetCopyLocked flips the copy bit. Caller holds mu.
-func (d *Descriptor[P]) SetCopyLocked(on bool) {
-	d.updateWord(func(w uint64) uint64 {
-		if on {
-			return w | wordCopy
-		}
-		return w &^ wordCopy
-	})
+// BeginMove marks a resident descriptor moving under mover mv (a move's mark
+// phase) and returns the pins held at that instant: mv.MemberDrained runs
+// when the last of them leaves.
+func (d *Descriptor[P]) BeginMove(mv Drainer) (pins int, ok bool) {
+	if d.State() != StateResident {
+		return 0, false
+	}
+	d.Mv = mv
+	return d.enter(StateMoving, 0, 0), true
 }
+
+// Drain marks a resident descriptor moving with no mover, so TryPin refuses
+// new pins, and waits up to timeout for the pins already held to leave. It
+// reports whether the descriptor is drained and still marked by this call;
+// otherwise it is back to resident (unless a Publish superseded the mark).
+// A zero timeout only looks.
+func (d *Descriptor[P]) Drain(timeout time.Duration) bool {
+	pins, ok := d.BeginMove(nil)
+	if !ok {
+		return false
+	}
+	if pins == 0 || d.waitPins(timeout) && d.State() == StateMoving && d.Mv == nil {
+		return true
+	}
+	d.Resume(nil)
+	return false
+}
+
+// waitPins waits on the condition variable until the pin count reaches zero
+// or timeout expires, and reports which. The waiter registration brackets
+// the first check too: the predicate races with Unpin's lock-free fast path,
+// and only once the waiter flag is up is every unpin sure to broadcast.
+func (d *Descriptor[P]) waitPins(timeout time.Duration) bool {
+	d.AddWaiter()
+	defer d.RemoveWaiter()
+	expired := timeout <= 0
+	if d.Pins() > 0 && !expired {
+		timer := time.AfterFunc(timeout, func() {
+			d.mu.Lock()
+			expired = true
+			d.cond.Broadcast()
+			d.mu.Unlock()
+		})
+		defer timer.Stop()
+	}
+	for d.Pins() > 0 {
+		if expired {
+			return false
+		}
+		d.cond.Wait()
+	}
+	return true
+}
+
+// Resume returns a descriptor moving under mv (nil after a Drain) to
+// resident: a move that failed, or a drain whose work is done.
+func (d *Descriptor[P]) Resume(mv Drainer) bool {
+	if d.State() != StateMoving || d.Mv != mv {
+		return false
+	}
+	d.Mv = nil
+	d.enter(StateResident, 0, 0)
+	return true
+}
+
+// ForwardTo turns a descriptor moving under mv (nil after a Drain) into a
+// forwarding address: the object, or the copy torn down, lives at at in
+// residency version epoch. Pins have drained, so no reader still looks at the
+// payload it clears, along with the edges, the copy bit and the expiry.
+func (d *Descriptor[P]) ForwardTo(mv Drainer, at gaddr.NodeID, epoch uint64) bool {
+	if d.State() != StateMoving || d.Mv != mv {
+		return false
+	}
+	d.Payload, d.Fwd, d.Mv, d.attach = *new(P), at, nil, nil
+	d.expiry.Store(0)
+	d.epoch.Store(epoch)
+	d.enter(StateForwarded, wordCopy, 0)
+	return true
+}
+
+// LearnAt aims an absent or forwarded descriptor at at, if epoch Supersedes the
+// version it holds: the owned half of the one location rule. A resident,
+// moving or deleted descriptor knows better than any gossip.
+func (d *Descriptor[P]) LearnAt(at gaddr.NodeID, epoch uint64) bool {
+	if st := d.State(); st != StateAbsent && st != StateForwarded || !Supersedes(epoch, d.Epoch()) {
+		return false
+	}
+	d.Fwd = at
+	d.epoch.Store(epoch)
+	d.enter(StateForwarded, 0, 0)
+	return true
+}
+
+// Delete destroys a drained descriptor (moving with no mover and no pins),
+// clearing its payload; the tombstone makes stale references fail cleanly.
+func (d *Descriptor[P]) Delete() bool {
+	if d.State() != StateMoving || d.Mv != nil || d.Pins() != 0 {
+		return false
+	}
+	d.Payload = *new(P)
+	d.enter(StateDeleted, 0, 0)
+	return true
+}
+
+// SetImmutableLocked flips the immutable mode bit. Caller holds mu.
+func (d *Descriptor[P]) SetImmutableLocked(on bool) { d.setMode(wordImmutable, on) }
 
 // SetLeasableLocked flips the leasable bit. Caller holds mu.
-func (d *Descriptor[P]) SetLeasableLocked(on bool) {
-	d.updateWord(func(w uint64) uint64 {
-		if on {
-			return w | wordLeasable
-		}
-		return w &^ wordLeasable
-	})
+func (d *Descriptor[P]) SetLeasableLocked(on bool) { d.setMode(wordLeasable, on) }
+
+func (d *Descriptor[P]) setMode(bit uint64, on bool) {
+	d.updateWord(func(w uint64) uint64 { return w&^bit | bitIf(on, bit) })
 }
 
 // Expiry reads a copy's expiry (UnixNano; 0 = dead or no copy).
@@ -392,6 +523,3 @@ func (d *Descriptor[P]) HasAttach(a gaddr.Addr) bool {
 
 // AttachLen reports the number of attachment edges. Caller holds mu.
 func (d *Descriptor[P]) AttachLen() int { return len(d.attach) }
-
-// ClearAttachLocked drops every attachment edge. Caller holds mu.
-func (d *Descriptor[P]) ClearAttachLocked() { d.attach = nil }

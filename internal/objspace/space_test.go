@@ -1,9 +1,12 @@
 package objspace
 
 import (
+	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"amber/internal/gaddr"
 )
@@ -141,21 +144,198 @@ func TestModeFlagsPreservedAcrossTransitions(t *testing.T) {
 	s := New[tpay](4, 0, 0)
 	d := s.Ensure(gaddr.Addr(5))
 	d.Lock()
-	d.SetImmutableLocked(true)
-	d.SetCopyLocked(true)
-	d.SetStateLocked(StateResident)
-	d.SetStateLocked(StateMoving)
-	d.SetStateLocked(StateResident)
+	d.Publish(tpay{}, 1, Mode{Immutable: true, Copy: true}, 0, nil)
+	d.Drain(0)
+	d.Resume(nil)
 	d.Unlock()
 	if !d.Immutable() || !d.Copy() {
 		t.Fatal("mode flags lost across state transitions")
 	}
 	d.Lock()
-	d.SetImmutableLocked(false)
-	d.SetCopyLocked(false)
+	d.Drain(0)
+	d.Publish(tpay{}, 2, Mode{}, 0, nil)
 	d.Unlock()
 	if d.Immutable() || d.Copy() {
 		t.Fatal("mode flags did not clear")
+	}
+}
+
+// descSnap is every field a residency transition may write.
+type descSnap struct {
+	word    uint64
+	epoch   uint64
+	expiry  int64
+	fwd     gaddr.NodeID
+	mv      Drainer
+	payload tpay
+	attach  string
+}
+
+func snapOf(d *Descriptor[tpay]) descSnap {
+	peers := d.AttachPeers()
+	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	return descSnap{d.word.Load(), d.Epoch(), d.Expiry(), d.Fwd, d.Mv, d.Payload, fmt.Sprint(peers)}
+}
+
+// TestTransitionTable walks every (starting state × transition) pair on a
+// bare descriptor. An illegal pair returns false and leaves every field as it
+// was; a legal one writes exactly the fields the transition owns and wakes a
+// registered waiter.
+func TestTransitionTable(t *testing.T) {
+	op, other := &fakeDrainer{}, &fakeDrainer{}
+	withState := func(w uint64, s State) uint64 { return w&^wordStateMask | uint64(s) }
+	starts := []struct {
+		name  string
+		state State
+		mv    Drainer
+		pins  int
+	}{
+		{"absent", StateAbsent, nil, 0},
+		{"resident", StateResident, nil, 0},
+		{"resident+pin", StateResident, nil, 1},
+		{"moving/op", StateMoving, op, 0},
+		{"moving/drained", StateMoving, nil, 0},
+		{"forwarded", StateForwarded, nil, 0},
+		{"deleted", StateDeleted, nil, 0},
+	}
+	transitions := []struct {
+		name  string
+		legal []string
+		run   func(d *Descriptor[tpay]) bool
+		want  func(s descSnap) descSnap
+	}{
+		{"Publish", []string{"absent", "resident", "moving/op", "moving/drained", "forwarded"},
+			func(d *Descriptor[tpay]) bool {
+				return d.Publish(tpay{9}, 7, Mode{Immutable: true, Copy: true}, 99, []gaddr.Addr{0x20})
+			},
+			func(s descSnap) descSnap {
+				s.word = withState(s.word&^wordLeasable|wordCopy|wordImmutable, StateResident)
+				s.epoch, s.expiry, s.fwd, s.mv, s.payload, s.attach = 7, 99, gaddr.NoNode, nil, tpay{9}, "[32]"
+				return s
+			}},
+		{"BeginMove", []string{"resident", "resident+pin"},
+			func(d *Descriptor[tpay]) bool {
+				pins, ok := d.BeginMove(other)
+				return ok && pins == d.Pins()
+			},
+			func(s descSnap) descSnap {
+				s.word, s.mv = withState(s.word, StateMoving), other
+				return s
+			}},
+		// A pin outlasts the drain: with a zero timeout it only looks, with a
+		// positive one its timer ends the wait. Either way it returns false
+		// and the descriptor is resident as before.
+		{"Drain(0)", []string{"resident"},
+			func(d *Descriptor[tpay]) bool { return d.Drain(0) },
+			func(s descSnap) descSnap {
+				s.word, s.mv = withState(s.word, StateMoving), nil
+				return s
+			}},
+		{"Drain(1ms)", []string{"resident"},
+			func(d *Descriptor[tpay]) bool { return d.Drain(time.Millisecond) },
+			func(s descSnap) descSnap {
+				s.word, s.mv = withState(s.word, StateMoving), nil
+				return s
+			}},
+		{"Resume(op)", []string{"moving/op"},
+			func(d *Descriptor[tpay]) bool { return d.Resume(op) },
+			func(s descSnap) descSnap {
+				s.word, s.mv = withState(s.word, StateResident), nil
+				return s
+			}},
+		{"Resume(nil)", []string{"moving/drained"},
+			func(d *Descriptor[tpay]) bool { return d.Resume(nil) },
+			func(s descSnap) descSnap {
+				s.word, s.mv = withState(s.word, StateResident), nil
+				return s
+			}},
+		{"ForwardTo(op)", []string{"moving/op"},
+			func(d *Descriptor[tpay]) bool { return d.ForwardTo(op, 2, 8) },
+			func(s descSnap) descSnap {
+				s.word = withState(s.word&^wordCopy, StateForwarded)
+				s.epoch, s.expiry, s.fwd, s.mv, s.payload, s.attach = 8, 0, 2, nil, tpay{}, "[]"
+				return s
+			}},
+		{"ForwardTo(nil)", []string{"moving/drained"},
+			func(d *Descriptor[tpay]) bool { return d.ForwardTo(nil, 2, 8) },
+			func(s descSnap) descSnap {
+				s.word = withState(s.word&^wordCopy, StateForwarded)
+				s.epoch, s.expiry, s.fwd, s.mv, s.payload, s.attach = 8, 0, 2, nil, tpay{}, "[]"
+				return s
+			}},
+		{"LearnAt/newer", []string{"absent", "forwarded"},
+			func(d *Descriptor[tpay]) bool { return d.LearnAt(2, 6) },
+			func(s descSnap) descSnap {
+				s.word, s.fwd, s.epoch = withState(s.word, StateForwarded), 2, 6
+				return s
+			}},
+		{"LearnAt/same", nil,
+			func(d *Descriptor[tpay]) bool { return d.LearnAt(2, 5) },
+			nil},
+		{"Delete", []string{"moving/drained"},
+			func(d *Descriptor[tpay]) bool { return d.Delete() },
+			func(s descSnap) descSnap {
+				s.word, s.payload = withState(s.word, StateDeleted), tpay{}
+				return s
+			}},
+	}
+	for _, tr := range transitions {
+		for _, st := range starts {
+			legal := false
+			for _, l := range tr.legal {
+				legal = legal || l == st.name
+			}
+			t.Run(tr.name+"/"+st.name, func(t *testing.T) {
+				// Every field starts non-zero, so a write shows.
+				d := newDescriptor[tpay]()
+				d.Payload, d.Fwd, d.Mv = tpay{1}, 3, st.mv
+				d.epoch.Store(5)
+				d.expiry.Store(50)
+				d.AddAttach(0x10)
+				d.word.Store(uint64(st.state) | wordLeasable | uint64(st.pins)*wordPinInc)
+
+				woken := make(chan struct{})
+				if legal {
+					ready := make(chan struct{})
+					go func() {
+						d.Lock()
+						d.AddWaiter()
+						close(ready)
+						d.CondWait()
+						d.RemoveWaiter()
+						d.Unlock()
+						close(woken)
+					}()
+					<-ready
+				}
+				d.Lock() // the waiter, if any, is inside CondWait now
+				before := snapOf(d)
+				ok := tr.run(d)
+				after := snapOf(d)
+				d.Unlock()
+
+				if !legal {
+					if ok {
+						t.Fatalf("%s from %s succeeded, want false", tr.name, st.name)
+					}
+					if after != before {
+						t.Fatalf("%s from %s failed but wrote:\nbefore %+v\nafter  %+v", tr.name, st.name, before, after)
+					}
+					return
+				}
+				if !ok {
+					t.Fatalf("%s from %s = false, want true", tr.name, st.name)
+				}
+				if want := tr.want(before); after != want {
+					t.Fatalf("%s from %s:\ngot  %+v\nwant %+v", tr.name, st.name, after, want)
+				}
+				select {
+				case <-woken:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%s from %s woke no waiter", tr.name, st.name)
+				}
+			})
+		}
 	}
 }
 

@@ -47,7 +47,7 @@ echo "== SOR ghost exchange (no barrier: waits on neighbour pushes, exact messag
 # here with fresh state instead of surfacing as a stalled benchmark.
 go test -race -count=10 -run 'TestDistributed|TestMoreSections|TestQuickRandom|TestSORMessageLedger|TestGhostsUnderJitter' ./internal/sor/
 
-echo "== one invocation engine, one cached copy, one location rule (structure check, wait tests, protocol fuzzing) =="
+echo "== one invocation engine, one cached copy, one location rule, one state machine (structure check, transition table, wait tests, protocol fuzzing) =="
 # Invoke, AsyncInvoke, InvokeChain and AsyncInvokeChain are one engine
 # (DESIGN.md §13), immutable replicas and reader leases are one copy
 # (DESIGN.md §10), and tombstones and hints are one forwarding entry under one
@@ -56,7 +56,11 @@ echo "== one invocation engine, one cached copy, one location rule (structure ch
 # executor, copy offer, installer, serve rule or location writer has grown
 # beside the first, or if the package's non-test code calls time.Sleep: a
 # racing transition is waited on through the descriptor's condition variable
-# (awaitTransition), never polled.
+# (awaitTransition), never polled, or if it writes a descriptor's state,
+# forwarding address, mover or payload itself instead of calling one of
+# objspace's residency transitions (DESIGN.md §9.2). TestTransitionTable
+# walks every (state x transition) pair on a bare descriptor, each legal one
+# waking a waiter, so it runs 20 times under -race too.
 # The wait tests run 20 times under -race, so a lost wake-up shows up here as
 # a hang. TestPinStateInvariants then runs 200 times: an install batch lands
 # at once (DESIGN.md §9.3), and a component walk that meets a member still
@@ -66,6 +70,7 @@ echo "== one invocation engine, one cached copy, one location rule (structure ch
 go test -race -count=20 \
 	-run 'TestEngineSaysItOnce|TestControlWaitsOutTransition|TestStaleAttachEdgeIsRoutingLost' \
 	./internal/core/
+go test -race -count=20 -run 'TestTransitionTable' ./internal/objspace/
 go test -count=200 -run 'TestPinStateInvariants$' ./internal/core/
 for target in FuzzRoutedMsg FuzzInvokeReply FuzzInstallMsg; do
 	go test -run '^$' -fuzz "^$target\$" -fuzztime 5s ./internal/core/
