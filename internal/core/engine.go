@@ -124,10 +124,7 @@ func (n *Node) runHere(c *Ctx, d *descriptor, s *ChainStep, prev []any, readOnly
 		// rule weighs remote callers against this lane.
 		n.heatObserve(s.Obj, n.id)
 	}
-	start := time.Now()
-	res, err := n.runPinned(c, d, s.Obj, s.Method, substituteChainPrev(s.Args, prev), readOnly)
-	n.histLocal.Observe(time.Since(start))
-	return res, err
+	return n.runPinned(c, d, s.Obj, s.Method, substituteChainPrev(s.Args, prev), readOnly)
 }
 
 // request assembles the routed invocation that carries a journey's remaining

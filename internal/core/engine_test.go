@@ -338,6 +338,8 @@ func TestEntryPointParity(t *testing.T) {
 // request builder, failure ladder, forwarder, executor, copy offer,
 // installer, serve rule, location writer, retry loop or hand-written
 // residency change growing beside the first fails here rather than in review.
+// It also holds the resident path to the paper's cost — a residency check and
+// a procedure call — by keeping the clock out of it.
 func TestEngineSaysItOnce(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -350,17 +352,44 @@ func TestEngineSaysItOnce(t *testing.T) {
 	// and mentions counts every mention. raisesCopy collects the functions
 	// that build an objspace.Mode with the copy bit, writes counts, per
 	// function, the assignments to a descriptor's forwarding address, mover or
-	// payload, and sleeps the calls to time.Sleep.
+	// payload, and sleeps the calls to time.Sleep. clockReads counts, per
+	// function of the resident path, the time.Now and time.Since calls outside
+	// an if on the timeslice Quantum, and unread counts the mentions, anywhere
+	// in a file, of the metrics that had no reader.
 	uses := map[string]map[string]bool{}
 	mentions := map[string]int{}
 	raisesCopy := map[string]bool{}
 	writes := map[string]int{}
 	sleeps := map[string]int{}
+	residentPath := map[string]bool{"resolve": true, "resolveStep": true, "runHere": true, "runPinned": true,
+		"acquireSlot": true, "releaseSlot": true, "Block": true, "Yield": true}
+	clockReads := map[string]int{}
+	seen := map[string]bool{}
+	unread := map[string]int{}
 	for _, file := range pkgs["core"].Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.Ident:
+				switch x.Name {
+				case "histLocal", "cResidency":
+					unread[x.Name]++
+				}
+			case *ast.BasicLit:
+				switch v := strings.Trim(x.Value, "\"`"); v {
+				case "invoke_local_ns", "residency_checks":
+					unread[v]++
+				}
+			}
+			return true
+		})
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
+			}
+			if residentPath[fn.Name.Name] {
+				seen[fn.Name.Name] = true
+				clockReads[fn.Name.Name] += ungatedClockReads(fn.Body)
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				var name string
@@ -474,6 +503,19 @@ func TestEngineSaysItOnce(t *testing.T) {
 			}
 		}
 	}
+	// A resident invoke reads no clock: the only stamp on the path is the
+	// timeslice quantum's, and only while a quantum is configured.
+	for f := range residentPath {
+		if !seen[f] {
+			t.Errorf("resident-path function %s is gone — update this test with the engine", f)
+		}
+		if k := clockReads[f]; k != 0 {
+			t.Errorf("%s reads the clock %d times outside an if on Quantum: the resident path is a residency check and a call", f, k)
+		}
+	}
+	for name, k := range unread {
+		t.Errorf("%s is mentioned %d times: the metric had no reader and is gone", name, k)
+	}
 	// The copy bit goes up only with a copy's Publish: a demand-pulled copy
 	// (installCopy) or a placed copy of an immutable object (handleInstall).
 	if len(raisesCopy) != 2 || !raisesCopy["installCopy"] || !raisesCopy["handleInstall"] {
@@ -550,4 +592,43 @@ func TestEngineSaysItOnce(t *testing.T) {
 	if !learnRule {
 		t.Error("Descriptor.LearnAt no longer applies Supersedes — update this test with the location rule")
 	}
+}
+
+// ungatedClockReads counts the time.Now and time.Since calls in body that do
+// not sit inside the body of an if whose condition reads Quantum.
+func ungatedClockReads(body *ast.BlockStmt) int {
+	var gated []*ast.BlockStmt
+	ast.Inspect(body, func(n ast.Node) bool {
+		if is, ok := n.(*ast.IfStmt); ok {
+			ast.Inspect(is.Cond, func(m ast.Node) bool {
+				if id, ok := m.(*ast.Ident); ok && id.Name == "Quantum" {
+					gated = append(gated, is.Body)
+				}
+				return true
+			})
+		}
+		return true
+	})
+	reads := 0
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || (sel.Sel.Name != "Now" && sel.Sel.Name != "Since") {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "time" {
+			return true
+		}
+		for _, g := range gated {
+			if g.Pos() <= call.Pos() && call.End() <= g.End() {
+				return true
+			}
+		}
+		reads++
+		return true
+	})
+	return reads
 }

@@ -176,7 +176,6 @@ func (n *Node) runPinned(c *Ctx, d *descriptor, obj gaddr.Addr, method string, a
 	}()
 	c.acquireSlot(n)
 	defer c.releaseSlot(n)
-	n.cResidency.Inc()
 
 	// The pin we hold licenses a lock-free read of the payload: it was
 	// published before the word went resident and cannot be cleared until we

@@ -164,7 +164,6 @@ type Node struct {
 
 	// Latency histograms on the runtime's hot paths, cached out of counts so
 	// recording is one atomic bucket increment, never a map lookup.
-	histLocal  *stats.Histogram // invoke_local_ns: resident fast path
 	histRemote *stats.Histogram // invoke_remote_ns: full function-ship round trip
 	histExec   *stats.Histogram // invoke_exec_ns: remote execution leg
 	histMove   *stats.Histogram // move_ns: MoveTo round trip
@@ -173,7 +172,6 @@ type Node struct {
 	// is a mutex-guarded map lookup, which would serialize parallel local
 	// invokes on one node.
 	cInvokesLocal *stats.Counter // invokes_local
-	cResidency    *stats.Counter // residency_checks
 	cHintHits     *stats.Counter // hint_hits
 	cHintMisses   *stats.Counter // hint_misses
 	cReplicaHits  *stats.Counter // replica_hits
@@ -289,12 +287,10 @@ func NewNode(cfg NodeConfig, reg *Registry, tr transport.Transport, server *gadd
 	if cfg.TraceSample > 1 {
 		n.tracer.SetSample(cfg.TraceSample)
 	}
-	n.histLocal = n.counts.Hist("invoke_local_ns")
 	n.histRemote = n.counts.Hist("invoke_remote_ns")
 	n.histExec = n.counts.Hist("invoke_exec_ns")
 	n.histMove = n.counts.Hist("move_ns")
 	n.cInvokesLocal = n.counts.Get("invokes_local")
-	n.cResidency = n.counts.Get("residency_checks")
 	n.cHintHits = n.counts.Get("hint_hits")
 	n.cHintMisses = n.counts.Get("hint_misses")
 	n.cReplicaHits = n.counts.Get("replica_hits")

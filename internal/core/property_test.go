@@ -215,31 +215,36 @@ func TestQuickMoveAnywherePreservesState(t *testing.T) {
 
 // TestTimesliceCheckpointYields verifies cooperative timeslicing (§2.1):
 // with a quantum configured, compute-bound threads calling Checkpoint share
-// one processor fairly.
+// one processor fairly; with none (the default), Checkpoint never yields —
+// the quantum stamp is taken only when there is a quantum to measure.
 func TestTimesliceCheckpointYields(t *testing.T) {
-	reg := NewRegistry()
-	cl, err := NewCluster(ClusterConfig{
-		Nodes: 1, ProcsPerNode: 1, Quantum: time.Millisecond, Registry: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if err := cl.Register(&Yielder{}); err != nil {
-		t.Fatal(err)
-	}
-	ctx := cl.Node(0).Root()
-	a, _ := ctx.New(&Yielder{})
-	b, _ := ctx.New(&Yielder{})
-	tha, _ := ctx.StartThread(a, "Spin", 40)
-	thb, _ := ctx.StartThread(b, "Spin", 40)
-	for _, th := range []Thread{tha, thb} {
-		if _, err := ctx.Join(th); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := cl.Node(0).Stats().Value("timeslice_yields"); got == 0 {
-		t.Fatal("no timeslice yields despite quantum + Checkpoint")
+	for _, quantum := range []time.Duration{0, time.Millisecond} {
+		t.Run(fmt.Sprintf("quantum=%v", quantum), func(t *testing.T) {
+			reg := NewRegistry()
+			cl, err := NewCluster(ClusterConfig{
+				Nodes: 1, ProcsPerNode: 1, Quantum: quantum, Registry: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if err := cl.Register(&Yielder{}); err != nil {
+				t.Fatal(err)
+			}
+			ctx := cl.Node(0).Root()
+			a, _ := ctx.New(&Yielder{})
+			b, _ := ctx.New(&Yielder{})
+			tha, _ := ctx.StartThread(a, "Spin", 40)
+			thb, _ := ctx.StartThread(b, "Spin", 40)
+			for _, th := range []Thread{tha, thb} {
+				if _, err := ctx.Join(th); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := cl.Node(0).Stats().Value("timeslice_yields"); (got > 0) != (quantum > 0) {
+				t.Fatalf("timeslice_yields = %d with quantum %v: Checkpoint yields exactly when a quantum is set", got, quantum)
+			}
+		})
 	}
 }
 

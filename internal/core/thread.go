@@ -28,8 +28,10 @@ type Ctx struct {
 	// trace context on the remote side.
 	span uint64
 
-	task         *sched.Task
-	slotDepth    int
+	task      *sched.Task
+	slotDepth int
+	// quantumStart is when the thread last took a processor slot; only
+	// Checkpoint reads it, so it is stamped only when timeslicing is on.
 	quantumStart time.Time
 }
 
@@ -72,7 +74,9 @@ func (c *Ctx) acquireSlot(n *Node) {
 	}
 	n.sch.Acquire(c.task)
 	c.slotDepth = 1
-	c.quantumStart = time.Now()
+	if c.node.cfg.Quantum > 0 {
+		c.quantumStart = time.Now()
+	}
 }
 
 func (c *Ctx) releaseSlot(n *Node) {
@@ -107,7 +111,9 @@ func (c *Ctx) WithSlot(f func()) {
 func (c *Ctx) Block(wait func()) {
 	if c.slotDepth > 0 {
 		c.node.sch.Block(c.task, wait)
-		c.quantumStart = time.Now()
+		if c.node.cfg.Quantum > 0 {
+			c.quantumStart = time.Now()
+		}
 		return
 	}
 	wait()
@@ -118,7 +124,9 @@ func (c *Ctx) Block(wait func()) {
 func (c *Ctx) Yield() {
 	if c.slotDepth > 0 {
 		c.node.sch.Yield(c.task)
-		c.quantumStart = time.Now()
+		if c.node.cfg.Quantum > 0 {
+			c.quantumStart = time.Now()
+		}
 	}
 }
 
@@ -133,7 +141,6 @@ func (c *Ctx) Checkpoint() {
 	if time.Since(c.quantumStart) >= q {
 		c.node.counts.Inc("timeslice_yields")
 		c.Yield()
-		c.quantumStart = time.Now()
 	}
 }
 

@@ -81,7 +81,6 @@ var helpText = map[string]string{
 	"node_invokes_executed_for_remote": "invocations executed here on behalf of a migrated thread",
 	"node_hint_hits":                   "location-hint cache hits",
 	"node_hint_misses":                 "location-hint cache misses",
-	"node_invoke_local_ns":             "latency of resident-object invocations",
 	"node_invoke_remote_ns":            "latency of the full function-ship round trip",
 	"node_invoke_exec_ns":              "latency of the remote execution leg",
 	"node_move_ns":                     "latency of MoveTo round trips",

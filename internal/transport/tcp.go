@@ -313,17 +313,25 @@ func (t *TCP) send(to gaddr.NodeID, kind Kind, payload []byte, flush bool) error
 	if verdict.Duplicate {
 		copies = 2 // two identical frames back to back; delivered in order
 	}
+	// Count the frame before it can leave: the peer may answer before write
+	// returns, and a reader of this node's counters must never see a reply to
+	// a frame it has not counted. A failed write takes the count back, so the
+	// counters mean frames accepted.
+	n := int64(len(payload))
+	kc := t.kindCounter(&t.cKindSentBytes, &kindSentBytes, kind)
+	t.cMsgsSent.Inc()
+	t.cBytesSent.Add(n + frameHdrLen)
+	kc.Add(n)
 	if err := conn.write(t, kind, payload, copies, flush); err != nil {
+		t.cMsgsSent.Add(-1)
+		t.cBytesSent.Add(-(n + frameHdrLen))
+		kc.Add(-n)
 		t.dropConn(to, conn)
 		return err
 	}
 	// The frame was copied into the connection's buffer (or written out), so
 	// the payload buffer is free to recycle.
-	n := int64(len(payload))
 	wire.PutBuf(payload)
-	t.cMsgsSent.Inc()
-	t.cBytesSent.Add(n + frameHdrLen)
-	t.kindCounter(&t.cKindSentBytes, &kindSentBytes, kind).Add(n)
 	return nil
 }
 

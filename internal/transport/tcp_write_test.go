@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -211,6 +212,13 @@ func TestTCPSendErrorRedials(t *testing.T) {
 	if err := a.Send(1, 5, []byte("lost")); err == nil {
 		t.Fatal("send on a broken socket reported success")
 	}
+	// The refused frame takes its count back; the buffered burst was accepted.
+	if got := a.Stats().Value("msgs_sent"); got != 4 {
+		t.Fatalf("msgs_sent = %d after a refused send, want 4", got)
+	}
+	if got := a.Stats().Value("bytes_sent_k5"); got != 5+3*5 {
+		t.Fatalf("bytes_sent_k5 = %d after a refused send, want %d", got, 5+3*5)
+	}
 	if (*a.conns.Load())[1] != nil {
 		t.Fatal("broken connection still in the table")
 	}
@@ -227,5 +235,38 @@ func TestTCPSendErrorRedials(t *testing.T) {
 	}
 	if fresh := (*a.conns.Load())[1]; fresh == nil || fresh == conn {
 		t.Fatal("no fresh connection after redial")
+	}
+}
+
+// A frame is counted before it can arrive: a peer may answer before Send
+// returns, so a node whose msgs_sent trails what its peer has received would
+// show a reply to a message it never sent — the stray message a local-only
+// benchmark bracket would then report.
+func TestSentCountedBeforeDelivery(t *testing.T) {
+	a, b := tcpPair(t)
+	const frames = 20000
+	var received, early atomic.Int64
+	done := make(chan struct{})
+	b.SetHandler(func(m Message) {
+		k := received.Add(1)
+		if a.Stats().Value("msgs_sent") < k {
+			early.Add(1)
+		}
+		if k == frames {
+			close(done)
+		}
+	})
+	for i := 0; i < frames; i++ {
+		if err := a.Send(1, 1, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%d of %d frames delivered", received.Load(), frames)
+	}
+	if k := early.Load(); k != 0 {
+		t.Fatalf("%d of %d frames were delivered before the sender counted them", k, frames)
 	}
 }

@@ -41,6 +41,12 @@ go test -race -count=1 \
 	-run 'TestFaults|FuzzFaultRules|TestTimeoutClassified|TestRetry|TestIdempotent|TestNonIdempotent|TestGeneration|TestWatchPeer|TestDedup|TestCrash|TestOrphaned|TestForwardingChainRepair|TestThreeNodeCrash|TestSimCrash|TestCapture|TestFleet|TestRetryExhaustedTrigger|TestEntryPointParity|TestInvokeChain|TestAsync|TestLease|TestChainSteps|TestReplica|TestCopyParity|TestForwardingChain|TestMoveChain|TestGenerationChangeDropsHints|TestHint' \
 	./internal/transport/ ./internal/rpc/ ./internal/core/ ./internal/sim/
 
+echo "== TCP sent counters lead delivery =="
+# A peer may answer a frame before its sender's Send returns, so the sender
+# counts the frame before writing it; a node whose msgs_sent trailed what its
+# peer had received showed a stray message in a local-only benchmark bracket.
+go test -race -count=20 -run 'TestSentCountedBeforeDelivery' ./internal/transport/
+
 echo "== SOR ghost exchange (no barrier: waits on neighbour pushes, exact message ledger) =="
 # A section relaxes a color once its neighbours' pushes of the other color
 # have arrived; a lost wake-up in that hand-off is a hang, so it is re-run
@@ -58,7 +64,8 @@ echo "== one invocation engine, one cached copy, one location rule, one state ma
 # racing transition is waited on through the descriptor's condition variable
 # (awaitTransition), never polled, or if it writes a descriptor's state,
 # forwarding address, mover or payload itself instead of calling one of
-# objspace's residency transitions (DESIGN.md §9.2). TestTransitionTable
+# objspace's residency transitions (DESIGN.md §9.2), or if the resident path
+# reads the clock outside an if on the timeslice Quantum. TestTransitionTable
 # walks every (state x transition) pair on a bare descriptor, each legal one
 # waking a waiter, so it runs 20 times under -race too.
 # The wait tests run 20 times under -race, so a lost wake-up shows up here as
