@@ -174,8 +174,8 @@ func WithDeadline(d time.Duration) CallOption { return core.WithDeadline(d) }
 // Retried requests carry an idempotency token and every attempt reuses the
 // same call identity, so the remote node executes the operation at most
 // once even when a reply (rather than a request) was lost — the duplicate
-// is answered from the callee's dedup window. Retrying stops early when the
-// target is probed down and stays down.
+// is answered from the callee's dedup window. Every attempt goes to the node
+// the call first reached, whichever entry point issued it.
 func WithRetry(p RetryPolicy) CallOption { return core.WithRetry(p) }
 
 // WithReadOnly declares that this invoke never mutates the object. On a

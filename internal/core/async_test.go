@@ -242,8 +242,8 @@ func TestAsyncRetryExactlyOnceOverLostReplies(t *testing.T) {
 	if err != nil || got[0].(int) != 1 {
 		t.Fatalf("counter = %v, %v — retries re-executed the operation", got, err)
 	}
-	if cl.Node(0).Stats().Value("async_retries") == 0 {
-		t.Fatal("async_retries not counted")
+	if cl.Node(0).RPCStats().Value("rpc_retries") == 0 {
+		t.Fatal("rpc_retries not counted")
 	}
 }
 

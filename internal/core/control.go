@@ -199,7 +199,7 @@ func (n *Node) control(c *Ctx, msg *routedMsg, o callOpts) (any, error) {
 		if err == nil {
 			return rep, nil
 		}
-		if v, _ := n.climb(&lad, msg.Obj, to, ro, err); v == verdictFinal {
+		if !n.climb(&lad, msg.Obj, to, ro, err) {
 			return nil, err
 		}
 		msg.Chain = nil

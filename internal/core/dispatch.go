@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"unsafe"
 
 	"amber/internal/gaddr"
-	"amber/internal/stats"
 )
 
 // This file is the compiled-dispatch layer: everything the registry can
@@ -110,40 +108,6 @@ func erasedFunc[F any](fn reflect.Value) F {
 	var f F
 	*(*unsafe.Pointer)(unsafe.Pointer(&f)) = w.data
 	return f
-}
-
-// --- per-P frame free list -------------------------------------------------
-//
-// The reflective plan needs a []reflect.Value argument frame per call. Frames
-// up to frameCap arguments (receiver + ctx + params) come from a per-P
-// single-slot cache striped like the stats counters: one atomic swap to take,
-// one to return, no lock, no sync.Pool victim churn. A nested invocation
-// finds its stripe empty (the outer call holds the frame) and allocates; the
-// put-back then overwrites, leaking the older frame to the GC — correct, just
-// not free, and nesting depth >1 on one P is rare. Frames are cleared before
-// going back so a pooled frame never pins dead arguments live.
-
-const frameCap = 8
-
-type frame [frameCap]reflect.Value
-
-type frameSlot struct {
-	p atomic.Pointer[frame]
-	_ [56]byte // pad to a cache line so stripes do not false-share
-}
-
-var frameCache [stats.NumStripes]frameSlot
-
-func getFrame() *frame {
-	if f := frameCache[stats.Stripe()].p.Swap(nil); f != nil {
-		return f
-	}
-	return new(frame)
-}
-
-func putFrame(f *frame) {
-	clear(f[:])
-	frameCache[stats.Stripe()].p.Store(f)
 }
 
 // --- the trampoline corpus -------------------------------------------------

@@ -284,8 +284,8 @@ func TestDispatchTrampolineBinding(t *testing.T) {
 }
 
 // TestDispatchParityConcurrent hammers both tiers from many goroutines so the
-// race detector can see the direct-call path, the frame free list, and the
-// shared trampoline closures under contention.
+// race detector can see the direct-call path and the shared trampoline
+// closures under contention.
 func TestDispatchParityConcurrent(t *testing.T) {
 	tramp := newDispTier(t, false)
 	refl := newDispTier(t, true)

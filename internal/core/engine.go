@@ -73,9 +73,7 @@ func (n *Node) travel(c *Ctx, steps []ChainStep, o callOpts) ([]any, error) {
 			}
 			return n.acceptReply(steps[len(steps)-1].Obj, resp)
 		}
-		// rpc.CallWith ran the call's retry policy itself, so the ladder's own
-		// re-issue budget is empty: what is left to decide is the routing rungs.
-		if v, _ := n.climb(&lad, steps[0].Obj, to, ro, err); v == verdictFinal {
+		if !n.climb(&lad, steps[0].Obj, to, ro, err) {
 			return nil, err
 		}
 	}
@@ -261,34 +259,18 @@ func (n *Node) acceptReply(obj gaddr.Addr, resp []byte) ([]any, error) {
 // --- the failure ladder ---
 
 // ladder is what a journey (or a control operation) remembers between the
-// attempts of one logical call.
+// routings of one logical call. It only re-routes: rpc.StartCall has already
+// run the call's retry policy, to the node the call first reached.
 type ladder struct {
 	thread, span uint64 // trace identity of the journey; zero for a control op
-	// budget is how many attempts the ladder may issue itself: the callback
-	// wait's whole WithRetry policy. It stays zero for the inline wait and for
-	// control operations, whose attempts rpc.CallWith runs.
-	budget  int
-	backoff rpc.Backoff
 
 	hintRetried bool
 	restarts    int
-	attempt     int
 }
 
-// verdict is the ladder's decision on a failed attempt.
-type verdict uint8
-
-const (
-	// verdictFinal: the error stands; the anomaly tripwire has seen it.
-	verdictFinal verdict = iota
-	// verdictResolve: run the entry protocol again now, with a fresh chain.
-	verdictResolve
-	// verdictRetry: run it again after the returned pause.
-	verdictRetry
-)
-
 // climb decides what the failure err of an attempt shipped to node to means
-// for the call, rung by rung (the table is DESIGN.md §13.3):
+// for the call, rung by rung (the table is DESIGN.md §13.3), and reports
+// whether to run the entry protocol again, with a fresh chain:
 //
 //   - a dead end consistent with a stale location hint (staleRouteError) on
 //     an attempt a hint steered → once per call, resolve again through the
@@ -297,11 +279,8 @@ const (
 //     object that kept migrating ahead of it (ErrRoutingLost) → resolve again,
 //     at most four times, so that a true routing hole still surfaces. Both
 //     replies are generated before any execution, so neither re-runs anything;
-//   - no reply at all (timeout, dead peer, refused send) with budget left →
-//     retry after a capped exponential pause; a reply carrying an error, the
-//     application's included, is an answer and never retried;
 //   - anything else is final and trips the flight recorder (fleet.go).
-func (n *Node) climb(l *ladder, obj gaddr.Addr, to gaddr.NodeID, ro rpc.CallOpts, err error) (verdict, time.Duration) {
+func (n *Node) climb(l *ladder, obj gaddr.Addr, to gaddr.NodeID, ro rpc.CallOpts, err error) bool {
 	if staleRouteError(err) {
 		// A hint steered the attempt if there is one to forget — or there was:
 		// marking a peer down purges every hint to it (purgePeer), and that can
@@ -314,22 +293,16 @@ func (n *Node) climb(l *ladder, obj gaddr.Addr, to gaddr.NodeID, ro rpc.CallOpts
 				n.tracer.Emit(trace.Event{Kind: trace.KHintStaleRetry, Trace: l.thread,
 					Span: l.span, Thread: l.thread, Obj: uint64(obj)})
 			}
-			return verdictResolve, 0
+			return true
 		}
 		if errors.Is(err, ErrRoutingLost) && l.restarts < 4 {
 			l.restarts++
 			n.counts.Inc("routing_restarts")
-			return verdictResolve, 0
+			return true
 		}
 	}
-	var re *rpc.RemoteError
-	if l.attempt+1 < l.budget && !errors.As(err, &re) {
-		l.attempt++
-		n.counts.Inc("async_retries")
-		return verdictRetry, l.backoff.Next()
-	}
 	n.noteCallAnomaly(to, procRouted, ro, err)
-	return verdictFinal, 0
+	return false
 }
 
 // staleRouteError reports whether err is consistent with routing through a

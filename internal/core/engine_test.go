@@ -230,6 +230,66 @@ func TestEntryPointParity(t *testing.T) {
 			},
 		},
 		{
+			// At-most-once under retry holds behind every door: the reply to
+			// the first attempt lands after the deadline, and by then the
+			// object has moved to the caller. rpc re-sends to the node the
+			// call first reached, whose dedup window answers, so nothing
+			// re-runs the call where the object is now.
+			name: "late reply, object moved to the caller, WithRetry",
+			arrange: func(t *testing.T) (*Cluster, *parityCase) {
+				cl, err := NewCluster(ClusterConfig{Nodes: 2, ProcsPerNode: 2,
+					RPCTimeout: time.Second, ProbeTimeout: 400 * time.Millisecond, FaultSeed: 7})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(cl.Close)
+				registerFixtures(t, cl)
+				head, _ := cl.Node(1).Root().New(&Counter{})
+				tail, _ := cl.Node(1).Root().New(&Counter{})
+				cl.Faults().SetLink(1, 0, transport.LinkRule{DelayMin: 150 * time.Millisecond, DelayMax: 150 * time.Millisecond})
+				// Node 1's first message to the caller is the first attempt's
+				// reply: the attempt has run, and node 1 moves the object.
+				ran, stop := make(chan struct{}), make(chan struct{})
+				var once sync.Once
+				cl.Fabric().SetFault(func(m transport.Message) bool {
+					if m.From == 1 && m.To == 0 && !rpc.IsHealthProbe(m.Kind) {
+						once.Do(func() { close(ran) })
+					}
+					return false
+				})
+				moved := make(chan error, 1)
+				go func() {
+					select {
+					case <-ran:
+						moved <- cl.Node(1).Root().MoveTo(head, 0)
+					case <-stop:
+						moved <- errors.New("the call never reached node 1")
+					}
+				}()
+				t.Cleanup(func() {
+					close(stop)
+					if err := <-moved; err != nil {
+						t.Errorf("move to the caller: %v", err)
+					}
+				})
+				return cl, &parityCase{head: head, tail: tail, method: "Add", args: []any{1},
+					opts: []CallOption{WithDeadline(100 * time.Millisecond),
+						WithRetry(RetryPolicy{MaxAttempts: 4, Backoff: 300 * time.Millisecond})}}
+			},
+			check: func(t *testing.T, cl *Cluster, pc *parityCase, twoStep bool) {
+				cl.Faults().HealAll()
+				ctx := cl.Node(0).Root()
+				if got := counterValue(t, ctx, pc.head); got != 1 {
+					t.Errorf("head counter = %d, want 1 (executed at most once)", got)
+				}
+				if twoStep {
+					if got := counterValue(t, ctx, pc.tail); got != 1 {
+						t.Errorf("tail counter = %d, want 1 (executed at most once)", got)
+					}
+				}
+			},
+		},
+		{
 			name: "slow peer, WithDeadline",
 			arrange: func(t *testing.T) (*Cluster, *parityCase) {
 				cl, _ := newFailureCluster(t, 2, 7)
@@ -302,7 +362,7 @@ func TestEntryPointParity(t *testing.T) {
 				case err != nil:
 					t.Fatalf("call failed: %v", err)
 				}
-				retries := origin.RPCStats().Value("rpc_retries") + origin.Stats().Value("async_retries")
+				retries := origin.RPCStats().Value("rpc_retries")
 				if row.retried && retries < 1 {
 					t.Errorf("no retry was issued")
 				} else if !row.retried && retries != 0 {
@@ -355,7 +415,9 @@ func TestEngineSaysItOnce(t *testing.T) {
 	// payload, and sleeps the calls to time.Sleep. clockReads counts, per
 	// function of the resident path, the time.Now and time.Since calls outside
 	// an if on the timeslice Quantum, and unread counts the mentions, anywhere
-	// in a file, of the metrics that had no reader.
+	// in a file, of the metrics that had no reader. secondLoop counts the
+	// mentions of what the ladder's own retry loop was made of: rpc.StartCall
+	// runs every retry, and the ladder only re-routes.
 	uses := map[string]map[string]bool{}
 	mentions := map[string]int{}
 	raisesCopy := map[string]bool{}
@@ -366,6 +428,7 @@ func TestEngineSaysItOnce(t *testing.T) {
 	clockReads := map[string]int{}
 	seen := map[string]bool{}
 	unread := map[string]int{}
+	secondLoop := map[string]int{}
 	for _, file := range pkgs["core"].Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch x := n.(type) {
@@ -373,11 +436,19 @@ func TestEngineSaysItOnce(t *testing.T) {
 				switch x.Name {
 				case "histLocal", "cResidency":
 					unread[x.Name]++
+				case "verdictRetry", "NewToken":
+					secondLoop[x.Name]++
 				}
 			case *ast.BasicLit:
 				switch v := strings.Trim(x.Value, "\"`"); v {
 				case "invoke_local_ns", "residency_checks":
 					unread[v]++
+				case "async_retries":
+					secondLoop[v]++
+				}
+			case *ast.SelectorExpr:
+				if pkg, ok := x.X.(*ast.Ident); ok && pkg.Name == "rpc" && x.Sel.Name == "Backoff" {
+					secondLoop["rpc.Backoff"]++
 				}
 			}
 			return true
@@ -451,7 +522,6 @@ func TestEngineSaysItOnce(t *testing.T) {
 		{"counts a chain shipped", "cChainsShipped", []string{"request", "NewNode"}},
 		{"takes the stale-hint rung", "hint_retries", []string{"climb"}},
 		{"takes the routing-restart rung", "routing_restarts", []string{"climb"}},
-		{"counts a retry the ladder issued", "async_retries", []string{"climb"}},
 		{"trips the anomaly recorder", "noteCallAnomaly", []string{"climb"}},
 		{"refuses to forward into a dead peer", "forwards_refused_down", []string{"forward"}},
 		{"forwards with a detached reply", "Forward", []string{"forward"}},
@@ -515,6 +585,11 @@ func TestEngineSaysItOnce(t *testing.T) {
 	}
 	for name, k := range unread {
 		t.Errorf("%s is mentioned %d times: the metric had no reader and is gone", name, k)
+	}
+	// One attempt loop: a call is re-issued only by rpc.StartCall, to the node
+	// it first reached.
+	for name, k := range secondLoop {
+		t.Errorf("%s is mentioned %d times: rpc.StartCall runs every retry, and the failure ladder only re-routes", name, k)
 	}
 	// The copy bit goes up only with a copy's Publish: a demand-pulled copy
 	// (installCopy) or a placed copy of an immutable object (handleInstall).

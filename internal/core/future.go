@@ -100,8 +100,8 @@ func (f *Future) OnDone(fn func(*Future)) {
 //
 // The same CallOptions as Invoke apply per call: WithDeadline bounds the
 // attempt (expiry probes the peer and completes the future with ErrTimeout
-// or ErrNodeDown), WithRetry re-issues transport-level failures under one
-// idempotency token. Backpressure: when a peer's pipeline is at capacity
+// or ErrNodeDown), WithRetry re-sends a call that got no reply to the node it
+// first reached, under one idempotency token. Backpressure: when a peer's pipeline is at capacity
 // (PipelineDepth outstanding), AsyncInvoke blocks the caller — releasing its
 // processor slot — until a slot frees; the Future itself never blocks.
 func (c *Ctx) AsyncInvoke(obj Ref, method string, args ...any) *Future {
@@ -121,7 +121,6 @@ type journey struct {
 	ro    rpc.CallOpts
 	// readOnly is the call's WithReadOnly declaration, applied to every step.
 	readOnly bool
-	idem     uint64 // idempotency token shared by every attempt (0 = no retry)
 	lad      ladder
 
 	// body is the request for the steps still to run, encoded when the call
@@ -149,11 +148,9 @@ func (n *Node) travelAsync(c *Ctx, steps []ChainStep, o callOpts) *Future {
 		j.span = tr.NextSpan()
 		n.emitInvoke(trace.KInvokeStart, j.rec.ID, j.span, c.span, &j.first)
 	}
-	j.lad = ladder{thread: j.rec.ID, span: j.span, budget: j.ro.MaxAttempts,
-		backoff: rpc.Backoff{Pause: j.ro.Backoff, Max: j.ro.MaxBackoff}}
-	if j.ro.Idempotent {
-		j.idem = n.ep.NewToken()
-	}
+	j.lad = ladder{thread: j.rec.ID, span: j.span}
+	// The pipe's drain loop kicks one flush for its whole burst.
+	j.ro.NoFlush = true
 	d, act, to, err := n.resolveStep(&j.rec, &steps[0], o.readOnly)
 	switch act {
 	case actError:
@@ -215,25 +212,17 @@ func (j *journey) ship(c *Ctx, steps []ChainStep, prev []any, to gaddr.NodeID) {
 	j.n.pipeFor(to).enqueue(c, j)
 }
 
-// issue puts one attempt on the wire. Called from a pipe's drain loop with an
-// inflight slot already charged; the completion callback releases it. NoFlush
-// batches the burst — the drain loop kicks one flush when it finishes issuing.
+// issue starts the call that carries the journey to its node; rpc runs its
+// retry policy. Called from a pipe's drain loop with an inflight slot already
+// charged; the completion callback releases it. The call's frame is a copy:
+// the ladder may need the body again to re-route the journey.
 func (j *journey) issue() {
-	ao := rpc.AsyncOpts{
-		Timeout:      j.ro.Timeout,
-		ProbeTimeout: j.ro.ProbeTimeout,
-		Trace:        j.ro.Trace,
-		Idem:         j.idem,
-		NoFlush:      true,
-	}
-	// The attempt's frame is a copy: the ladder may need the body again
-	// after this one is sent.
-	j.n.ep.StartCall(j.to, procRouted, rpc.FrameCopy(j.body), ao, j.arrived)
+	j.n.ep.StartCall(j.to, procRouted, rpc.FrameCopy(j.body), j.ro, j.arrived)
 }
 
-// arrived finishes one attempt: release the pipeline slot, then either unpack
+// arrived finishes the call: release the pipeline slot, then either unpack
 // the reply (acceptReply, the return leg shared with the inline wait) or ask
-// the ladder what the failure means. It runs on a transport delivery or timer
+// the ladder whether to re-route. It runs on a transport delivery or timer
 // goroutine and never blocks.
 func (j *journey) arrived(resp []byte, err error) {
 	n := j.n
@@ -245,20 +234,16 @@ func (j *journey) arrived(resp []byte, err error) {
 		return
 	}
 	err = mapRemoteError(err)
-	switch v, pause := n.climb(&j.lad, j.head, j.to, j.ro, err); v {
-	case verdictResolve:
+	if n.climb(&j.lad, j.head, j.to, j.ro, err) {
 		go j.again()
-	case verdictRetry:
-		time.AfterFunc(pause, j.again)
-	default:
-		j.finish(nil, err)
+		return
 	}
+	j.finish(nil, err)
 }
 
-// again re-routes the journey after a stale hint, a routing restart or a
-// retry pause: the steps come back out of the request as values and the
-// journey resumes like a fresh one — the object may have come to this node
-// between attempts.
+// again re-routes the journey after a stale hint or a routing restart: the
+// steps come back out of the request as values and the journey resumes like
+// a fresh one — the object may have come to this node meanwhile.
 func (j *journey) again() {
 	steps, err := decodeSteps(j.body)
 	if err != nil {

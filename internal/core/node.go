@@ -105,7 +105,7 @@ type NodeConfig struct {
 	HeatEntries int
 	// PipelineWindow caps how many async invocations this node keeps on the
 	// wire toward one peer at once; requests inside a window share socket
-	// flushes (0 = rpc.DefaultPipelineWindow, 64).
+	// flushes (0 = 64).
 	PipelineWindow int
 	// PipelineDepth caps the total outstanding async invocations per peer —
 	// on the wire plus queued behind the window. Beyond it, AsyncInvoke
@@ -119,6 +119,11 @@ type NodeConfig struct {
 	// and how long a partitioned reader can serve a stale value.
 	LeaseTTL time.Duration
 }
+
+// defaultPipelineWindow is the default NodeConfig.PipelineWindow: 64
+// requests in flight keep a loopback pipe full without letting one caller
+// monopolize a peer's dispatch queue.
+const defaultPipelineWindow = 64
 
 func (c *NodeConfig) fill() {
 	if c.Procs < 1 {
@@ -134,7 +139,7 @@ func (c *NodeConfig) fill() {
 		c.RegionsPerGrant = 4
 	}
 	if c.PipelineWindow <= 0 {
-		c.PipelineWindow = rpc.DefaultPipelineWindow
+		c.PipelineWindow = defaultPipelineWindow
 	}
 	if c.PipelineDepth <= 0 {
 		c.PipelineDepth = 4 * c.PipelineWindow
@@ -267,7 +272,6 @@ func NewNode(cfg NodeConfig, reg *Registry, tr transport.Transport, server *gadd
 		server: server,
 		pipes:  make(map[gaddr.NodeID]*peerPipe),
 	}
-	n.ep.SetPipelineWindow(cfg.PipelineWindow)
 	n.stopc = make(chan struct{})
 	if cfg.ReplicaCache >= 0 {
 		n.installq = make(chan copyInstall, 128)
@@ -604,11 +608,6 @@ func (n *Node) handleRegion(c *rpc.Ctx) {
 // call performs an internode request honouring the node's RPC timeout.
 func (n *Node) call(to gaddr.NodeID, p rpc.Proc, body []byte) ([]byte, error) {
 	return n.ep.CallTimeout(to, p, body, n.cfg.RPCTimeout)
-}
-
-// callTraced is call with an explicit trace context in the envelope.
-func (n *Node) callTraced(to gaddr.NodeID, p rpc.Proc, body []byte, ti rpc.TraceInfo) ([]byte, error) {
-	return n.ep.CallTraced(to, p, body, n.cfg.RPCTimeout, ti)
 }
 
 // --- descriptor table ---

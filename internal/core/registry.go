@@ -260,22 +260,15 @@ func (ti *typeInfo) method(name string) (*methodInfo, error) {
 
 // call performs the reflective invocation of mi on objPtr — the compiled
 // plan: unbound func cached at registration (receiver passed as arg 0, so no
-// per-call method value), the argument frame drawn from the per-P free list,
-// and per-parameter coercers precompiled. A panic in user code is converted
-// into an error carrying the user stack rather than taking down the node.
+// per-call method value) and per-parameter coercers precompiled. A panic in
+// user code is converted into an error carrying the user stack rather than
+// taking down the node.
 func (mi *methodInfo) call(objPtr reflect.Value, ctx *Ctx, args []any) (results []any, err error) {
 	if len(args) != len(mi.params) {
 		return nil, fmt.Errorf("%w: %s takes %d args, got %d",
 			ErrBadArgument, mi.name, len(mi.params), len(args))
 	}
-	var in []reflect.Value
-	var fr *frame
-	if mi.frameLen <= frameCap {
-		fr = getFrame()
-		in = fr[:mi.frameLen]
-	} else {
-		in = make([]reflect.Value, mi.frameLen)
-	}
+	in := make([]reflect.Value, mi.frameLen)
 	in[0] = objPtr
 	base := 1
 	if mi.takesCtx {
@@ -285,9 +278,6 @@ func (mi *methodInfo) call(objPtr reflect.Value, ctx *Ctx, args []any) (results 
 	for i, a := range args {
 		v, cerr := mi.coercers[i](a)
 		if cerr != nil {
-			if fr != nil {
-				putFrame(fr)
-			}
 			return nil, fmt.Errorf("%w: %s arg %d: %v", ErrBadArgument, mi.name, i, cerr)
 		}
 		in[base+i] = v
@@ -299,12 +289,6 @@ func (mi *methodInfo) call(objPtr reflect.Value, ctx *Ctx, args []any) (results 
 		}
 	}()
 	out := mi.fn.Call(in)
-	if fr != nil {
-		// On panic the frame is simply dropped to the GC (the deferred
-		// recovery above runs instead of this line) — never re-pooled while
-		// its ownership is in doubt.
-		putFrame(fr)
-	}
 	if mi.hasErr {
 		if e := out[len(out)-1]; !e.IsNil() {
 			err = e.Interface().(error)

@@ -25,29 +25,3 @@ func (c *Counter) Where(ctx *core.Ctx) gaddr.NodeID { return ctx.NodeID() }
 // serve them from reader-lease copies when a counter is marked cacheable
 // (amber-load's readmostly workload).
 func (c *Counter) AmberReadOnly() []string { return []string{"Get", "Where"} }
-
-// Dispatch implements core.AmberDispatch: the counter routes its own
-// operations with a switch, skipping both reflection and the trampoline
-// corpus. Calls needing argument coercion (an int64 from a hand-rolled
-// client, say) return ErrNotDispatched and take the runtime's reflective
-// plan, so observable behavior is unchanged.
-func (c *Counter) Dispatch(ctx *core.Ctx, method string, args []any) ([]any, error) {
-	switch method {
-	case "Add":
-		if len(args) == 1 {
-			if n, ok := args[0].(int); ok {
-				c.N += n
-				return []any{c.N}, nil
-			}
-		}
-	case "Get":
-		if len(args) == 0 {
-			return []any{c.N}, nil
-		}
-	case "Where":
-		if len(args) == 0 {
-			return []any{ctx.NodeID()}, nil
-		}
-	}
-	return nil, core.ErrNotDispatched
-}

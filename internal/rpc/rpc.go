@@ -283,11 +283,9 @@ type Endpoint struct {
 	tr transport.Transport
 	// coal is tr's pipelining extension, nil when the transport has none;
 	// cached once so the async send path never repeats the type assertion.
-	coal     transport.Coalescer
-	mu       sync.Mutex // guards pending, inflight, window
-	pending  map[uint64]pendingCall
-	inflight map[gaddr.NodeID]int // outstanding async calls per peer
-	window   int                  // advertised pipeline window (see SetPipelineWindow)
+	coal    transport.Coalescer
+	mu      sync.Mutex // guards pending
+	pending map[uint64]pendingCall
 	// handlers is read once per inbound request, without a lock.
 	handlers [256]atomic.Pointer[Handler]
 	nextID   atomic.Uint64
@@ -303,28 +301,15 @@ type replyOutcome struct {
 	err  error
 }
 
-// pendingCall is one entry of the reply-matching table. Exactly one of ch
-// (blocking CallWith) and fn (async StartCall) is set; async entries also
-// carry their deadline timer and peer so completion can cancel the one and
-// decrement the other's inflight gauge.
-type pendingCall struct {
-	ch    chan replyOutcome
-	fn    func(replyOutcome)
-	timer *time.Timer
-	peer  gaddr.NodeID
-}
-
 // NewEndpoint wraps a transport. The endpoint installs itself as the
 // transport's handler. Each inbound request runs its handler on a goroutine
 // of its own; replies are processed inline on the delivery goroutine, so they
 // can never be stuck behind a slow handler.
 func NewEndpoint(tr transport.Transport) *Endpoint {
 	ep := &Endpoint{
-		tr:       tr,
-		pending:  make(map[uint64]pendingCall),
-		inflight: make(map[gaddr.NodeID]int),
-		window:   DefaultPipelineWindow,
-		counts:   stats.NewSet(),
+		tr:      tr,
+		pending: make(map[uint64]pendingCall),
+		counts:  stats.NewSet(),
 	}
 	ep.coal, _ = tr.(transport.Coalescer)
 	ep.cSent = ep.counts.Get("rpc_sent")
@@ -359,19 +344,12 @@ func (ep *Endpoint) Call(to gaddr.NodeID, p Proc, body []byte) ([]byte, error) {
 	return ep.CallTimeout(to, p, body, 0)
 }
 
-// CallTimeout is Call with a deadline; timeout<=0 waits forever.
+// CallTimeout is Call with a deadline; timeout<=0 waits forever. Like every
+// timed call it classifies failure: a timeout probes the peer, so the error
+// is ErrNodeDown when the peer is dead and ErrTimeout when it is merely slow
+// (see StartCall for the full policy).
 func (ep *Endpoint) CallTimeout(to gaddr.NodeID, p Proc, body []byte, timeout time.Duration) ([]byte, error) {
-	return ep.CallTraced(to, p, body, timeout, TraceInfo{})
-}
-
-// CallTraced is CallTimeout carrying an explicit trace context in the
-// request envelope. The receiving handler sees it as Ctx.Trace.
-//
-// Like every timed call it classifies failure: a timeout probes the peer, so
-// the error is ErrNodeDown when the peer is dead and ErrTimeout when it is
-// merely slow (see CallWith for the full policy surface).
-func (ep *Endpoint) CallTraced(to gaddr.NodeID, p Proc, body []byte, timeout time.Duration, ti TraceInfo) ([]byte, error) {
-	return ep.CallWith(to, p, body, CallOpts{Timeout: timeout, Trace: ti})
+	return ep.CallWith(to, p, body, CallOpts{Timeout: timeout})
 }
 
 // Oneway sends a request with no reply expected.
@@ -511,7 +489,7 @@ func (ep *Endpoint) onMessage(m transport.Message) {
 	}
 }
 
-// frameCopy copies body into a pooled buffer with room for the envelope: the
+// FrameCopy copies body into a pooled buffer with room for the envelope: the
 // frame for a sender that must keep body (a retrying call, the dedup window).
 func FrameCopy(body []byte) []byte {
 	return append(wire.GetBufCap(len(body)+FrameRoom), body...)
@@ -520,27 +498,20 @@ func FrameCopy(body []byte) []byte {
 func (ep *Endpoint) completeCall(callID uint64, out replyOutcome) {
 	ep.mu.Lock()
 	pc, ok := ep.pending[callID]
-	if ok {
-		delete(ep.pending, callID)
-		if pc.fn != nil {
-			ep.inflight[pc.peer]--
-		}
-	}
+	delete(ep.pending, callID)
+	// Stopping a timer that has not fired ends the attempt chain here, so its
+	// kept request is ours to recycle. Otherwise a chain step is running — a
+	// send in flight, or a timer that fired — and it finds the call gone and
+	// recycles the request itself.
+	ended := ok && pc.c != nil && pc.c.timer != nil && pc.c.timer.Stop()
 	ep.mu.Unlock()
 	if !ok {
 		ep.counts.Inc("rpc_orphan_reply")
 		wire.PutBuf(out.body)
 		return
 	}
-	if pc.fn != nil {
-		// Async completion: cancel the deadline first. Stop may lose the race
-		// with the timer's own fire, but asyncExpire claims the pending entry
-		// under ep.mu before acting, so exactly one side delivers the outcome.
-		if pc.timer != nil {
-			pc.timer.Stop()
-		}
-		pc.fn(out)
-		return
+	if ended {
+		wire.PutBuf(pc.c.body)
 	}
-	pc.ch <- out
+	pc.done(out.body, out.err)
 }

@@ -39,14 +39,3 @@ func stripe() int {
 	runtime_procUnpin()
 	return p & (numStripes - 1)
 }
-
-// NumStripes is the stripe count, exported for other per-P free lists (the
-// dispatch frame pool in internal/core) that want to share this package's
-// striping discipline rather than reimplement the linkname pull.
-const NumStripes = numStripes
-
-// Stripe exposes the calling P's stripe index for external per-P caches.
-// Same staleness caveat as stripe: the index is a cache-affinity hint, not an
-// exclusivity token — every user must tolerate two goroutines landing on one
-// stripe.
-func Stripe() int { return stripe() }

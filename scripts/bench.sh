@@ -31,9 +31,9 @@
 # host load):
 #
 #   1. Single-threaded local invoke ns/op within +5% of the baseline build AND
-#      <= 3 allocs/op: the compiled dispatch plans and the per-P frame free
-#      list keep the invoke itself allocation-free (what remains is the
-#      result vector and its boxed value).
+#      <= 3 allocs/op: the trampoline corpus keeps the invoke itself
+#      allocation-free (what remains is the result vector and its boxed
+#      value).
 #   2. Single-threaded remote invoke ns/op within +5% of the baseline build.
 #   3. Remote invoke allocates <= 30/op and <= 3000 B/op: request and reply
 #      are each assembled in, received into and recycled as one pooled

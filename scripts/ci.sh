@@ -41,6 +41,13 @@ go test -race -count=1 \
 	-run 'TestFaults|FuzzFaultRules|TestTimeoutClassified|TestRetry|TestIdempotent|TestNonIdempotent|TestGeneration|TestWatchPeer|TestDedup|TestCrash|TestOrphaned|TestForwardingChainRepair|TestThreeNodeCrash|TestSimCrash|TestCapture|TestFleet|TestRetryExhaustedTrigger|TestEntryPointParity|TestInvokeChain|TestAsync|TestLease|TestChainSteps|TestReplica|TestCopyParity|TestForwardingChain|TestMoveChain|TestGenerationChangeDropsHints|TestHint' \
 	./internal/transport/ ./internal/rpc/ ./internal/core/ ./internal/sim/
 
+echo "== at-most-once on every door (late reply, object moved to the caller) =="
+# rpc re-sends a call to the node it first reached, whose dedup window
+# answers; an engine that re-resolved between attempts would run the call
+# again at the object's new home. The window between the straggling reply and
+# the move is an interleaving, so the row runs 20 times under -race.
+go test -race -count=20 -run 'TestEntryPointParity/late_reply' ./internal/core/
+
 echo "== TCP sent counters lead delivery =="
 # A peer may answer a frame before its sender's Send returns, so the sender
 # counts the frame before writing it; a node whose msgs_sent trailed what its
