@@ -1,7 +1,8 @@
 // SOR: the paper's application study (§6, Figure 1). Solves the steady-state
 // temperature of a plate by Red/Black Successive Over-Relaxation on a
-// cluster of multiprocessor nodes: one Section object per partition, edge
-// exchanges overlapped with interior computation, and a convergence master.
+// cluster of multiprocessor nodes: one Section object per partition, and edge
+// exchanges overlapped with interior computation that also carry the
+// convergence residuals, so no master is consulted.
 // The distributed result is verified against the sequential solver.
 package main
 

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"amber/internal/gaddr"
@@ -73,11 +74,27 @@ func (b *backoff) next() time.Duration {
 // CallWith sends a request governed by opts and blocks until a reply, a
 // classified failure, or attempt exhaustion: StartCall plus a wait.
 func (ep *Endpoint) CallWith(to gaddr.NodeID, p Proc, body []byte, opts CallOpts) ([]byte, error) {
-	ch := make(chan replyOutcome, 1)
-	ep.StartCall(to, p, body, opts, func(b []byte, err error) { ch <- replyOutcome{b, err} })
-	out := <-ch
+	w := waiters.Get().(*waiter)
+	ep.StartCall(to, p, body, opts, w.done)
+	out := <-w.ch
+	waiters.Put(w)
 	return out.body, out.err
 }
+
+// waiter is a blocking call's completion: a one-slot channel and the done
+// callback that fills it, made together once and reused. StartCall runs done
+// exactly once and CallWith receives exactly once before it returns the
+// waiter, so a pooled waiter is always empty and no stale done can reach it.
+type waiter struct {
+	ch   chan replyOutcome
+	done func([]byte, error)
+}
+
+var waiters = sync.Pool{New: func() any {
+	w := &waiter{ch: make(chan replyOutcome, 1)}
+	w.done = func(b []byte, err error) { w.ch <- replyOutcome{b, err} }
+	return w
+}}
 
 // Kick flushes the transport's write buffer toward peer, ending a NoFlush
 // batch. A no-op when the transport does not buffer.

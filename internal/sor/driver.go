@@ -2,7 +2,6 @@ package sor
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"amber/internal/amsync"
@@ -10,67 +9,6 @@ import (
 	"amber/internal/gaddr"
 	"amber/internal/wire"
 )
-
-// Reducer is the "master" of Figure 1: sections report their per-iteration
-// maximum change; every caller blocks until all parties have reported and
-// receives the global maximum, so every section stops on the same
-// iteration. It is the solve's only cluster-wide synchronization: the color
-// phases are ordered by the ghost pushes between neighbours alone.
-type Reducer struct {
-	Parties int
-
-	mu     sync.Mutex
-	count  int
-	cur    float64
-	result float64
-	waitCh chan struct{}
-}
-
-// ReduceMax submits v and blocks until all parties of the epoch have
-// reported; it returns the epoch's global maximum.
-func (r *Reducer) ReduceMax(ctx *core.Ctx, v float64) (float64, error) {
-	r.mu.Lock()
-	if r.Parties <= 0 {
-		r.mu.Unlock()
-		return 0, fmt.Errorf("sor: reducer with %d parties", r.Parties)
-	}
-	if v > r.cur {
-		r.cur = v
-	}
-	r.count++
-	if r.count >= r.Parties {
-		r.result = r.cur
-		r.cur = 0
-		r.count = 0
-		if r.waitCh != nil {
-			close(r.waitCh)
-			r.waitCh = nil
-		}
-		res := r.result
-		r.mu.Unlock()
-		return res, nil
-	}
-	if r.waitCh == nil {
-		r.waitCh = make(chan struct{})
-	}
-	ch := r.waitCh
-	r.mu.Unlock()
-	ctx.Block(func() { <-ch })
-	r.mu.Lock()
-	res := r.result
-	r.mu.Unlock()
-	return res, nil
-}
-
-// CanMove vetoes migration while sections are blocked in a reduction.
-func (r *Reducer) CanMove() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.count > 0 {
-		return fmt.Errorf("%w: reduction in progress", amsync.ErrBusy)
-	}
-	return nil
-}
 
 // Config parameterizes a distributed SOR run (§6).
 type Config struct {
@@ -95,13 +33,12 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// RegisterAll registers the SOR classes.
+// RegisterAll registers the SOR class, and the synchronization classes
+// beside it so that one call readies a node for every shipped program.
 func RegisterAll(r interface{ Register(v any) error }) error {
 	wire.Register([][]float64(nil)) // grids cross the wire in Rows results
-	for _, v := range []any{&Section{}, &Reducer{}} {
-		if err := r.Register(v); err != nil {
-			return err
-		}
+	if err := r.Register(&Section{}); err != nil {
+		return err
 	}
 	return amsync.RegisterAll(r)
 }
@@ -188,16 +125,11 @@ func RunDistributedCtx(ctx *core.Ctx, numNodes int, cfg Config) (*Result, error)
 		}
 	}
 
-	reducer, err := ctx.New(&Reducer{Parties: sections})
-	if err != nil {
-		return nil, err
-	}
-
 	startT := time.Now()
 	threads := make([]core.Thread, sections)
 	for i, ref := range refs {
 		th, err := ctx.StartThread(ref, "Run",
-			reducer, cfg.Eps, cfg.MaxIters, cfg.Overlap, cfg.ComputeThreads)
+			cfg.Eps, cfg.MaxIters, cfg.Overlap, cfg.ComputeThreads)
 		if err != nil {
 			return nil, err
 		}
@@ -239,14 +171,13 @@ func RunDistributedCtx(ctx *core.Ctx, numNodes int, cfg Config) (*Result, error)
 func PrintStructure(sections int) string {
 	s := "Amber Red/Black SOR program structure (paper Figure 1)\n"
 	s += "=======================================================\n"
-	s += "master thread ── creates sections, reducer; joins controllers\n"
+	s += "master thread ── creates sections; joins controllers\n"
 	for i := 0; i < sections; i++ {
 		s += fmt.Sprintf("node[%d]\n", i)
 		s += fmt.Sprintf("  Section[%d] object (strip of grid rows + 2 ghost rows)\n", i)
-		s += "    controller thread: iterate { await red ghosts; black; await black ghosts; red; reduce }\n"
+		s += "    controller thread: iterate m { black; await black ghosts; red; await red ghosts; stop if m-L converged }\n"
 		s += "    compute threads:   relax points of current color in parallel\n"
-		s += "    edge threads:      push edge rows to neighbours, overlapped\n"
-		s += "    convergence:       ReduceMax with master each iteration\n"
+		s += "    edge threads:      push edge rows + residual trailer to neighbours, overlapped\n"
 		if i < sections-1 {
 			s += "      │ edge exchange (single invocation per edge per color)\n"
 			s += "      ▼\n"

@@ -3,8 +3,10 @@
 // Over-Relaxation. It provides a sequential solver (the paper's speedup
 // baseline) and a distributed Amber implementation structured exactly as
 // Figure 1: one Section object per partition, compute threads within each
-// section, edge-exchange threads overlapping communication with computation,
-// and a convergence reduction against a master.
+// section, and edge-exchange threads overlapping communication with
+// computation. Figure 1's convergence master is gone: each edge push also
+// carries its sender's per-iteration residuals, and every section stops on
+// the same iteration from what its neighbours have told it.
 package sor
 
 import (

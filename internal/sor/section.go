@@ -27,12 +27,15 @@ type Section struct {
 	// boundary).
 	Up, Down core.Ref
 
-	// ghostMu guards the ghost-arrival ledger: arrived[c] counts the
-	// neighbour pushes of color c installed so far, and wake, when non-nil,
-	// is closed on the next arrival to release the waiting controller.
+	// ghostMu guards the ghost-arrival ledger and the residual table:
+	// arrived[c] counts the neighbour pushes of color c installed so far,
+	// wake, when non-nil, is closed on the next arrival to release the
+	// waiting controller, and resid[k] is the largest change of iteration k
+	// this section has heard of, its own included.
 	ghostMu sync.Mutex
 	arrived [2]int
 	wake    chan struct{}
+	resid   []float64
 }
 
 // ownedRows reports N, the number of interior rows this section owns.
@@ -89,6 +92,13 @@ func (s *Section) SetNeighbors(up, down core.Ref) {
 // push never races with this section reading the *other* color's cells
 // during an overlapped phase. Each install counts as one arrival of its
 // color, which is what the controller waits on instead of a barrier.
+//
+// vals is the Cols edge values, optionally followed by a residual trailer
+// (see residuals): the first iteration number, then the sender's
+// best-known residual of that iteration and of the ones after it. The trailer
+// is merged into the residual table before the arrival counts, so a
+// controller released by the arrival sees it. A push of exactly Cols values
+// carries none.
 func (s *Section) SetGhostColor(which int, color int, vals []float64) {
 	row := 0
 	grow := s.GlobalStart - 1 // global index of the upper ghost row
@@ -103,6 +113,14 @@ func (s *Section) SetGhostColor(which int, color int, vals []float64) {
 		}
 	}
 	s.ghostMu.Lock()
+	// A correct sender never starts its trailer past the table's next entry,
+	// so one that would leave a gap (or names no iteration) is ignored, and a
+	// push grows the table by no more than it carries.
+	if t := vals[len(dst):]; len(t) > 1 && t[0] >= 1 && t[0] <= float64(len(s.resid)+1) {
+		for i, r := range t[1:] {
+			s.noteResidual(int(t[0])+i, r)
+		}
+	}
 	s.arrived[color]++
 	if s.wake != nil {
 		close(s.wake)
@@ -128,16 +146,71 @@ func (s *Section) awaitGhosts(ctx *core.Ctx, color, want int) {
 	s.ghostMu.Unlock()
 }
 
+// noteResidual maxes r into the table entry of iteration k. ghostMu must be
+// held.
+func (s *Section) noteResidual(k int, r float64) {
+	for len(s.resid) <= k {
+		s.resid = append(s.resid, 0)
+	}
+	s.resid[k] = max(s.resid[k], r)
+}
+
+// residual reports the largest change of iteration k heard of so far.
+func (s *Section) residual(k int) float64 {
+	s.ghostMu.Lock()
+	defer s.ghostMu.Unlock()
+	return s.resid[k]
+}
+
+// residuals returns the trailer of a push made in iteration iter: the first
+// iteration number, then this section's best-known residual of each of
+// iterations max(1, iter-lag) … iter-1 — the window in which a residual is
+// still travelling (see lag). It is empty in the first iteration.
+func (s *Section) residuals(iter, lag int) []float64 {
+	first := max(1, iter-lag)
+	if first >= iter {
+		return nil
+	}
+	t := make([]float64, 0, 1+iter-first)
+	t = append(t, float64(first))
+	s.ghostMu.Lock()
+	t = append(t, s.resid[first:iter]...)
+	s.ghostMu.Unlock()
+	return t
+}
+
+// lag is L, how many iterations past iteration k a section on a strip of
+// the given number of sections runs before it knows k's global residual.
+//
+// A section's residual of iteration k is complete once its red interior is
+// relaxed, so it first leaves on the black push of iteration k+1, half-step
+// 2k+1 (black of iteration m is half-step 2m-1, red is 2m). Every push
+// carries what its sender has heard, and a section relaxes half-step t only
+// after its neighbours' pushes of half-step t-1 have been installed, so the
+// residual moves one section per half-step: its h-th hop leaves on half-step
+// 2k+h and is installed before the receiver relaxes half-step 2k+h+1. The
+// farthest section is S-1 hops away, so every section has heard all of
+// iteration k before half-step 2k+S. The controller checks iteration m-L
+// after the red-ghost wait that ends iteration m, the point before
+// half-step 2m+1; 2(m-L)+S <= 2m+1 needs L = ceil((S-1)/2) = floor(S/2).
+// The same count bounds the window: a push in iteration m forwards
+// iterations m-L … m-1, the ones whose last hop is not yet made.
+func lag(sections int) int { return sections / 2 }
+
 // EdgeRow returns a copy of an owned edge row: which=-1 for the first owned
 // row, +1 for the last. This is the single-invocation edge transfer of §6.
-func (s *Section) EdgeRow(which int) []float64 {
+func (s *Section) EdgeRow(which int) []float64 { return s.edgePush(which, nil) }
+
+// edgePush returns a copy of an owned edge row followed by trailer: the
+// vals of one SetGhostColor push.
+func (s *Section) edgePush(which int, trailer []float64) []float64 {
 	li := 1
 	if which > 0 {
 		li = s.ownedRows()
 	}
-	out := make([]float64, s.Cols)
+	out := make([]float64, s.Cols, s.Cols+len(trailer))
 	copy(out, s.U[li])
-	return out
+	return append(out, trailer...)
 }
 
 // Rows returns copies of all owned rows, for final assembly.
@@ -182,14 +255,15 @@ func (s *Section) ComputeColorRange(color, from, to int) float64 {
 // pushEdges starts shipping this section's freshly-updated edge cells of one
 // color to the neighbouring sections' ghost rows: one invocation per
 // neighbour, "a single network exchange per edge per iteration", both in
-// flight at once. The futures are Figure 1's edge-exchange threads.
-func (s *Section) pushEdges(ctx *core.Ctx, color int) []*core.Future {
+// flight at once, each carrying the residual trailer. The futures are
+// Figure 1's edge-exchange threads.
+func (s *Section) pushEdges(ctx *core.Ctx, color int, trailer []float64) []*core.Future {
 	var pushes []*core.Future
 	if s.Up != core.NilRef {
-		pushes = append(pushes, ctx.AsyncInvoke(s.Up, "SetGhostColor", +1, color, s.EdgeRow(-1)))
+		pushes = append(pushes, ctx.AsyncInvoke(s.Up, "SetGhostColor", +1, color, s.edgePush(-1, trailer)))
 	}
 	if s.Down != core.NilRef {
-		pushes = append(pushes, ctx.AsyncInvoke(s.Down, "SetGhostColor", -1, color, s.EdgeRow(+1)))
+		pushes = append(pushes, ctx.AsyncInvoke(s.Down, "SetGhostColor", -1, color, s.edgePush(+1, trailer)))
 	}
 	return pushes
 }
@@ -206,20 +280,21 @@ func joinPushes(ctx *core.Ctx, pushes []*core.Future) error {
 }
 
 // phase performs one half-iteration (one color) and returns its largest
-// change with the edge pushes still in flight. With overlap (§6) the edge
-// rows are relaxed first and shipped while the interior relaxes; without it
-// the pushes start once the whole strip is done.
-func (s *Section) phase(ctx *core.Ctx, color int, overlap bool, computeThreads int) (float64, []*core.Future) {
+// change with the edge pushes, which carry trailer, still in flight. With
+// overlap (§6) the edge rows are relaxed first and shipped while the
+// interior relaxes; without it the pushes start once the whole strip is
+// done.
+func (s *Section) phase(ctx *core.Ctx, color int, trailer []float64, overlap bool, computeThreads int) (float64, []*core.Future) {
 	n := s.ownedRows()
 	if !overlap {
 		delta := s.computeParallel(ctx, color, 1, n, computeThreads)
-		return delta, s.pushEdges(ctx, color)
+		return delta, s.pushEdges(ctx, color, trailer)
 	}
 	delta := s.ComputeColorRange(color, 1, 1)
 	if n > 1 {
 		delta = max(delta, s.ComputeColorRange(color, n, n))
 	}
-	pushes := s.pushEdges(ctx, color)
+	pushes := s.pushEdges(ctx, color, trailer)
 	if n > 2 {
 		delta = max(delta, s.computeParallel(ctx, color, 2, n-1, computeThreads))
 	}
@@ -272,42 +347,85 @@ func (s *Section) computeParallel(ctx *core.Ctx, color, from, to, computeThreads
 }
 
 // Run is the section's controller thread (Figure 1): it drives iterations
-// and reports convergence through the reducer. It returns the number of
-// iterations executed.
+// until the global residual of one falls below eps, and returns that
+// iteration's number — the count SolveSequential reports for the same
+// problem, with the owned rows as they stood after it.
 //
 // No barrier separates the colors. Red points read only black ghost cells
 // and black points only red ones, so before relaxing a color the section
 // waits for its own neighbours' latest pushes of the other color: iteration
-// k relaxes black once k-1 red pushes per neighbour have arrived, and red
-// once k black pushes have. Neighbours drift at most half a step apart, and
-// the reduction is the only cluster-wide synchronization.
-func (s *Section) Run(ctx *core.Ctx, reducer core.Ref, eps float64, maxIters int, overlap bool, computeThreads int) (int, error) {
+// m relaxes black once m-1 red pushes per neighbour have arrived, and red
+// once m black pushes have. Neighbours drift at most half a step apart.
+//
+// Nor is there a reduction. Each push carries its sender's residual
+// trailer, so at the end of iteration m every section knows the global
+// residual of iteration m-L (see lag) and decides on it alike, running L
+// iterations past the one it reports. It keeps the owned rows of the last
+// L iterations to restore the reported one. Without convergence it runs to
+// maxIters+L and restores maxIters.
+func (s *Section) Run(ctx *core.Ctx, eps float64, maxIters int, overlap bool, computeThreads int) (int, error) {
+	if maxIters < 1 {
+		return maxIters, nil
+	}
 	neighbours := 0
 	for _, r := range []core.Ref{s.Up, s.Down} {
 		if r != core.NilRef {
 			neighbours++
 		}
 	}
-	for iter := 1; iter <= maxIters; iter++ {
-		s.awaitGhosts(ctx, Red, (iter-1)*neighbours)
-		dB, pushes := s.phase(ctx, Black, overlap, computeThreads)
-		s.awaitGhosts(ctx, Black, iter*neighbours)
-		if err := joinPushes(ctx, pushes); err != nil {
-			return iter, err
-		}
-		dR, pushes := s.phase(ctx, Red, overlap, computeThreads)
-		// The convergence thread's exchange with the master (Figure 1): a
-		// blocking max-reduction, made while the red pushes are in flight.
-		out, err := ctx.Invoke(reducer, "ReduceMax", max(dB, dR))
-		if perr := joinPushes(ctx, pushes); err == nil {
-			err = perr
+	lag := lag(s.Sections)
+	slabs := make([][][]float64, lag) // owned rows after iteration j, at j%lag
+	var red []*core.Future
+	for m := 1; ; m++ {
+		dB, black := s.phase(ctx, Black, s.residuals(m, lag), overlap, computeThreads)
+		s.awaitGhosts(ctx, Black, m*neighbours)
+		// The previous iteration's red pushes are joined only now, so their
+		// replies return while this section relaxes black.
+		err := joinPushes(ctx, red)
+		if berr := joinPushes(ctx, black); err == nil {
+			err = berr
 		}
 		if err != nil {
-			return iter, err
+			return m, err
 		}
-		if out[0].(float64) < eps {
-			return iter, nil
+		var dR float64
+		dR, red = s.phase(ctx, Red, s.residuals(m, lag), overlap, computeThreads)
+		s.ghostMu.Lock()
+		s.noteResidual(m, max(dB, dR))
+		s.ghostMu.Unlock()
+		// The wait the next iteration would begin with: the neighbours' red
+		// pushes complete what this section hears of iteration m-L.
+		s.awaitGhosts(ctx, Red, m*neighbours)
+		if k := m - lag; k >= 1 && (k == maxIters || s.residual(k) < eps) {
+			if k < m {
+				s.restoreRows(slabs[k%lag])
+			}
+			return k, joinPushes(ctx, red)
+		}
+		if lag > 0 {
+			slabs[m%lag] = s.saveRows(slabs[m%lag])
 		}
 	}
-	return maxIters, nil
+}
+
+// saveRows copies the owned rows into dst, allocating it on first use, and
+// returns it.
+func (s *Section) saveRows(dst [][]float64) [][]float64 {
+	if dst == nil {
+		dst = make([][]float64, s.ownedRows())
+		for i := range dst {
+			dst[i] = make([]float64, s.Cols)
+		}
+	}
+	for i, row := range dst {
+		copy(row, s.U[i+1])
+	}
+	return dst
+}
+
+// restoreRows overwrites the owned rows with a copy saveRows made.
+func (s *Section) restoreRows(src [][]float64) {
+	for i, row := range src {
+		copy(s.U[i+1], row)
+	}
 }

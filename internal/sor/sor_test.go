@@ -1,7 +1,9 @@
 package sor
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -128,50 +130,6 @@ func TestPrintStructure(t *testing.T) {
 	}
 }
 
-func TestReducerStandalone(t *testing.T) {
-	cl := newSORCluster(t, 2, 2)
-	ctx := cl.Node(0).Root()
-	red, _ := ctx.New(&Reducer{Parties: 3})
-	var threads []core.Thread
-	for i := 0; i < 3; i++ {
-		th, _ := cl.Node(i%2).Root().StartThread(red, "ReduceMax", float64(i))
-		threads = append(threads, th)
-	}
-	for _, th := range threads {
-		out, err := ctx.Join(th)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out[0].(float64) != 2.0 {
-			t.Fatalf("reduction = %v, want 2", out[0])
-		}
-	}
-	// Second epoch is independent.
-	var threads2 []core.Thread
-	for i := 0; i < 3; i++ {
-		th, _ := ctx.StartThread(red, "ReduceMax", float64(10-i))
-		threads2 = append(threads2, th)
-	}
-	for _, th := range threads2 {
-		out, err := ctx.Join(th)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out[0].(float64) != 10.0 {
-			t.Fatalf("second reduction = %v, want 10", out[0])
-		}
-	}
-}
-
-func TestReducerZeroParties(t *testing.T) {
-	cl := newSORCluster(t, 1, 1)
-	ctx := cl.Node(0).Root()
-	red, _ := ctx.New(&Reducer{})
-	if _, err := ctx.Invoke(red, "ReduceMax", 1.0); err == nil {
-		t.Fatal("0-party reducer must error")
-	}
-}
-
 // Property: for random grid shapes, partition counts and thread counts, the
 // distributed solver matches the sequential one bitwise.
 func TestQuickRandomConfigsMatchSequential(t *testing.T) {
@@ -249,16 +207,20 @@ func ledgerSolve(t *testing.T, nodes, iters int) (int64, map[string]int) {
 }
 
 // The per-iteration message ledger, exactly: each section pushes one edge
-// per neighbour per color (a request and a reply each), and every section
-// but the reducer's co-resident one reports to the reducer. Nothing else
-// crosses the network inside the iteration loop — in particular no barrier.
+// per neighbour per color, a request and a reply each, and the convergence
+// residuals ride those pushes. Nothing else crosses the network inside the
+// iteration loop — no barrier and no reduction. With Eps 0 a solve never
+// converges and runs MaxIters+L iterations before it restores iteration
+// MaxIters (L = lag(S): 1 on three sections, 2 on four), so each solve
+// carries a fixed tail of L iterations, 16·L messages on three sections and
+// 24·L on four; the difference of two solves cancels it.
 func TestSORMessageLedger(t *testing.T) {
 	for _, tc := range []struct {
 		nodes   int
 		perIter int64
 	}{
-		{3, 16 + 4}, // 2 edges × 2 directions × 2 colors × 2 msgs; 2 remote reports
-		{4, 24 + 6}, // 3 edges × 8 msgs; 3 remote reports
+		{3, 16}, // 2 edges × 2 directions × 2 colors × 2 msgs
+		{4, 24}, // 3 edges × 8 msgs
 	} {
 		short, shortMethods := ledgerSolve(t, tc.nodes, 10)
 		long, _ := ledgerSolve(t, tc.nodes, 20)
@@ -266,10 +228,12 @@ func TestSORMessageLedger(t *testing.T) {
 			t.Errorf("%d nodes: 10 more iterations sent %d msgs, want %d (%d per iteration)",
 				tc.nodes, got, 10*tc.perIter, tc.perIter)
 		}
-		if n := shortMethods["Arrive"]; n != 0 {
-			t.Errorf("%d nodes: %d barrier Arrives executed", tc.nodes, n)
+		for _, m := range []string{"Arrive", "ReduceMax"} {
+			if n := shortMethods[m]; n != 0 {
+				t.Errorf("%d nodes: %d %s invocations executed", tc.nodes, n, m)
+			}
 		}
-		if want := 10 * 2 * 2 * (tc.nodes - 1); shortMethods["SetGhostColor"] != want {
+		if want := (10 + lag(tc.nodes)) * 2 * 2 * (tc.nodes - 1); shortMethods["SetGhostColor"] != want {
 			t.Errorf("%d nodes: %d ghost pushes in 10 iterations, want %d",
 				tc.nodes, shortMethods["SetGhostColor"], want)
 		}
@@ -308,6 +272,97 @@ func TestGhostsUnderJitter(t *testing.T) {
 			t.Fatalf("overlap=%v: grid differs from sequential by %g", overlap, d)
 		}
 	}
+}
+
+// The speculative stop reports what SolveSequential reports, bit for bit,
+// at its edges: every strip count from one section (L = 0) to eight
+// (L = 4), a cap just below, at and just above the converging iteration,
+// and a tolerance so loose that iteration 1 converges, before any section
+// has run L iterations past it.
+func TestSpeculativeStopMatchesSequential(t *testing.T) {
+	p := DefaultProblem(14, 18) // 12 interior rows: room for 8 sections
+	const omega, eps, maxIters = 1.5, 1e-3, 2000
+	_, converged, err := SolveSequential(p, omega, eps, maxIters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type solve struct {
+		eps      float64
+		maxIters int
+	}
+	cases := []struct {
+		name  string
+		solve solve
+	}{
+		{"converges", solve{eps, maxIters}},
+		{"cap=iters-1", solve{eps, converged - 1}},
+		{"cap=iters", solve{eps, converged}},
+		{"cap=iters+1", solve{eps, converged + 1}},
+		{"converges-at-1", solve{1e9, maxIters}},
+	}
+	for _, tc := range cases {
+		want, wantIters, err := SolveSequential(p, omega, tc.solve.eps, tc.solve.maxIters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.name == "converges-at-1" && wantIters != 1 {
+			t.Fatalf("eps %g converges at iteration %d, not 1", tc.solve.eps, wantIters)
+		}
+		for sections := 1; sections <= 8; sections++ {
+			for _, overlap := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/S=%d/overlap=%v", tc.name, sections, overlap), func(t *testing.T) {
+					cl := newSORCluster(t, 3, 1)
+					res, err := RunDistributed(cl, Config{
+						Problem: p, Omega: omega, Eps: tc.solve.eps, MaxIters: tc.solve.maxIters,
+						Sections: sections, Overlap: overlap, ComputeThreads: 1,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Iters != wantIters {
+						t.Fatalf("%d iterations, sequential %d", res.Iters, wantIters)
+					}
+					if d := MaxAbsDiff(want, res.Grid); d != 0 {
+						t.Fatalf("grid differs from sequential by %g", d)
+					}
+				})
+			}
+		}
+	}
+	// A push of exactly Cols values, the form that predates the trailer,
+	// installs its color's cells and counts as one arrival; one with a
+	// trailer also merges its residuals, and one whose trailer would leave a
+	// gap in the table still counts but merges nothing.
+	t.Run("trailer-less push", func(t *testing.T) {
+		cl := newSORCluster(t, 2, 1)
+		sec := &Section{Sections: 3, GlobalStart: 1, Cols: 6, U: [][]float64{make([]float64, 6), make([]float64, 6), make([]float64, 6)}}
+		ref, err := cl.Node(0).Root().New(sec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edge := []float64{1, 2, 3, 4, 5, 6}
+		if _, err := cl.Node(1).Root().Invoke(ref, "SetGhostColor", -1, Black, edge); err != nil {
+			t.Fatal(err)
+		}
+		// Row 0 is global row 0: black cells are the even columns.
+		if got := sec.U[0]; !slices.Equal(got, []float64{1, 0, 3, 0, 5, 0}) {
+			t.Fatalf("upper ghost after a black push = %v", got)
+		}
+		for _, trailer := range [][]float64{{1, 0.5, 0.25}, {9, 1}} {
+			vals := append(slices.Clone(edge), trailer...)
+			if _, err := cl.Node(1).Root().Invoke(ref, "SetGhostColor", -1, Red, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sec.ghostMu.Lock()
+		defer sec.ghostMu.Unlock()
+		if sec.arrived != [2]int{1, 2} {
+			t.Fatalf("arrivals = %v, want one black and two red", sec.arrived)
+		}
+		if !slices.Equal(sec.resid, []float64{0, 0.5, 0.25}) {
+			t.Fatalf("residual table = %v, want [0 0.5 0.25]", sec.resid)
+		}
+	})
 }
 
 func min(a, b int) int {

@@ -54,11 +54,11 @@ echo "== TCP sent counters lead delivery =="
 # peer had received showed a stray message in a local-only benchmark bracket.
 go test -race -count=20 -run 'TestSentCountedBeforeDelivery' ./internal/transport/
 
-echo "== SOR ghost exchange (no barrier: waits on neighbour pushes, exact message ledger) =="
+echo "== SOR ghost exchange (no barrier, no reduction: waits on neighbour pushes, speculative stop, exact message ledger) =="
 # A section relaxes a color once its neighbours' pushes of the other color
 # have arrived; a lost wake-up in that hand-off is a hang, so it is re-run
 # here with fresh state instead of surfacing as a stalled benchmark.
-go test -race -count=10 -run 'TestDistributed|TestMoreSections|TestQuickRandom|TestSORMessageLedger|TestGhostsUnderJitter' ./internal/sor/
+go test -race -count=10 -run 'TestDistributed|TestMoreSections|TestQuickRandom|TestSORMessageLedger|TestGhostsUnderJitter|TestSpeculativeStopMatchesSequential' ./internal/sor/
 
 echo "== one invocation engine, one cached copy, one location rule, one state machine (structure check, transition table, wait tests, protocol fuzzing) =="
 # Invoke, AsyncInvoke, InvokeChain and AsyncInvokeChain are one engine
