@@ -24,30 +24,30 @@ type DispShapes struct {
 }
 
 // Arity 0.
-func (d *DispShapes) Void()                     {}
-func (d *DispShapes) VoidErr() error            { return errors.New("void says no") }
-func (d *DispShapes) CtxVoid(c *Ctx)            {}
-func (d *DispShapes) CtxVoidErr(c *Ctx) error   { return nil }
-func (d *DispShapes) GetInt() int               { return 42 }
-func (d *DispShapes) GetI64() int64             { return -7 }
-func (d *DispShapes) GetU64() uint64            { return 9 }
-func (d *DispShapes) GetF64() float64           { return 2.5 }
-func (d *DispShapes) GetStr() string            { return "s" }
-func (d *DispShapes) GetBool() bool             { return true }
-func (d *DispShapes) GetBytes() []byte          { return []byte{1, 2} }
-func (d *DispShapes) GetAddr() gaddr.Addr       { return gaddr.Addr(99) }
-func (d *DispShapes) GetIntErr() (int, error)   { return 5, errors.New("with result") }
-func (d *DispShapes) CtxInt(c *Ctx) int         { return 11 }
+func (d *DispShapes) Void()                         {}
+func (d *DispShapes) VoidErr() error                { return errors.New("void says no") }
+func (d *DispShapes) CtxVoid(c *Ctx)                {}
+func (d *DispShapes) CtxVoidErr(c *Ctx) error       { return nil }
+func (d *DispShapes) GetInt() int                   { return 42 }
+func (d *DispShapes) GetI64() int64                 { return -7 }
+func (d *DispShapes) GetU64() uint64                { return 9 }
+func (d *DispShapes) GetF64() float64               { return 2.5 }
+func (d *DispShapes) GetStr() string                { return "s" }
+func (d *DispShapes) GetBool() bool                 { return true }
+func (d *DispShapes) GetBytes() []byte              { return []byte{1, 2} }
+func (d *DispShapes) GetAddr() gaddr.Addr           { return gaddr.Addr(99) }
+func (d *DispShapes) GetIntErr() (int, error)       { return 5, errors.New("with result") }
+func (d *DispShapes) CtxInt(c *Ctx) int             { return 11 }
 func (d *DispShapes) CtxIntErr(c *Ctx) (int, error) { return 12, nil }
 
 // Arity 1, per scalar.
-func (d *DispShapes) EchoInt(x int) int             { return x }
-func (d *DispShapes) EchoI64(x int64) int64         { return x }
-func (d *DispShapes) EchoU64(x uint64) uint64       { return x }
-func (d *DispShapes) EchoF64(x float64) float64     { return x * 2 }
-func (d *DispShapes) EchoStr(x string) string       { return x + "!" }
-func (d *DispShapes) EchoBool(x bool) bool          { return !x }
-func (d *DispShapes) EchoBytes(x []byte) []byte     { return x }
+func (d *DispShapes) EchoInt(x int) int                { return x }
+func (d *DispShapes) EchoI64(x int64) int64            { return x }
+func (d *DispShapes) EchoU64(x uint64) uint64          { return x }
+func (d *DispShapes) EchoF64(x float64) float64        { return x * 2 }
+func (d *DispShapes) EchoStr(x string) string          { return x + "!" }
+func (d *DispShapes) EchoBool(x bool) bool             { return !x }
+func (d *DispShapes) EchoBytes(x []byte) []byte        { return x }
 func (d *DispShapes) EchoAddr(x gaddr.Addr) gaddr.Addr { return x + 1 }
 func (d *DispShapes) EchoIntErr(x int) (int, error) {
 	if x < 0 {
@@ -65,15 +65,15 @@ func (d *DispShapes) SinkErr(x int) error {
 }
 
 // Arity 2–4.
-func (d *DispShapes) Add2(a, b int) int                 { return a + b }
-func (d *DispShapes) Cat2(a, b string) string           { return a + b }
-func (d *DispShapes) Add2F(a, b float64) float64        { return a + b }
-func (d *DispShapes) Add2Err(a, b int) (int, error)     { return a + b, nil }
-func (d *DispShapes) CtxAdd2(c *Ctx, a, b int) int      { return a + b }
-func (d *DispShapes) Sum3(a, b, c int) int              { return a + b + c }
-func (d *DispShapes) Sum3F(a, b, c float64) float64     { return a + b + c }
-func (d *DispShapes) Mix3(a, b, c int) float64          { return float64(a+b+c) / 2 }
-func (d *DispShapes) Sum4(a, b, c, e int) int           { return a + b + c + e }
+func (d *DispShapes) Add2(a, b int) int                   { return a + b }
+func (d *DispShapes) Cat2(a, b string) string             { return a + b }
+func (d *DispShapes) Add2F(a, b float64) float64          { return a + b }
+func (d *DispShapes) Add2Err(a, b int) (int, error)       { return a + b, nil }
+func (d *DispShapes) CtxAdd2(c *Ctx, a, b int) int        { return a + b }
+func (d *DispShapes) Sum3(a, b, c int) int                { return a + b + c }
+func (d *DispShapes) Sum3F(a, b, c float64) float64       { return a + b + c }
+func (d *DispShapes) Mix3(a, b, c int) float64            { return float64(a+b+c) / 2 }
+func (d *DispShapes) Sum4(a, b, c, e int) int             { return a + b + c + e }
 func (d *DispShapes) Sum4Err(a, b, c, e int) (int, error) { return a + b + c + e, nil }
 
 // Mutating + panicking.
@@ -84,12 +84,12 @@ func (d *DispShapes) Blow(tag string) string {
 
 // Outside the corpus: these must fall back to the reflective plan at
 // registration time.
-func (d *DispShapes) TakesMap(m map[string]int) int       { return len(m) }
-func (d *DispShapes) TakesSliceInt(xs []int) int          { return len(xs) }
-func (d *DispShapes) Hetero3(a int, b string, c int) int  { return a + len(b) + c }
-func (d *DispShapes) Sum5(a, b, c, e, f int) int          { return a + b + c + e + f }
-func (d *DispShapes) TakesIface(s fmt.Stringer) string    { return s.String() }
-func (d *DispShapes) GivesIface() fmt.Stringer            { return Name{S: "x"} }
+func (d *DispShapes) TakesMap(m map[string]int) int      { return len(m) }
+func (d *DispShapes) TakesSliceInt(xs []int) int         { return len(xs) }
+func (d *DispShapes) Hetero3(a int, b string, c int) int { return a + len(b) + c }
+func (d *DispShapes) Sum5(a, b, c, e, f int) int         { return a + b + c + e + f }
+func (d *DispShapes) TakesIface(s fmt.Stringer) string   { return s.String() }
+func (d *DispShapes) GivesIface() fmt.Stringer           { return Name{S: "x"} }
 
 // Name is a concrete wire-transmissible type implementing fmt.Stringer, for
 // the interface-parameter regression tests.
@@ -433,10 +433,10 @@ type SelfServed struct {
 	Hits int
 }
 
-func (s *SelfServed) Poke(x int) int     { return x }
-func (s *SelfServed) Dispatched() int    { return s.Hits }
-func (s *SelfServed) Reflected() string  { return "reflected" }
-func (s *SelfServed) Angry()             {}
+func (s *SelfServed) Poke(x int) int    { return x }
+func (s *SelfServed) Dispatched() int   { return s.Hits }
+func (s *SelfServed) Reflected() string { return "reflected" }
+func (s *SelfServed) Angry()            {}
 
 func (s *SelfServed) Dispatch(c *Ctx, method string, args []any) ([]any, error) {
 	switch method {

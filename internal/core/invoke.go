@@ -108,6 +108,7 @@ func (n *Node) enterLocked(d *descriptor, msg *routedMsg, thread *ThreadRec) (ac
 				return actExecute, 0, nil // still here; d.mu held
 			default:
 				n.counts.Inc("entries_blocked_on_move")
+				n.ep.ReleaseReaders()
 				d.Wait()
 			}
 		default:
@@ -198,9 +199,15 @@ func (n *Node) runPinned(c *Ctx, d *descriptor, obj gaddr.Addr, method string, a
 	coh := d.Leasable() && !d.Immutable()
 	ro := readOnly || mi.readOnly
 	if coh {
+		// A thread that must wait for the coherence lock releases the link
+		// its reader may be holding first.
 		if ro {
-			d.Coh.RLock()
-		} else {
+			if !d.Coh.TryRLock() {
+				n.ep.ReleaseReaders()
+				d.Coh.RLock()
+			}
+		} else if !d.Coh.TryLock() {
+			n.ep.ReleaseReaders()
 			d.Coh.Lock()
 		}
 	}

@@ -191,6 +191,7 @@ func (n *Node) leaseRevokeRound(obj gaddr.Addr, epoch uint64, src gaddr.NodeID, 
 			n.leaseMu.Unlock()
 		}(peer, g, body)
 	}
+	n.ep.ReleaseReaders()
 	wg.Wait()
 }
 

@@ -46,6 +46,7 @@ func (n *Node) awaitTransition(msg *routedMsg, tries *int, err error) (again boo
 	d.Lock()
 	for d.State() == stateMoving {
 		n.counts.Inc("entries_blocked_on_move")
+		n.ep.ReleaseReaders()
 		d.Wait()
 	}
 	d.Unlock()
@@ -384,6 +385,7 @@ func (n *Node) executeMove(d *descriptor, msg *routedMsg, noDefer bool) (moveRep
 
 	// Drain phase: wait for bound threads to exit (they were "preempted
 	// and rescheduled" in the original; here they simply finish).
+	n.ep.ReleaseReaders()
 	select {
 	case <-op.drained:
 		if err := op.ship(); err != nil {

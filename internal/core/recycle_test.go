@@ -88,6 +88,40 @@ func TestRemoteInvokeRecyclesBuffers(t *testing.T) {
 	}
 }
 
+// An in-process remote invoke, counted across both nodes, allocates at most
+// nine times. The inbound request runs on its link's reader, so no goroutine
+// is started for it, and no closure is made to start one.
+func TestRemoteInvokeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts on purpose")
+	}
+	cl := newTestCluster(t, 2, 2)
+	if err := cl.Register(&Sink{}); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := cl.Node(1).Root().New(&Sink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := cl.Node(0).Root()
+	var ierr error
+	invoke := func() {
+		if _, err := ctx.Invoke(ref, "Touch"); err != nil {
+			ierr = err
+		}
+	}
+	for i := 0; i < 200; i++ { // warm-up: fill the pools, learn the location
+		invoke()
+	}
+	allocs := testing.AllocsPerRun(2000, invoke)
+	if ierr != nil {
+		t.Fatal(ierr)
+	}
+	if allocs > 9 {
+		t.Fatalf("remote invoke allocates %v times per call, want <= 9", allocs)
+	}
+}
+
 // A retried call keeps its request body across attempts while the callee's
 // dedup window keeps the reply body across replays, both beside a pool that
 // other traffic is churning. If either were recycled while still referenced,

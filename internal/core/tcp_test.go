@@ -20,44 +20,54 @@ func newTCPCluster(t *testing.T, n int) []*Node {
 		t.Fatal(err)
 	}
 
-	// Bind all listeners first so peers can dial in any order.
-	trs := make([]*transport.TCP, n)
-	for i := 0; i < n; i++ {
-		tr, err := transport.NewTCP(transport.TCPConfig{
-			Self:   gaddr.NodeID(i),
-			Listen: "127.0.0.1:0",
-		})
+	return startNodes(t, reg, tcpTransports(t, n), NodeConfig{Procs: 2})
+}
+
+// startNodes starts node i on trs[i] with cfg (ID and ServerNode filled in),
+// node 0 hosting the address-space server.
+func startNodes(t *testing.T, reg *Registry, trs []transport.Transport, cfg NodeConfig) []*Node {
+	t.Helper()
+	nodes := make([]*Node, len(trs))
+	for i := range nodes {
+		var srv *gaddr.Server
+		if i == 0 {
+			srv = gaddr.NewServer(0)
+		}
+		cfg.ID, cfg.ServerNode = gaddr.NodeID(i), 0
+		node, err := NewNode(cfg, reg, trs[i], srv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		trs[i] = tr
-		t.Cleanup(func() { tr.Close() })
+		t.Cleanup(node.Close)
+		nodes[i] = node
 	}
-	for i, tr := range trs {
+	return nodes
+}
+
+// tcpTransports binds n loopback transports that know each other. All
+// listeners are bound first, so peers can dial in any order.
+func tcpTransports(t *testing.T, n int) []transport.Transport {
+	t.Helper()
+	tcps := make([]*transport.TCP, n)
+	trs := make([]transport.Transport, n)
+	for i := range tcps {
+		tr, err := transport.NewTCP(transport.TCPConfig{Self: gaddr.NodeID(i), Listen: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		tcps[i], trs[i] = tr, tr
+	}
+	for i, tr := range tcps {
 		peers := make(map[gaddr.NodeID]string)
-		for j, other := range trs {
+		for j, other := range tcps {
 			if j != i {
 				peers[gaddr.NodeID(j)] = other.Addr()
 			}
 		}
 		tr.SetPeers(peers)
 	}
-
-	nodes := make([]*Node, n)
-	var server *gaddr.Server
-	for i := 0; i < n; i++ {
-		var srv *gaddr.Server
-		if i == 0 {
-			server = gaddr.NewServer(0)
-			srv = server
-		}
-		node, err := NewNode(NodeConfig{ID: gaddr.NodeID(i), Procs: 2, ServerNode: 0}, reg, trs[i], srv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-	}
-	return nodes
+	return trs
 }
 
 func TestTCPClusterEndToEnd(t *testing.T) {

@@ -72,7 +72,12 @@ func (c *Ctx) acquireSlot(n *Node) {
 	if c.task == nil || c.task.ThreadID != c.rec.ID {
 		c.task = &sched.Task{ThreadID: c.rec.ID, Priority: c.rec.Priority}
 	}
-	n.sch.Acquire(c.task)
+	if !n.sch.TryAcquire() {
+		// About to queue for a slot: a thread animated by a link's reader
+		// must not hold the link while it waits.
+		n.ep.ReleaseReaders()
+		n.sch.Acquire(c.task)
+	}
 	c.slotDepth = 1
 	if c.node.cfg.Quantum > 0 {
 		c.quantumStart = time.Now()
@@ -109,6 +114,7 @@ func (c *Ctx) WithSlot(f func()) {
 // hook the synchronization classes use so that a blocked Amber thread frees
 // its CPU (§2.1/§2.2).
 func (c *Ctx) Block(wait func()) {
+	c.node.ep.ReleaseReaders()
 	if c.slotDepth > 0 {
 		c.node.sch.Block(c.task, wait)
 		if c.node.cfg.Quantum > 0 {
@@ -123,6 +129,7 @@ func (c *Ctx) Block(wait func()) {
 // timeslicing).
 func (c *Ctx) Yield() {
 	if c.slotDepth > 0 {
+		c.node.ep.ReleaseReaders()
 		c.node.sch.Yield(c.task)
 		if c.node.cfg.Quantum > 0 {
 			c.quantumStart = time.Now()

@@ -107,24 +107,43 @@ type page struct {
 // System is an in-process DSM deployment.
 type System struct {
 	cfg    Config
-	fabric *transport.Fabric
+	fabric *transport.Fabric // nil when built over caller-supplied transports
+	trs    []transport.Transport
 	nodes  []*Node
 }
 
-// NewSystem builds a DSM with cfg.Nodes nodes. Initially node 0 owns every
-// page (zero-filled), as after a fresh mmap.
+// NewSystem builds a DSM with cfg.Nodes nodes on an in-process fabric.
+// Initially node 0 owns every page (zero-filled), as after a fresh mmap.
 func NewSystem(cfg Config) (*System, error) {
-	if cfg.Nodes < 1 || cfg.PageSize < 8 || cfg.NumPages < 1 {
+	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("ivy: bad config %+v", cfg)
 	}
-	s := &System{cfg: cfg, fabric: transport.NewFabric(cfg.Profile)}
-	for i := 0; i < cfg.Nodes; i++ {
-		tr, err := s.fabric.Attach(gaddr.NodeID(i))
+	fabric := transport.NewFabric(cfg.Profile)
+	trs := make([]transport.Transport, cfg.Nodes)
+	for i := range trs {
+		tr, err := fabric.Attach(gaddr.NodeID(i))
 		if err != nil {
 			return nil, err
 		}
-		n := newNode(cfg, gaddr.NodeID(i), tr)
-		s.nodes = append(s.nodes, n)
+		trs[i] = tr
+	}
+	s, err := NewSystemOn(cfg, trs)
+	if err != nil {
+		return nil, err
+	}
+	s.fabric = fabric
+	return s, nil
+}
+
+// NewSystemOn builds a DSM whose node i is attached through trs[i] (whose
+// Self must be i) — loopback sockets, for instance. Close closes them.
+func NewSystemOn(cfg Config, trs []transport.Transport) (*System, error) {
+	if cfg.Nodes != len(trs) || cfg.Nodes < 1 || cfg.PageSize < 8 || cfg.NumPages < 1 {
+		return nil, fmt.Errorf("ivy: bad config %+v for %d transports", cfg, len(trs))
+	}
+	s := &System{cfg: cfg, trs: trs}
+	for i, tr := range trs {
+		s.nodes = append(s.nodes, newNode(cfg, gaddr.NodeID(i), tr))
 	}
 	return s, nil
 }
@@ -135,11 +154,19 @@ func (s *System) Node(i int) *Node { return s.nodes[i] }
 // NumNodes reports the node count.
 func (s *System) NumNodes() int { return len(s.nodes) }
 
-// Fabric exposes the network for stats.
+// Fabric exposes the network for stats (nil for a system built with
+// NewSystemOn).
 func (s *System) Fabric() *transport.Fabric { return s.fabric }
 
 // Close shuts the system down.
-func (s *System) Close() { s.fabric.Close() }
+func (s *System) Close() {
+	if s.fabric != nil {
+		s.fabric.Close()
+	}
+	for _, tr := range s.trs {
+		tr.Close()
+	}
+}
 
 // Node is one process's attachment to the shared memory.
 type Node struct {

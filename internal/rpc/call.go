@@ -76,6 +76,9 @@ func (b *backoff) next() time.Duration {
 func (ep *Endpoint) CallWith(to gaddr.NodeID, p Proc, body []byte, opts CallOpts) ([]byte, error) {
 	w := waiters.Get().(*waiter)
 	ep.StartCall(to, p, body, opts, w.done)
+	// The caller may be a handler running on a link's reader, and the reply
+	// may need that link: hand it on before waiting.
+	ep.ReleaseReaders()
 	out := <-w.ch
 	waiters.Put(w)
 	return out.body, out.err
@@ -118,9 +121,11 @@ func (ep *Endpoint) Kick(to gaddr.NodeID) {
 // send, the transport's error). A reply carrying an error is an answer and is
 // never retried.
 //
-// done runs on whichever goroutine resolves the call — the transport delivery
-// goroutine for replies, a timer goroutine for deadlines — so it must not
-// block; long work belongs on a goroutine done spawns.
+// done runs on whichever goroutine resolves the call — the reader goroutine
+// of the link the reply arrived on, a timer goroutine for deadlines. It must
+// not block: until it returns, that link reads nothing more unless a release
+// or the transport's watchdog hands it to a fresh reader (up to two
+// watchdog periods later). Long work belongs on a goroutine done spawns.
 func (ep *Endpoint) StartCall(to gaddr.NodeID, p Proc, body []byte, opts CallOpts, done func([]byte, error)) {
 	id := ep.nextID.Add(1)
 	hdr := requestHdr{CallID: id, Origin: ep.Self(), Proc: p, Trace: opts.Trace}

@@ -215,6 +215,7 @@ func (ep *Endpoint) probe(peer gaddr.NodeID, timeout time.Duration) error {
 		ep.counts.Inc("rpc_probe_failures")
 		return err
 	}
+	ep.ReleaseReaders() // the pong may need the caller's own link
 	select {
 	case pi := <-ch:
 		t1 := time.Now().UnixNano()

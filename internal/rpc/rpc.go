@@ -36,7 +36,9 @@ const (
 	kindOneway  transport.Kind = 3
 	// kindPing/kindPong carry health probes. They are answered directly in
 	// onMessage — never dispatched through the scheduler — so a node whose
-	// processors are saturated still answers probes (busy ≠ down).
+	// processors are saturated still answers probes (busy ≠ down): a link
+	// whose reader is held by a slow handler is handed to a fresh reader
+	// within two transport watchdog periods.
 	kindPing transport.Kind = 4
 	kindPong transport.Kind = 5
 )
@@ -275,7 +277,10 @@ func (c *Ctx) Forward(to gaddr.NodeID, proc Proc, body []byte) error {
 	return c.ep.sendRequest(to, kind, &hdr, c.own(body), false)
 }
 
-// Handler processes one inbound request or oneway.
+// Handler processes one inbound request or oneway. It runs on the reader
+// goroutine of the link the request arrived on; a handler that waits should
+// call Endpoint.ReleaseReaders first (CallWith does), or its link reads
+// nothing more until the transport's watchdog hands it to a fresh reader.
 type Handler func(*Ctx)
 
 // Endpoint is one node's RPC engine.
@@ -302,9 +307,13 @@ type replyOutcome struct {
 }
 
 // NewEndpoint wraps a transport. The endpoint installs itself as the
-// transport's handler. Each inbound request runs its handler on a goroutine
-// of its own; replies are processed inline on the delivery goroutine, so they
-// can never be stuck behind a slow handler.
+// transport's handler, so every inbound message — request, reply or probe —
+// is processed on the reader goroutine of the link it arrived on. A request
+// handler that waits releases its link first (ReleaseReaders, which CallWith
+// and the node's own waits call), and the transport's watchdog releases one
+// that waits or computes without doing so; either way the link reads on
+// under a fresh reader, so replies and health probes are never stuck behind
+// a slow handler for more than two watchdog periods.
 func NewEndpoint(tr transport.Transport) *Endpoint {
 	ep := &Endpoint{
 		tr:      tr,
@@ -323,6 +332,11 @@ func NewEndpoint(tr transport.Transport) *Endpoint {
 
 // Self returns the owning node's ID.
 func (ep *Endpoint) Self() gaddr.NodeID { return ep.tr.Self() }
+
+// ReleaseReaders hands every inbound link whose reader is running a handler
+// to a fresh reader (transport.Transport.ReleaseReaders). Any goroutine of
+// the node calls it before it waits.
+func (ep *Endpoint) ReleaseReaders() { ep.tr.ReleaseReaders() }
 
 // Stats exposes endpoint counters.
 func (ep *Endpoint) Stats() *stats.Set { return ep.counts }
@@ -474,11 +488,8 @@ func (ep *Endpoint) onMessage(m transport.Message) {
 			}
 		}
 		ep.cHandled.Inc()
-		payload := m.Payload
-		go func() {
-			(*h)(ctx)
-			wire.PutBuf(payload)
-		}()
+		(*h)(ctx)
+		wire.PutBuf(m.Payload)
 	case kindPing:
 		ep.handlePing(m)
 	case kindPong:

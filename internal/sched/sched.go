@@ -450,9 +450,13 @@ func (s *Scheduler) Acquire(t *Task) {
 }
 
 // TryAcquire grants a slot only if one is immediately free and no task is
-// queued ahead; it never blocks.
+// queued ahead; it never blocks. A granted slot counts as an acquire on the
+// fast path, exactly as Acquire would have counted it; a refusal counts
+// nothing, so a caller that follows it with Acquire is counted once.
 func (s *Scheduler) TryAcquire() bool {
 	if s.nwait.Load() == 0 && s.takeToken() {
+		s.cAcquires.Inc()
+		s.cFast.Inc()
 		s.running.Add(1)
 		return true
 	}

@@ -23,6 +23,11 @@ var helpText = map[string]string{
 	"sched_unparks":         "queued tasks granted a slot (handoff or wakeup)",
 	"sched_overflow_spills": "enqueues a bounded slot queue rejected into the shared overflow ring",
 
+	// --- transport readers (handlers run on the link's reader goroutine) ---
+	"transport_reader_handoffs":          "links handed to a fresh reader because a goroutine was about to wait while the reader ran a handler",
+	"transport_reader_watchdog_handoffs": "links handed to a fresh reader because its handler was still running at two watchdog scans",
+	"transport_reader_watchdog_arms":     "reader watchdog timer starts (the watchdog runs only while a reader is inside a handler)",
+
 	// --- heat-driven placement ---
 	"node_heat_observed":    "invokes attributed to a caller lane by the heat tracker",
 	"node_heat_shed":        "heat observations dropped because the tracker shard was full",

@@ -73,6 +73,7 @@ func (f *Fabric) Attach(id gaddr.NodeID) (Transport, error) {
 		return nil, fmt.Errorf("transport: node %d already attached", id)
 	}
 	p := &port{fabric: f, id: id}
+	p.readers.init(f.counts)
 	f.ports[id] = p
 	return p, nil
 }
@@ -93,6 +94,7 @@ func (f *Fabric) Close() error {
 // the delay model. busyUntil tracks when the wire frees up (bandwidth
 // serialization).
 type link struct {
+	reader
 	ch        chan timedMessage
 	mu        sync.Mutex
 	busyUntil time.Time
@@ -120,13 +122,17 @@ func (f *Fabric) getLink(from, to gaddr.NodeID, dst *port) *link {
 		return nil
 	}
 	l = &link{ch: make(chan timedMessage, 1024)}
+	l.spawn = func() { go f.deliver(l, dst) }
 	f.links[key] = l
+	dst.readers.add(&l.reader)
 	go f.deliver(l, dst)
 	return l
 }
 
-// deliver sleeps until each message's delivery time, then hands it to the
-// destination handler. One goroutine per link keeps per-link FIFO order.
+// deliver sleeps until each message's delivery time, then runs the
+// destination handler on it. One reader goroutine per link keeps per-link
+// FIFO order; it returns when the link is handed to a fresh deliver while a
+// handler runs.
 func (f *Fabric) deliver(l *link, dst *port) {
 	for {
 		select {
@@ -150,7 +156,10 @@ func (f *Fabric) deliver(l *link, dst *port) {
 			}
 			h := dst.handler()
 			if h != nil && !dst.isClosed() {
-				h(tm.msg) // zero-copy handoff: the handler now owns Payload
+				// Zero-copy: the handler now owns Payload.
+				if !dst.readers.handle(&l.reader, h, tm.msg) {
+					return
+				}
 			} else {
 				wire.PutBuf(tm.msg.Payload) // undeliverable; reclaim
 			}
@@ -159,14 +168,18 @@ func (f *Fabric) deliver(l *link, dst *port) {
 }
 
 type port struct {
-	fabric *Fabric
-	id     gaddr.NodeID
-	mu     sync.RWMutex
-	h      Handler
-	closed bool
+	fabric  *Fabric
+	id      gaddr.NodeID
+	readers readers // the delivery goroutines of the links into this node
+	mu      sync.RWMutex
+	h       Handler
+	closed  bool
 }
 
 func (p *port) Self() gaddr.NodeID { return p.id }
+
+// ReleaseReaders implements Transport.
+func (p *port) ReleaseReaders() { p.readers.release() }
 
 func (p *port) SetHandler(h Handler) {
 	p.mu.Lock()

@@ -36,7 +36,8 @@ type TCPConfig struct {
 // TCP is a socket transport. Connections are established lazily on first
 // send and reused; inbound connections are identified by a handshake frame
 // carrying the sender's node ID. Messages on one connection are delivered in
-// order by a per-connection reader goroutine.
+// order by a per-connection reader goroutine, which runs each handler itself
+// until a release or the watchdog hands the connection to a fresh reader.
 //
 // The per-message path takes no transport-wide lock: the connection table and
 // the handler are read through atomic pointers, and the counters a message
@@ -50,7 +51,10 @@ type TCP struct {
 	inConns map[net.Conn]struct{}
 	h       atomic.Pointer[Handler]
 	closed  atomic.Bool
+	// wg counts the accept loop and one reader per inbound connection; a
+	// hand-off passes the connection's count on to the fresh reader.
 	wg      sync.WaitGroup
+	readers readers
 	counts  *stats.Set
 	faults  atomic.Pointer[Faults]
 
@@ -107,6 +111,7 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		counts:  stats.NewSet(),
 	}
 	t.conns.Store(&map[gaddr.NodeID]*tcpConn{})
+	t.readers.init(t.counts)
 	t.flushHist = t.counts.Hist("flush_ns")
 	t.cMsgsSent = t.counts.Get("msgs_sent")
 	t.cBytesSent = t.counts.Get("bytes_sent")
@@ -161,6 +166,9 @@ func (t *TCP) Self() gaddr.NodeID { return t.cfg.Self }
 
 func (t *TCP) SetHandler(h Handler) { t.h.Store(&h) }
 
+// ReleaseReaders implements Transport.
+func (t *TCP) ReleaseReaders() { t.readers.release() }
+
 func (t *TCP) Close() error {
 	if !t.closed.CompareAndSwap(false, true) {
 		return nil
@@ -179,7 +187,11 @@ func (t *TCP) Close() error {
 	for _, c := range in {
 		c.Close()
 	}
+	// A reader inside a handler would hold Close up until its handler
+	// returned; a fresh reader finds the socket closed and ends at once.
+	t.readers.release()
 	t.wg.Wait()
+	t.readers.stop()
 	return nil
 }
 
@@ -199,37 +211,45 @@ func (t *TCP) acceptLoop() {
 		t.inConns[c] = struct{}{}
 		t.wg.Add(1)
 		t.mu.Unlock()
-		go t.readLoop(c)
+		go t.serve(c)
 	}
 }
 
-// readLoop handles one inbound connection: handshake, then framed messages
-// delivered in order.
-func (t *TCP) readLoop(c net.Conn) {
-	defer t.wg.Done()
-	defer func() {
-		c.Close()
-		t.mu.Lock()
-		delete(t.inConns, c)
-		t.mu.Unlock()
-	}()
+// inLink is one inbound connection and the reader state of its delivery.
+type inLink struct {
+	reader
+	c    net.Conn
+	r    *bufio.Reader
+	from gaddr.NodeID
+}
+
+// serve reads an inbound connection's handshake, then delivers its frames.
+func (t *TCP) serve(c net.Conn) {
 	r := bufio.NewReaderSize(c, tcpBufSize)
 	var hs [8]byte
-	if _, err := io.ReadFull(r, hs[:]); err != nil {
+	if _, err := io.ReadFull(r, hs[:]); err != nil || binary.BigEndian.Uint32(hs[:4]) != tcpMagic {
+		t.endIn(c, nil)
 		return
 	}
-	if binary.BigEndian.Uint32(hs[:4]) != tcpMagic {
-		return
-	}
-	from := gaddr.NodeID(int32(binary.BigEndian.Uint32(hs[4:])))
+	l := &inLink{c: c, r: r, from: gaddr.NodeID(int32(binary.BigEndian.Uint32(hs[4:])))}
+	l.spawn = func() { go t.readLoop(l) }
+	t.readers.add(&l.reader)
+	t.readLoop(l)
+}
+
+// readLoop delivers l's frames in order, running each handler on this
+// goroutine, until the connection fails or the link is handed to a fresh
+// readLoop while a handler runs.
+func (t *TCP) readLoop(l *inLink) {
 	for {
-		msg, err := readFrame(r, from, t.cfg.Self)
+		msg, err := readFrame(l.r, l.from, t.cfg.Self)
 		if err != nil {
+			t.endIn(l.c, &l.reader)
 			return
 		}
 		// Receive-side fault check: a crashed or partitioned-off receiver
 		// never sees frames already pushed into the kernel socket buffers.
-		if !t.faults.Load().DeliverOK(from, t.cfg.Self) {
+		if !t.faults.Load().DeliverOK(l.from, t.cfg.Self) {
 			t.counts.Inc("msgs_dropped")
 			wire.PutBuf(msg.Payload)
 			continue
@@ -238,11 +258,27 @@ func (t *TCP) readLoop(c net.Conn) {
 		t.cBytesRecv.Add(int64(len(msg.Payload) + frameHdrLen))
 		t.kindCounter(&t.cKindRecvBytes, &kindRecvBytes, msg.Kind).Add(int64(len(msg.Payload)))
 		if h := t.h.Load(); h != nil && *h != nil {
-			(*h)(msg) // handler owns Payload now
+			// The handler owns Payload now.
+			if !t.readers.handle(&l.reader, *h, msg) {
+				return // handed off: a fresh reader owns the link
+			}
 		} else {
 			wire.PutBuf(msg.Payload)
 		}
 	}
+}
+
+// endIn retires an inbound connection whose reader has ended (r nil: it
+// failed its handshake), returning the reader's count on t.wg.
+func (t *TCP) endIn(c net.Conn, r *reader) {
+	c.Close()
+	t.mu.Lock()
+	delete(t.inConns, c)
+	t.mu.Unlock()
+	if r != nil {
+		t.readers.remove(r)
+	}
+	t.wg.Done()
 }
 
 // Frame layout: length(u32) kind(u8) payload. Length covers kind+payload.

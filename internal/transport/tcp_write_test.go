@@ -72,7 +72,13 @@ func TestTCPOneFlushPerFrame(t *testing.T) {
 	a, b := tcpPair(t)
 	back := make(chan Message, 1)
 	a.SetHandler(func(m Message) { back <- m })
-	b.SetHandler(func(m Message) { b.Send(m.From, m.Kind, m.Payload) })
+	// b records a write once its Write returns, which can be after a already
+	// holds the echo; each trip waits for b's Send to return before counting.
+	echoed := make(chan struct{}, 1)
+	b.SetHandler(func(m Message) {
+		b.Send(m.From, m.Kind, m.Payload)
+		echoed <- struct{}{}
+	})
 	const trips = 100
 	for i := 0; i < trips; i++ {
 		if err := a.Send(1, 1, patterned(8<<10, byte(i))); err != nil {
@@ -81,6 +87,11 @@ func TestTCPOneFlushPerFrame(t *testing.T) {
 		m := recv(t, back)
 		if err := checkPattern(m.Payload, byte(i), 0); err != nil {
 			t.Fatalf("trip %d: %v", i, err)
+		}
+		select {
+		case <-echoed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("trip %d: b's Send never returned", i)
 		}
 	}
 	if fa, fb := flushes(a), flushes(b); fa != trips || fb != trips {

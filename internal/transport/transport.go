@@ -10,9 +10,13 @@
 //     magnitude more expensive than local ones).
 //   - TCP: a real socket transport for multi-process deployments (cmd/amberd).
 //
-// Delivery is FIFO per (sender, receiver) link. Handlers are invoked on the
-// link's delivery goroutine and must not block indefinitely; the RPC layer
-// above dispatches long-running work onto fresh goroutines.
+// Delivery is FIFO per (sender, receiver) link. Each link has one reader
+// goroutine, and the reader runs the handler of every message it reads, so an
+// inbound request costs no goroutine of its own. A handler that is about to
+// wait calls ReleaseReaders first, and the reader hands its link to a fresh
+// reader; a per-node watchdog does the same for a handler that is still
+// running after two of its periods (WatchdogPeriod), so no link stays stuck
+// behind one handler.
 package transport
 
 import (
@@ -35,8 +39,13 @@ type Message struct {
 	Payload []byte
 }
 
-// Handler receives inbound messages. It is called on the delivery goroutine
-// of the (from → self) link, in per-link FIFO order.
+// Handler receives inbound messages. It runs on the reader goroutine of the
+// (from → self) link, and handlers start in per-link FIFO order. While a
+// handler runs, its link reads nothing more until the handler returns, a
+// ReleaseReaders call hands the link to a fresh reader, or the watchdog
+// finds the handler still running at two consecutive scans. A handler may
+// therefore block, but one that waits should call ReleaseReaders before it
+// does, and otherwise costs its link up to two watchdog periods.
 type Handler func(Message)
 
 // Transport is one node's attachment to the network.
@@ -57,6 +66,12 @@ type Transport interface {
 	// SetHandler installs the inbound message handler. It must be called
 	// before any peer sends to this node.
 	SetHandler(Handler)
+	// ReleaseReaders hands every inbound link whose reader is inside a
+	// handler to a fresh reader. Any goroutine of the node calls it before
+	// it waits: a reader cannot tell whether the waiting goroutine is its
+	// own handler, whose awaited reply could only arrive on the same link.
+	// With no reader inside a handler it costs one atomic load per link.
+	ReleaseReaders()
 	// Close detaches the node; subsequent Sends fail.
 	Close() error
 }

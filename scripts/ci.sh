@@ -18,6 +18,10 @@ else
 	go vet ./...
 fi
 
+echo "== gofmt =="
+# Formatting drift fails here rather than surfacing as noise in a later diff.
+test -z "$(gofmt -l .)" || { echo "FAIL: gofmt -l lists:" >&2; gofmt -l . >&2; exit 1; }
+
 echo "== go vet =="
 go vet ./...
 
@@ -38,7 +42,7 @@ echo "== fault suite (crash/partition injection, retry, dedup) =="
 # second time under -race with fresh state: seeded injectors make the fault
 # schedules deterministic, and any flake here is a real ordering bug.
 go test -race -count=1 \
-	-run 'TestFaults|FuzzFaultRules|TestTimeoutClassified|TestRetry|TestIdempotent|TestNonIdempotent|TestGeneration|TestWatchPeer|TestDedup|TestCrash|TestOrphaned|TestForwardingChainRepair|TestThreeNodeCrash|TestSimCrash|TestCapture|TestFleet|TestRetryExhaustedTrigger|TestEntryPointParity|TestInvokeChain|TestAsync|TestLease|TestChainSteps|TestReplica|TestCopyParity|TestForwardingChain|TestMoveChain|TestGenerationChangeDropsHints|TestHint' \
+	-run 'TestFaults|FuzzFaultRules|TestTimeoutClassified|TestRetry|TestIdempotent|TestNonIdempotent|TestGeneration|TestWatchPeer|TestDedup|TestCrash|TestOrphaned|TestForwardingChainRepair|TestThreeNodeCrash|TestSimCrash|TestCapture|TestFleet|TestRetryExhaustedTrigger|TestEntryPointParity|TestInvokeChain|TestAsync|TestLease|TestChainSteps|TestReplica|TestCopyParity|TestForwardingChain|TestMoveChain|TestGenerationChangeDropsHints|TestHint|TestReaderHandoff' \
 	./internal/transport/ ./internal/rpc/ ./internal/core/ ./internal/sim/
 
 echo "== at-most-once on every door (late reply, object moved to the caller) =="
@@ -47,6 +51,14 @@ echo "== at-most-once on every door (late reply, object moved to the caller) =="
 # again at the object's new home. The window between the straggling reply and
 # the move is an interleaving, so the row runs 20 times under -race.
 go test -race -count=20 -run 'TestEntryPointParity/late_reply' ./internal/core/
+
+echo "== reader hand-off (a handler that waits releases its link; the watchdog catches the rest) =="
+# A transport reader runs each inbound handler itself. Every row is a wait
+# whose wake-up arrives on the waiting handler's own link, over the fabric and
+# over TCP; a missing release point shows as a row that never answers, and a
+# missing watchdog as a busy peer classified down. Interleavings, so 20 runs.
+go test -race -count=20 -run 'TestReaderHandoff' ./internal/core/
+go test -race -count=20 -run 'TestReader' ./internal/transport/
 
 echo "== TCP sent counters lead delivery =="
 # A peer may answer a frame before its sender's Send returns, so the sender
@@ -132,7 +144,7 @@ for attempt in $(seq 1 50); do
 	fi
 	if [ "$attempt" = 50 ]; then
 		echo "FAIL: /cluster never reported 3 nodes" >&2
-		tail -5 "$OBSDIR"/node*.log >&2 || true
+		tail -n 5 "$OBSDIR"/node*.log >&2 || true
 		exit 1
 	fi
 	sleep 0.2
@@ -193,7 +205,7 @@ timeout 120 "$LOADDIR/amber-load" -node 3 -listen "127.0.0.1:$((LP + 3))" \
 	-procs 2 -objects 32 -clients 2000 -rate 50000 -duration 3s -deadline 500ms \
 	>"$LOADDIR/load.txt" 2>&1 ||
 	{ echo "FAIL: amber-load exited nonzero" >&2; cat "$LOADDIR/load.txt" >&2
-	  tail -5 "$LOADDIR"/node*.log >&2 || true; exit 1; }
+	  tail -n 5 "$LOADDIR"/node*.log >&2 || true; exit 1; }
 cat "$LOADDIR/load.txt"
 GOODPUT=$(awk '/^goodput / { print $2 }' "$LOADDIR/load.txt")
 awk -v g="${GOODPUT:-0}" 'BEGIN { exit !(g > 0) }' ||
