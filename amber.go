@@ -257,20 +257,14 @@ func RegisterSyncClasses(r interface{ Register(v any) error }) error {
 	return amsync.RegisterAll(r)
 }
 
-// Scheduling policies (§2.1): install with Node.Scheduler().SetPolicy at any
-// time. Each constructor builds one per-slot queue instance; SetPolicy and
-// the cluster/node Policy config fields take the constructor itself.
+// Scheduling policies (§2.1): the scheduler is replaceable at runtime with
+// Node.Scheduler().SetPolicy, which takes one of these constructors and
+// builds one queue instance per processor slot.
 var (
 	// DequePolicy is the default: a bounded per-slot deque, newest-first
 	// for the owning slot and oldest-first for work stealing.
 	DequePolicy = sched.NewDeque
-	// FIFOPolicy runs threads in arrival order.
-	FIFOPolicy = sched.NewFIFO
-	// LIFOPolicy runs the most recently ready thread first.
-	LIFOPolicy = sched.NewLIFO
-	// PriorityPolicy runs the highest-priority thread first.
+	// PriorityPolicy runs the highest-priority thread first (see
+	// Ctx.SetPriority); arrival order among equals.
 	PriorityPolicy = sched.NewPriority
-	// AdaptivePolicy is a multilevel-feedback discipline that demotes
-	// threads burning whole timeslices and favours blocking ones.
-	AdaptivePolicy = sched.NewAdaptive
 )

@@ -119,14 +119,22 @@ func TestSchedulerPolicySwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	cl.Register(&BankAccount{})
 	n := cl.Node(0)
-	if n.Scheduler().PolicyName() != "deque" {
-		t.Fatalf("default policy %q", n.Scheduler().PolicyName())
+	ctx := n.Root()
+	ref, _ := ctx.New(&BankAccount{})
+	// Threads keep running across swaps in both directions.
+	deposit := func(want int) {
+		t.Helper()
+		out, err := ctx.Invoke(ref, "Deposit", 5)
+		if err != nil || out[0].(int) != want {
+			t.Fatalf("deposit = %v, %v; want %d", out, err, want)
+		}
 	}
 	n.Scheduler().SetPolicy(PriorityPolicy)
-	if n.Scheduler().PolicyName() != "priority" {
-		t.Fatalf("policy after swap %q", n.Scheduler().PolicyName())
-	}
+	deposit(5)
+	n.Scheduler().SetPolicy(DequePolicy)
+	deposit(10)
 }
 
 func TestImmutableReplicationPublic(t *testing.T) {

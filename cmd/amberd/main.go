@@ -119,7 +119,6 @@ func main() {
 		spaceShards = flag.Int("space-shards", 0, "lock stripes in the object space (0 = default, rounded up to a power of two)")
 		replicaCap  = flag.Int("replica-cache", 0, "demand-pulled copy cache capacity, split across shards (0 = default, negative = disable cached copies)")
 		leaseTTL    = flag.Duration("lease-ttl", 0, "reader-lease lifetime for cacheable mutable objects (0 = default 2s, negative = disable leases)")
-		steal       = flag.Bool("steal", true, "let idle processor slots steal queued threads from busy slots' run queues")
 		heatIvl     = flag.Duration("heat-interval", 0, "heat-driven placement tick; hot objects migrate toward their dominant caller (0 = off)")
 		heatRatio   = flag.Float64("heat-ratio", 0, "dominance ratio a remote caller's invoke rate needs over everyone else's to attract an object (0 = default 2.0)")
 		heatMin     = flag.Float64("heat-min", 0, "minimum invoke rate (per heat interval) before an object may migrate (0 = default 16)")
@@ -219,7 +218,6 @@ func main() {
 		}
 		time.Sleep(time.Second)
 	}
-	node.Scheduler().SetStealing(*steal)
 	log.Printf("amberd node %d up on %s (procs=%d, peers=%d)", *nodeID, tr.Addr(), *procs, len(peers))
 
 	all := make([]gaddr.NodeID, 0, maxID+1)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"amber/internal/gaddr"
-	"amber/internal/sched"
 	"amber/internal/stats"
 	"amber/internal/trace"
 	"amber/internal/transport"
@@ -60,9 +59,6 @@ type ClusterConfig struct {
 	// PipelineDepth caps total outstanding async invokes per peer (see
 	// NodeConfig.PipelineDepth; 0 = 4 × window).
 	PipelineDepth int
-	// Policy builds each node's initial per-slot scheduling discipline
-	// (nil = the scheduler's bounded work-stealing deque).
-	Policy func() sched.Policy
 	// Registry shares class registrations; nil creates a fresh one.
 	Registry *Registry
 	// Tracing enables thread-journey event recording on every node (see
@@ -139,7 +135,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			HeatEntries:      cfg.HeatEntries,
 			PipelineWindow:   cfg.PipelineWindow,
 			PipelineDepth:    cfg.PipelineDepth,
-			Policy:           cfg.Policy,
 		}
 		n, err := NewNode(ncfg, reg, tr, srv)
 		if err != nil {

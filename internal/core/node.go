@@ -25,10 +25,6 @@ type NodeConfig struct {
 	Procs int
 	// ServerNode hosts the address-space server (normally node 0).
 	ServerNode gaddr.NodeID
-	// Policy builds the initial per-slot scheduling discipline (nil = the
-	// scheduler's bounded work-stealing deque). The constructor is invoked
-	// once per processor slot.
-	Policy func() sched.Policy
 	// Quantum enables cooperative timeslicing: Checkpoint yields after a
 	// thread has held a processor this long. Zero disables.
 	Quantum time.Duration
@@ -264,8 +260,8 @@ func NewNode(cfg NodeConfig, reg *Registry, tr transport.Transport, server *gadd
 		cfg:    cfg,
 		id:     cfg.ID,
 		reg:    reg,
-		ep:     rpc.NewEndpoint(tr),
-		sch:    sched.New(cfg.Procs, cfg.Policy),
+		ep:     rpc.NewIdleEndpoint(tr),
+		sch:    sched.New(cfg.Procs, nil),
 		counts: stats.NewSet(),
 		tracer: cfg.Tracer,
 		space:  objspace.New[payload](cfg.SpaceShards, 0, cfg.ReplicaCache),
@@ -343,6 +339,7 @@ func NewNode(cfg NodeConfig, reg *Registry, tr transport.Transport, server *gadd
 	if server != nil {
 		n.ep.HandleProc(procRegion, n.handleRegion)
 	}
+	n.ep.Listen()
 	// Startup pool.
 	regs, err := n.requestRegions(cfg.RegionsPerGrant)
 	if err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -43,8 +45,9 @@ func TestNewAtPlacesObject(t *testing.T) {
 
 // Tracker records the order operations start, for scheduling tests.
 type Tracker struct {
-	mu    sync.Mutex
-	Order []int
+	mu      sync.Mutex
+	Order   []int
+	release chan struct{}
 }
 
 func (tr *Tracker) Run(ctx *Ctx, tag, ms int) int {
@@ -61,81 +64,80 @@ func (tr *Tracker) Snapshot() []int {
 	return append([]int(nil), tr.Order...)
 }
 
-func TestPriorityPolicyHonoursThreadPriorities(t *testing.T) {
-	reg := NewRegistry()
-	cl, err := NewCluster(ClusterConfig{
-		Nodes: 1, ProcsPerNode: 1,
-		Policy:   func() sched.Policy { return sched.NewPriority() },
-		Registry: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if err := cl.Register(&Tracker{}); err != nil {
-		t.Fatal(err)
-	}
-	ctx := cl.Node(0).Root()
-	trk := &Tracker{}
-	ref, _ := ctx.New(trk)
+// Hold parks the calling thread on its processor slot until release is
+// closed, so a test can keep a node's slots busy for as long as it likes.
+func (tr *Tracker) Hold() int {
+	<-tr.release
+	return 0
+}
 
-	// Occupy the single processor, then queue three threads with rising
-	// priorities; they must run highest-first.
-	hog, _ := ctx.StartThread(ref, "Run", 0, 120)
-	time.Sleep(30 * time.Millisecond) // hog is on the CPU
-	var threads []Thread
-	for _, prio := range []int{1, 9, 5} {
-		spawner := cl.Node(0).Root()
-		spawner.SetPriority(prio)
-		th, err := spawner.StartThread(ref, "Run", prio, 1)
-		if err != nil {
-			t.Fatal(err)
+// waitSched spins until cond holds on node n's scheduler, failing the test
+// after five seconds.
+func waitSched(t *testing.T, n *Node, what string, cond func(*sched.Scheduler) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond(n.Scheduler()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("node %d: %s never held (running %d, waiting %d)",
+				n.ID(), what, n.Scheduler().Running(), n.Scheduler().Waiting())
 		}
-		threads = append(threads, th)
-		time.Sleep(10 * time.Millisecond) // deterministic queue order
-	}
-	for _, th := range append(threads, hog) {
-		if _, err := ctx.Join(th); err != nil {
-			t.Fatal(err)
-		}
-	}
-	order := trk.Snapshot()
-	if len(order) != 4 || order[0] != 0 {
-		t.Fatalf("order = %v", order)
-	}
-	want := []int{9, 5, 1}
-	for i, w := range want {
-		if order[i+1] != w {
-			t.Fatalf("priority order = %v, want hog then %v", order, want)
-		}
+		runtime.Gosched()
 	}
 }
 
-func TestAdaptivePolicyEndToEndInCluster(t *testing.T) {
-	reg := NewRegistry()
-	cl, err := NewCluster(ClusterConfig{
-		Nodes: 1, ProcsPerNode: 1, Quantum: time.Millisecond,
-		Policy:   func() sched.Policy { return sched.NewAdaptive() },
-		Registry: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if err := cl.Register(&Yielder{}); err != nil {
-		t.Fatal(err)
-	}
-	ctx := cl.Node(0).Root()
-	if cl.Node(0).Scheduler().PolicyName() != "adaptive" {
-		t.Fatal("adaptive policy not installed")
-	}
-	a, _ := ctx.New(&Yielder{})
-	b, _ := ctx.New(&Yielder{})
-	tha, _ := ctx.StartThread(a, "Spin", 20)
-	thb, _ := ctx.StartThread(b, "Spin", 20)
-	for _, th := range []Thread{tha, thb} {
-		if _, err := ctx.Join(th); err != nil {
-			t.Fatal(err)
-		}
+// TestPriorityPolicyHonoursThreadPriorities holds the single slot of the
+// node hosting a tracker, queues threads with priorities 1, 9 and 5 behind
+// the hog, and releases it: they must run highest-first. In the shipped row
+// the threads start on another node, so ThreadRec.Priority must survive the
+// function ship.
+func TestPriorityPolicyHonoursThreadPriorities(t *testing.T) {
+	for _, row := range []struct {
+		name              string
+		nodes, from, host int
+	}{
+		{"local", 1, 0, 0},
+		{"shipped", 2, 0, 1},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cl := newTestCluster(t, row.nodes, 1)
+			if err := cl.Register(&Tracker{}); err != nil {
+				t.Fatal(err)
+			}
+			hn := cl.Node(row.host)
+			hn.Scheduler().SetPolicy(sched.NewPriority)
+			trk := &Tracker{release: make(chan struct{})}
+			ref, err := hn.Root().New(trk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hog, err := hn.Root().StartThread(ref, "Hold")
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitSched(t, hn, "hog on the CPU", func(s *sched.Scheduler) bool { return s.Running() == 1 })
+			var threads []Thread
+			for i, prio := range []int{1, 9, 5} {
+				spawner := cl.Node(row.from).Root()
+				spawner.SetPriority(prio)
+				th, err := spawner.StartThread(ref, "Run", prio, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				threads = append(threads, th)
+				waitSched(t, hn, "queueing", func(s *sched.Scheduler) bool { return s.Waiting() == i+1 })
+			}
+			close(trk.release)
+			if _, err := hn.Root().Join(hog); err != nil {
+				t.Fatal(err)
+			}
+			for _, th := range threads {
+				if _, err := cl.Node(row.from).Root().Join(th); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if order, want := trk.Snapshot(), []int{9, 5, 1}; !slices.Equal(order, want) {
+				t.Fatalf("run order = %v, want %v", order, want)
+			}
+		})
 	}
 }

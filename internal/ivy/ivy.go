@@ -212,7 +212,7 @@ type invalMsg struct {
 }
 
 func newNode(cfg Config, id gaddr.NodeID, tr transport.Transport) *Node {
-	n := &Node{cfg: cfg, id: id, ep: rpc.NewEndpoint(tr), counts: stats.NewSet()}
+	n := &Node{cfg: cfg, id: id, ep: rpc.NewIdleEndpoint(tr), counts: stats.NewSet()}
 	n.pages = make([]*page, cfg.NumPages)
 	for p := range n.pages {
 		pg := &page{owner: 0}
@@ -229,6 +229,7 @@ func newNode(cfg Config, id gaddr.NodeID, tr transport.Transport) *Node {
 	n.ep.HandleProc(procWriteFault, n.handleWriteFault)
 	n.ep.HandleProc(procInvalidate, n.handleInvalidate)
 	n.installLockServer()
+	n.ep.Listen()
 	return n
 }
 

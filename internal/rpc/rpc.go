@@ -315,6 +315,15 @@ type replyOutcome struct {
 // under a fresh reader, so replies and health probes are never stuck behind
 // a slow handler for more than two watchdog periods.
 func NewEndpoint(tr transport.Transport) *Endpoint {
+	ep := NewIdleEndpoint(tr)
+	ep.Listen()
+	return ep
+}
+
+// NewIdleEndpoint builds an endpoint over tr that takes no inbound message
+// until Listen. A node registers its procs and builds its own state first,
+// so no request meets a half-built node and gets "no handler".
+func NewIdleEndpoint(tr transport.Transport) *Endpoint {
 	ep := &Endpoint{
 		tr:      tr,
 		pending: make(map[uint64]pendingCall),
@@ -326,9 +335,12 @@ func NewEndpoint(tr transport.Transport) *Endpoint {
 	ep.cHandled = ep.counts.Get("rpc_handled")
 	ep.health.init()
 	ep.dedup.init()
-	tr.SetHandler(ep.onMessage)
 	return ep
 }
+
+// Listen installs the endpoint as the transport's handler (NewEndpoint does
+// so at once). Call it once, after every HandleProc.
+func (ep *Endpoint) Listen() { ep.tr.SetHandler(ep.onMessage) }
 
 // Self returns the owning node's ID.
 func (ep *Endpoint) Self() gaddr.NodeID { return ep.tr.Self() }
@@ -342,7 +354,8 @@ func (ep *Endpoint) ReleaseReaders() { ep.tr.ReleaseReaders() }
 func (ep *Endpoint) Stats() *stats.Set { return ep.counts }
 
 // HandleProc registers the handler for proc. It must be called before
-// traffic arrives; re-registration replaces the handler.
+// Listen (or, on a NewEndpoint, before traffic arrives); re-registration
+// replaces the handler.
 func (ep *Endpoint) HandleProc(p Proc, h Handler) { ep.handlers[p].Store(&h) }
 
 // Call sends a request and blocks until the reply arrives (from whichever

@@ -18,12 +18,26 @@ func TestQueueDepths(t *testing.T) {
 	if slots[0]+slots[1]+overflow != 4 {
 		t.Fatalf("depths %v + overflow %d, want total 4", slots, overflow)
 	}
-	// With distribution off, new work lands in the shared overflow ring.
-	s.SetStealing(false)
-	s.push(&Task{ThreadID: 99})
-	_, overflow2 := s.QueueDepths()
-	if overflow2 != overflow+1 {
-		t.Fatalf("overflow = %d after spill, want %d", overflow2, overflow+1)
+	// Past dequeCap, a slot's arrivals spill to the shared overflow ring.
+	for i := slots[0]; i <= dequeCap; i++ {
+		s.push(&Task{ThreadID: 100})
+	}
+	slots2, overflow2 := s.QueueDepths()
+	if slots2[0] != dequeCap || overflow2 != overflow+1 {
+		t.Fatalf("depths %v + overflow %d after spill, want slot 0 at %d and overflow %d",
+			slots2, overflow2, dequeCap, overflow+1)
+	}
+	if got := s.Stats().Value("overflow_spills"); got != 1 {
+		t.Fatalf("overflow_spills = %d, want 1", got)
+	}
+	// Every queued task dispatches, the spilled one included.
+	for n := slots2[0] + slots2[1] + overflow2; n > 0; n-- {
+		if s.dispatch(-1) == nil {
+			t.Fatalf("dispatch found nothing with %d tasks left", n)
+		}
+	}
+	if _, overflow3 := s.QueueDepths(); s.Waiting() != 0 || overflow3 != 0 {
+		t.Fatalf("Waiting = %d, overflow = %d after draining", s.Waiting(), overflow3)
 	}
 }
 

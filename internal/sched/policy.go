@@ -27,8 +27,7 @@ type deque struct {
 // NewDeque returns the bounded work-stealing deque (the default policy).
 func NewDeque() Policy { return &deque{} }
 
-func (d *deque) Name() string { return "deque" }
-func (d *deque) Len() int     { return int(d.tail - d.head) }
+func (d *deque) Len() int { return int(d.tail - d.head) }
 
 func (d *deque) Push(t *Task) bool {
 	if d.tail-d.head == dequeCap {
@@ -66,48 +65,18 @@ func (d *deque) Steal() *Task {
 	return t
 }
 
-// --- fifo ---
-
-// fifo runs tasks in arrival order.
-type fifo struct{ q ring }
-
-// NewFIFO returns a first-in-first-out policy.
-func NewFIFO() Policy { return &fifo{} }
-
-func (f *fifo) Name() string      { return "fifo" }
-func (f *fifo) Push(t *Task) bool { f.q.pushBack(t); return true }
-func (f *fifo) Len() int          { return f.q.len() }
-func (f *fifo) Pop() *Task        { return f.q.popFront() }
-func (f *fifo) Steal() *Task      { return f.q.popFront() }
-
-// --- lifo ---
-
-// lifo runs the most recently queued task first (good cache behaviour for
-// fork/join workloads). Thieves take the oldest task — the one the owner
-// would have reached last.
-type lifo struct{ q ring }
-
-// NewLIFO returns a last-in-first-out policy.
-func NewLIFO() Policy { return &lifo{} }
-
-func (l *lifo) Name() string      { return "lifo" }
-func (l *lifo) Push(t *Task) bool { l.q.pushBack(t); return true }
-func (l *lifo) Len() int          { return l.q.len() }
-func (l *lifo) Pop() *Task        { return l.q.popBack() }
-func (l *lifo) Steal() *Task      { return l.q.popFront() }
-
 // --- priority ---
 
-// priority runs the highest-priority task first; FIFO among equals. The
-// queue is a binary heap: O(log n) push and pop, replacing the old
-// sort.SliceStable-per-Push (O(n log n) on every enqueue).
+// priority runs the highest-priority task first; FIFO among equals. It is
+// the discipline Ctx.SetPriority speaks to: a thread's priority rides its
+// record across every function ship into Task.Priority. The queue is a
+// binary heap: O(log n) push and pop.
 type priority struct{ h taskHeap }
 
 // NewPriority returns a strict-priority policy.
 func NewPriority() Policy { return &priority{} }
 
-func (p *priority) Name() string { return "priority" }
-func (p *priority) Len() int     { return len(p.h) }
+func (p *priority) Len() int { return len(p.h) }
 
 func (p *priority) Push(t *Task) bool {
 	heap.Push(&p.h, t)

@@ -1,7 +1,7 @@
 package sched
 
-// ring is a growable circular buffer of tasks: O(1) at both ends, no O(n)
-// copy on dequeue (the defect the old slice-based FIFO had). Indices are
+// ring is a growable FIFO circular buffer of tasks — the scheduler's shared
+// overflow queue: O(1) push and pop, no O(n) copy on dequeue. Indices are
 // free-running uint64s; buf's length is a power of two, so position is
 // index & mask. Elements live in [head, tail).
 type ring struct {
@@ -33,15 +33,6 @@ func (r *ring) pushBack(t *Task) {
 	r.tail++
 }
 
-// pushFront prepends at the head (oldest end).
-func (r *ring) pushFront(t *Task) {
-	if r.len() == len(r.buf) {
-		r.grow()
-	}
-	r.head--
-	r.buf[r.head&uint64(len(r.buf)-1)] = t
-}
-
 // popFront removes the oldest element, or nil.
 func (r *ring) popFront() *Task {
 	if r.head == r.tail {
@@ -51,17 +42,5 @@ func (r *ring) popFront() *Task {
 	t := r.buf[i]
 	r.buf[i] = nil
 	r.head++
-	return t
-}
-
-// popBack removes the newest element, or nil.
-func (r *ring) popBack() *Task {
-	if r.head == r.tail {
-		return nil
-	}
-	r.tail--
-	i := r.tail & uint64(len(r.buf)-1)
-	t := r.buf[i]
-	r.buf[i] = nil
 	return t
 }

@@ -19,7 +19,7 @@
 //     and dispatches on different slots never contend. A task has a stable
 //     slot affinity (hashed from its thread ID) and always queues there.
 //   - A dispatcher (a releasing slot, or an acquirer that raced a release)
-//     pops its own queue first — LIFO under the default deque discipline, for
+//     pops its own queue first — newest first under the default deque, for
 //     cache affinity — then the shared overflow ring, then *steals* from the
 //     other slots' queues in randomized order, oldest task first.
 //   - Parking is a per-task grant channel, used only when a task truly has to
@@ -29,9 +29,9 @@
 //     side ran second sees the other, so a ready task never sleeps while a
 //     slot sits idle (no lost wakeups).
 //
-// The ready discipline within one slot remains a pluggable Policy (the
-// bounded deque by default; FIFO, LIFO, priority and adaptive provided),
-// replaceable at runtime as in the paper.
+// The ready discipline within one slot is a replaceable Policy, swapped at
+// runtime with SetPolicy as in the paper. Two ship: the bounded deque (the
+// default) and a priority heap, which honours Ctx.SetPriority.
 package sched
 
 import (
@@ -48,14 +48,14 @@ type Task struct {
 	ThreadID uint64
 	// Priority orders threads under the priority policy; higher runs first.
 	Priority int
-	// Seq is a monotone enqueue sequence assigned by the scheduler; policies
-	// use it for stable FIFO/LIFO ordering.
+	// Seq is a monotone enqueue sequence assigned by the scheduler; the
+	// priority heap uses it for arrival order among equals, and SetPolicy
+	// to re-queue waiters in their original order.
 	Seq uint64
 	// Yielded marks that this enqueue came from a timeslice yield rather
-	// than a fresh arrival or a block-wakeup; adaptive policies use it to
-	// demote CPU-bound threads, and the default deque queues yielded tasks
-	// at its steal end so a yielder cannot overtake the threads it yielded
-	// to.
+	// than a fresh arrival or a block-wakeup; the default deque queues
+	// yielded tasks at its steal end so a yielder cannot overtake the
+	// threads it yielded to.
 	Yielded bool
 
 	// slot is the task's slot affinity plus one (0 = not yet assigned).
@@ -68,8 +68,6 @@ type Task struct {
 // Policy is a ready-queue discipline for one slot. Implementations need no
 // internal locking; the owning slot's lock serializes access.
 type Policy interface {
-	// Name identifies the policy ("deque", "fifo", "lifo", "priority").
-	Name() string
 	// Push adds a waiting task. It reports false when the queue is at
 	// capacity and cannot admit the task; the scheduler then spills the task
 	// to its shared overflow ring. Unbounded policies always return true.
@@ -77,10 +75,10 @@ type Policy interface {
 	// Pop removes and returns the task this slot should run next, or nil.
 	Pop() *Task
 	// Steal removes and returns the task the discipline is most willing to
-	// hand to another slot, or nil. Ordered policies give away the same task
-	// Pop would (the stolen task runs immediately, so the best-ranked task
-	// is the right one to surrender); affinity-ordered policies (deque,
-	// lifo) give away their oldest, coldest task instead.
+	// hand to another slot, or nil. An ordered policy (priority) gives away
+	// the same task Pop would (the stolen task runs immediately, so the
+	// best-ranked task is the right one to surrender); an affinity-ordered
+	// one (deque) gives away its oldest, coldest task instead.
 	Steal() *Task
 	// Len reports the number of waiting tasks.
 	Len() int
@@ -115,13 +113,8 @@ type Scheduler struct {
 	ticks   atomic.Uint64
 	rnd     atomic.Uint64
 
-	// steal selects the enqueue placement: per-slot queues with randomized
-	// stealing (true, the default) or the single shared overflow ring
-	// (false) — the pre-rewrite topology, kept for ablation.
-	steal atomic.Bool
-
 	// overflow is the shared FIFO ring: tasks a bounded slot queue could not
-	// admit, and every task when stealing is disabled.
+	// admit.
 	omu      sync.Mutex
 	overflow ring
 
@@ -143,8 +136,8 @@ type Scheduler struct {
 
 // New creates a scheduler with the given number of processor slots (minimum
 // 1). policy builds each slot's initial ready discipline (nil selects the
-// bounded work-stealing deque). The exported constructors (NewFIFO,
-// NewPriority, …) are valid arguments.
+// bounded work-stealing deque); NewDeque and NewPriority are valid
+// arguments.
 func New(slots int, policy func() Policy) *Scheduler {
 	if slots < 1 {
 		slots = 1
@@ -157,7 +150,6 @@ func New(slots int, policy func() Policy) *Scheduler {
 		s.slots[i].policy = policy()
 	}
 	s.free.Store(int64(slots))
-	s.steal.Store(true)
 	s.cAcquires = s.counts.Get("acquires")
 	s.cFast = s.counts.Get("acquire_fast")
 	s.cYields = s.counts.Get("yields")
@@ -201,24 +193,6 @@ func (s *Scheduler) Running() int { return int(s.running.Load()) }
 
 // Waiting reports how many tasks are queued for a slot.
 func (s *Scheduler) Waiting() int { return int(s.nwait.Load()) }
-
-// SetStealing toggles per-slot distribution. When off, every enqueue lands
-// in the shared overflow ring — the single-queue topology the per-slot
-// scheduler replaced — which is useful for measuring what the distribution
-// and stealing buy. Tasks already queued on slot queues still drain: the
-// dispatch scan always covers every queue.
-func (s *Scheduler) SetStealing(on bool) { s.steal.Store(on) }
-
-// Stealing reports whether per-slot distribution is enabled.
-func (s *Scheduler) Stealing() bool { return s.steal.Load() }
-
-// PolicyName returns the active policy's name.
-func (s *Scheduler) PolicyName() string {
-	q := &s.slots[0]
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.policy.Name()
-}
 
 // SetPolicy replaces the ready discipline at runtime (§2.1: "an application
 // can install a custom scheduling discipline at runtime"). policy builds one
@@ -277,20 +251,18 @@ func (s *Scheduler) slotIndex(t *Task) int {
 }
 
 // push adds t to its slot queue (or the overflow ring when the queue is
-// full or stealing is disabled) and makes it visible to dispatchers. The
-// caller must already have stamped Seq/Yielded and ensured the grant channel.
+// full) and makes it visible to dispatchers. The caller must already have
+// stamped Seq/Yielded and ensured the grant channel.
 func (s *Scheduler) push(t *Task) {
-	if s.steal.Load() {
-		q := &s.slots[s.slotIndex(t)]
-		q.mu.Lock()
-		if q.policy.Push(t) {
-			s.nwait.Add(1)
-			q.mu.Unlock()
-			return
-		}
+	q := &s.slots[s.slotIndex(t)]
+	q.mu.Lock()
+	if q.policy.Push(t) {
+		s.nwait.Add(1)
 		q.mu.Unlock()
-		s.cSpills.Inc()
+		return
 	}
+	q.mu.Unlock()
+	s.cSpills.Inc()
 	s.omu.Lock()
 	s.overflow.pushBack(t)
 	s.nwait.Add(1)

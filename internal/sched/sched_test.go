@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -60,8 +61,24 @@ func TestTryAcquire(t *testing.T) {
 	s.Release(nil)
 }
 
+// waitQueued spins until n tasks are queued. A task's Seq is stamped before
+// it is counted, so a task started after this returns arrives strictly later
+// than every one already queued.
+func waitQueued(t *testing.T, s *Scheduler, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Waiting() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("Waiting = %d, want %d", s.Waiting(), n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestFIFOOrder checks arrival order among equal priorities under the
+// priority heap, through the scheduler.
 func TestFIFOOrder(t *testing.T) {
-	s := New(1, NewFIFO)
+	s := New(1, NewPriority)
 	hold := &Task{}
 	s.Acquire(hold)
 
@@ -73,14 +90,14 @@ func TestFIFOOrder(t *testing.T) {
 		id := uint64(i)
 		go func() {
 			defer wg.Done()
-			task := &Task{ThreadID: id}
+			task := &Task{ThreadID: id, Priority: 3}
 			s.Acquire(task)
 			mu.Lock()
 			order = append(order, id)
 			mu.Unlock()
 			s.Release(task)
 		}()
-		time.Sleep(10 * time.Millisecond) // establish arrival order
+		waitQueued(t, s, i) // establish arrival order
 	}
 	s.Release(hold)
 	wg.Wait()
@@ -100,7 +117,7 @@ func TestPriorityOrder(t *testing.T) {
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	prios := []int{1, 5, 3, 9, 2}
-	for _, p := range prios {
+	for i, p := range prios {
 		wg.Add(1)
 		prio := p
 		go func() {
@@ -112,7 +129,7 @@ func TestPriorityOrder(t *testing.T) {
 			mu.Unlock()
 			s.Release(task)
 		}()
-		time.Sleep(10 * time.Millisecond)
+		waitQueued(t, s, i+1)
 	}
 	s.Release(hold)
 	wg.Wait()
@@ -121,33 +138,6 @@ func TestPriorityOrder(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("priority order = %v, want %v", order, want)
 		}
-	}
-}
-
-func TestLIFOPolicyUnit(t *testing.T) {
-	p := NewLIFO()
-	a, b, c := &Task{ThreadID: 1}, &Task{ThreadID: 2}, &Task{ThreadID: 3}
-	p.Push(a)
-	p.Push(b)
-	p.Push(c)
-	if p.Len() != 3 {
-		t.Fatalf("Len = %d", p.Len())
-	}
-	if p.Pop() != c || p.Pop() != b || p.Pop() != a || p.Pop() != nil {
-		t.Fatal("LIFO pop order wrong")
-	}
-}
-
-func TestFIFOPolicyUnit(t *testing.T) {
-	p := NewFIFO()
-	if p.Pop() != nil {
-		t.Fatal("empty pop should be nil")
-	}
-	a, b := &Task{ThreadID: 1}, &Task{ThreadID: 2}
-	p.Push(a)
-	p.Push(b)
-	if p.Pop() != a || p.Pop() != b {
-		t.Fatal("FIFO pop order wrong")
 	}
 }
 
@@ -248,14 +238,17 @@ func TestBlockReleasesSlot(t *testing.T) {
 	close(proceed)
 }
 
+// TestSetPolicyTransfersWaiters queues three threads under the default
+// deque, swaps to the priority heap while they wait, and checks they then
+// run highest-priority first.
 func TestSetPolicyTransfersWaiters(t *testing.T) {
-	s := New(1, NewFIFO)
+	s := New(1, nil)
 	hold := &Task{}
 	s.Acquire(hold)
 	var order []int
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, p := range []int{1, 9, 5} {
+	for i, p := range []int{1, 9, 5} {
 		wg.Add(1)
 		prio := p
 		go func() {
@@ -267,12 +260,12 @@ func TestSetPolicyTransfersWaiters(t *testing.T) {
 			mu.Unlock()
 			s.Release(task)
 		}()
-		time.Sleep(10 * time.Millisecond)
+		waitQueued(t, s, i+1)
 	}
 	// Swap to priority while three tasks wait.
 	s.SetPolicy(NewPriority)
-	if s.PolicyName() != "priority" {
-		t.Fatalf("PolicyName = %q", s.PolicyName())
+	if s.Waiting() != 3 {
+		t.Fatalf("Waiting = %d after SetPolicy, want 3", s.Waiting())
 	}
 	s.Release(hold)
 	wg.Wait()
@@ -306,75 +299,5 @@ func TestManyThreadsFewSlotsThroughput(t *testing.T) {
 	}
 	if s.Running() != 0 || s.Waiting() != 0 {
 		t.Fatalf("Running=%d Waiting=%d after drain", s.Running(), s.Waiting())
-	}
-}
-
-func TestAdaptivePolicyDemotesCPUHogs(t *testing.T) {
-	p := NewAdaptive()
-	if p.Name() != "adaptive" {
-		t.Fatalf("Name = %q", p.Name())
-	}
-	hog := &Task{ThreadID: 1, Yielded: true}
-	nice := &Task{ThreadID: 2}
-	// The hog re-queues via yields three times: it sinks.
-	p.Push(hog)
-	if p.Pop() != hog {
-		t.Fatal("lone task should pop")
-	}
-	p.Push(hog)
-	p.Push(nice) // fresh arrival at level 0
-	if got := p.Pop(); got != nice {
-		t.Fatalf("fresh task should preempt the demoted hog, got thread %d", got.ThreadID)
-	}
-	if p.Pop() != hog {
-		t.Fatal("hog should pop once higher levels drain")
-	}
-	if p.Len() != 0 {
-		t.Fatalf("Len = %d", p.Len())
-	}
-	// A blocked-and-returned thread floats back up one level per push.
-	hog.Yielded = false
-	p.Push(hog) // was at level 2; promotes to 1
-	p.Push(nice)
-	if got := p.Pop(); got != nice {
-		t.Fatalf("level-0 thread should still run first, got %d", got.ThreadID)
-	}
-	if got := p.Pop(); got != hog {
-		t.Fatal("hog should follow")
-	}
-	hog.Yielded = false
-	p.Push(hog) // promotes to 0: back on par
-	p.Push(nice)
-	if got := p.Pop(); got != hog {
-		t.Fatalf("fully promoted thread should run in FIFO order, got %d", got.ThreadID)
-	}
-	p.Pop()
-}
-
-func TestAdaptiveEndToEndWithScheduler(t *testing.T) {
-	s := New(1, NewAdaptive)
-	if s.PolicyName() != "adaptive" {
-		t.Fatalf("policy %q", s.PolicyName())
-	}
-	var wg sync.WaitGroup
-	var done atomic.Int64
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			task := &Task{ThreadID: id}
-			for j := 0; j < 5; j++ {
-				s.Acquire(task)
-				if id%2 == 0 {
-					s.Yield(task) // even threads behave like CPU hogs
-				}
-				done.Add(1)
-				s.Release(task)
-			}
-		}(uint64(i))
-	}
-	wg.Wait()
-	if done.Load() != 30 {
-		t.Fatalf("completed %d, want 30", done.Load())
 	}
 }

@@ -14,9 +14,6 @@ import (
 
 func TestDequePolicyUnit(t *testing.T) {
 	d := NewDeque()
-	if d.Name() != "deque" {
-		t.Fatalf("Name = %q", d.Name())
-	}
 	if d.Pop() != nil || d.Steal() != nil {
 		t.Fatal("empty deque should pop nil")
 	}
@@ -69,23 +66,28 @@ func TestDequeSpillsToOverflow(t *testing.T) {
 
 func TestRingGrowPreservesOrder(t *testing.T) {
 	var r ring
-	// Interleave front/back growth across several doublings.
-	for i := 0; i < 100; i++ {
+	// Pop a few first so the live window wraps the buffer's end, then grow
+	// across several doublings.
+	for i := 0; i < 10; i++ {
 		r.pushBack(&Task{ThreadID: uint64(i)})
 	}
-	r.pushFront(&Task{ThreadID: 1000})
-	if r.len() != 101 {
-		t.Fatalf("len = %d", r.len())
-	}
-	if got := r.popFront(); got.ThreadID != 1000 {
-		t.Fatalf("front = %d", got.ThreadID)
-	}
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 6; i++ {
 		if got := r.popFront(); got.ThreadID != uint64(i) {
 			t.Fatalf("order broken at %d: got %d", i, got.ThreadID)
 		}
 	}
-	if r.popFront() != nil || r.popBack() != nil {
+	for i := 10; i < 110; i++ {
+		r.pushBack(&Task{ThreadID: uint64(i)})
+	}
+	if r.len() != 104 {
+		t.Fatalf("len = %d", r.len())
+	}
+	for i := 6; i < 110; i++ {
+		if got := r.popFront(); got.ThreadID != uint64(i) {
+			t.Fatalf("order broken at %d: got %d", i, got.ThreadID)
+		}
+	}
+	if r.popFront() != nil {
 		t.Fatal("drained ring should pop nil")
 	}
 }
@@ -101,7 +103,7 @@ func TestSetPolicyRacesHotPaths(t *testing.T) {
 	swaps.Add(1)
 	go func() {
 		defer swaps.Done()
-		factories := []func() Policy{NewFIFO, NewPriority, NewLIFO, NewAdaptive, NewDeque}
+		factories := []func() Policy{NewPriority, NewDeque}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -307,41 +309,6 @@ func countsSnapshot(c *[8]atomic.Int64) []int64 {
 		out[i] = c[i].Load()
 	}
 	return out
-}
-
-// TestStealingDisabledStillDrains flips the ablation switch mid-run: tasks
-// queued on slot queues before the flip and on the shared ring after it must
-// all complete.
-func TestStealingDisabledStillDrains(t *testing.T) {
-	s := New(2, nil)
-	if !s.Stealing() {
-		t.Fatal("stealing should default on")
-	}
-	var wg sync.WaitGroup
-	var done atomic.Int64
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			task := &Task{ThreadID: id}
-			for j := 0; j < 100; j++ {
-				if j == 50 && id == 0 {
-					s.SetStealing(false)
-				}
-				s.Acquire(task)
-				done.Add(1)
-				s.Release(task)
-			}
-		}(uint64(i))
-	}
-	wg.Wait()
-	s.SetStealing(true)
-	if done.Load() != 1600 {
-		t.Fatalf("completed %d, want 1600", done.Load())
-	}
-	if s.Running() != 0 || s.Waiting() != 0 {
-		t.Fatalf("Running=%d Waiting=%d after drain", s.Running(), s.Waiting())
-	}
 }
 
 // BenchmarkAcquireRelease measures the uncontended token fast path — the

@@ -105,10 +105,12 @@ done
 echo "== scheduler stress suite (steal/release/SetPolicy races, starvation) =="
 # The per-slot scheduler's fast path is mutex-free atomics with a two-sided
 # lost-wakeup check; these tests force the steal, handoff, spill and policy
-# swap interleavings and re-run them under -race with fresh state. The heat
-# placement tests ride along: they drive real cross-node migrations.
+# swap interleavings and re-run them under -race with fresh state. The
+# priority rows (in process and across a function ship) and the waiter
+# transfer keep the replaceable-policy seam under -race. The heat placement
+# tests ride along: they drive real cross-node migrations.
 go test -race -count=1 \
-	-run 'TestSetPolicyRacesHotPaths|TestStealVsReleaseRace|TestStarvation|TestFairnessAcrossSlots|TestStealingDisabled|TestDequeSpills|TestHeat' \
+	-run 'TestSetPolicyRacesHotPaths|TestStealVsReleaseRace|TestStarvation|TestFairnessAcrossSlots|TestDequeSpills|TestPriority|TestSetPolicyTransfersWaiters|TestHeat' \
 	./internal/sched/ ./internal/core/
 
 echo "== observability smoke (live 3-node cluster: /cluster, /heat, amber-top) =="
