@@ -25,7 +25,7 @@ func newTCPCluster(t *testing.T, n int) []*Node {
 
 // startNodes starts node i on trs[i] with cfg (ID and ServerNode filled in),
 // node 0 hosting the address-space server.
-func startNodes(t *testing.T, reg *Registry, trs []transport.Transport, cfg NodeConfig) []*Node {
+func startNodes(t testing.TB, reg *Registry, trs []transport.Transport, cfg NodeConfig) []*Node {
 	t.Helper()
 	nodes := make([]*Node, len(trs))
 	for i := range nodes {
@@ -46,7 +46,7 @@ func startNodes(t *testing.T, reg *Registry, trs []transport.Transport, cfg Node
 
 // tcpTransports binds n loopback transports that know each other. All
 // listeners are bound first, so peers can dial in any order.
-func tcpTransports(t *testing.T, n int) []transport.Transport {
+func tcpTransports(t testing.TB, n int) []transport.Transport {
 	t.Helper()
 	tcps := make([]*transport.TCP, n)
 	trs := make([]transport.Transport, n)
@@ -132,4 +132,44 @@ func TestTCPClusterDrainAndMove(t *testing.T) {
 	if _, err := ctx.Join(th); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkFanInAsync64TCP is the async fan-in batch (64 AsyncInvokes to one
+// remote object, then 64 Joins) on two loopback TCP nodes, measured from
+// inside the runtime so the callee's transport can be read: besides the time
+// per batch it reports the callee's socket writes per reply, from its
+// flush_ns count. A callee that answers reply by reply reads 1; one that
+// answers each inbound burst in one write reads about 1/64.
+func BenchmarkFanInAsync64TCP(b *testing.B) {
+	const width = 64
+	reg := NewRegistry()
+	if err := reg.Register(&Counter{}); err != nil {
+		b.Fatal(err)
+	}
+	trs := tcpTransports(b, 2)
+	nodes := startNodes(b, reg, trs, NodeConfig{Procs: 4})
+	ctx := nodes[0].Root()
+	ref, err := nodes[1].Root().New(&Counter{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := ctx.Invoke(ref, "Add", 0); err != nil { // warm location cache
+		b.Fatal(err)
+	}
+	writes := trs[1].(*transport.TCP).Stats().Hist("flush_ns")
+	futs := make([]*Future, width)
+	b.ResetTimer()
+	w0 := writes.Count()
+	for i := 0; i < b.N; i++ {
+		for j := range futs {
+			futs[j] = ctx.AsyncInvoke(ref, "Add", 1)
+		}
+		for _, f := range futs {
+			if _, err := f.Join(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(writes.Count()-w0)/float64(b.N*width), "writes/reply")
 }

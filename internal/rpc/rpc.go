@@ -212,7 +212,14 @@ type Ctx struct {
 	// the handler returns and must not be retained past that.
 	Body []byte
 
-	replied atomic.Bool
+	// more is the request's transport.Message.More: further requests from
+	// From are already buffered, so a reply to From may wait for the reader
+	// to write the batch. returned is set, when more is, once the handler has
+	// returned; a reply sent after that cannot count on the reader and writes
+	// itself out.
+	more     bool
+	returned atomic.Bool
+	replied  atomic.Bool
 }
 
 // IsCall reports whether the sender awaits a reply.
@@ -221,6 +228,14 @@ func (c *Ctx) IsCall() bool { return c.CallID != 0 }
 // Reply sends the response to the origin node, taking ownership of body (it
 // becomes the reply frame). It is a no-op for oneways and panics if called
 // twice.
+//
+// A reply to the link the request came in on, while the transport holds
+// further requests from that link, is left in the transport's write buffer
+// (transport.Message.More): the link's reader writes it out with the replies
+// to the requests behind it, in one write, before it next waits for the
+// link or as soon as the link is handed to a fresh reader. Every other reply
+// — to a forwarded request's origin, to the last request of a batch, or one
+// sent after the handler has returned — is written out at once.
 func (c *Ctx) Reply(body []byte, err error) {
 	if !c.IsCall() {
 		wire.PutBuf(body)
@@ -242,7 +257,13 @@ func (c *Ctx) Reply(body []byte, err error) {
 		// the handler. The window keeps its own copy of body.
 		c.ep.dedup.complete(c.Origin, c.Idem, body, errStr)
 	}
-	c.ep.sendReply(c.Origin, c.CallID, body, errStr)
+	deferred := c.more && c.Origin == c.From
+	c.ep.sendReply(c.Origin, c.CallID, body, errStr, deferred)
+	// The reader Kicks only after the handler returns, so a reply buffered
+	// before returned is set is in its Kick; one sent after writes itself.
+	if deferred && c.returned.Load() {
+		c.ep.Kick(c.Origin)
+	}
 }
 
 // own returns body as a buffer Reply or Forward may hand to the transport. A
@@ -281,6 +302,9 @@ func (c *Ctx) Forward(to gaddr.NodeID, proc Proc, body []byte) error {
 // goroutine of the link the request arrived on; a handler that waits should
 // call Endpoint.ReleaseReaders first (CallWith does), or its link reads
 // nothing more until the transport's watchdog hands it to a fresh reader.
+// Either also matters to the handlers before it: their replies may be waiting
+// in the transport's write buffer for the batch to finish (see Ctx.Reply),
+// and a hand-off writes them out.
 type Handler func(*Ctx)
 
 // Endpoint is one node's RPC engine.
@@ -395,21 +419,25 @@ func (ep *Endpoint) sendRequest(to gaddr.NodeID, kind transport.Kind, hdr *reque
 	}
 	frame := hdr.appendTo(body)
 	ep.cSent.Inc()
-	var err error
-	if noFlush && ep.coal != nil {
-		err = ep.coal.SendNoFlush(to, kind, frame)
-	} else {
-		err = ep.tr.Send(to, kind, frame)
-	}
+	err := ep.send(to, kind, frame, noFlush)
 	if err != nil {
 		wire.PutBuf(frame)
 	}
 	return err
 }
 
+// send hands frame to the transport, buffered without a flush when noFlush
+// is set and the transport coalesces.
+func (ep *Endpoint) send(to gaddr.NodeID, kind transport.Kind, frame []byte, noFlush bool) error {
+	if noFlush && ep.coal != nil {
+		return ep.coal.SendNoFlush(to, kind, frame)
+	}
+	return ep.tr.Send(to, kind, frame)
+}
+
 // sendReply turns body (or, for a failure, errStr) into the reply frame and
-// sends it; it owns body.
-func (ep *Endpoint) sendReply(to gaddr.NodeID, callID uint64, body []byte, errStr string) {
+// sends it like send; it owns body.
+func (ep *Endpoint) sendReply(to gaddr.NodeID, callID uint64, body []byte, errStr string, noFlush bool) {
 	ep.cRepliesSent.Inc()
 	if to == ep.Self() {
 		// Forwarding brought the request back to its origin; complete the
@@ -430,7 +458,7 @@ func (ep *Endpoint) sendReply(to gaddr.NodeID, callID uint64, body []byte, errSt
 		body = append(body[:0], errStr...)
 	}
 	frame := appendReplyTrailer(body, callID, flags)
-	if err := ep.tr.Send(to, kindReply, frame); err != nil {
+	if err := ep.send(to, kindReply, frame, noFlush); err != nil {
 		wire.PutBuf(frame)
 		ep.counts.Inc("rpc_reply_send_failed")
 	}
@@ -488,7 +516,7 @@ func (ep *Endpoint) onMessage(m transport.Message) {
 					trace.GlobalEmit(trace.Event{Kind: trace.KDedupHit,
 						Node: int32(ep.Self()), Arg: int64(rq.Origin)})
 				}
-				ep.sendReply(rq.Origin, rq.CallID, FrameCopy(body), errStr)
+				ep.sendReply(rq.Origin, rq.CallID, FrameCopy(body), errStr, false)
 				wire.PutBuf(m.Payload)
 				return
 			case dedupInflight:
@@ -501,7 +529,11 @@ func (ep *Endpoint) onMessage(m transport.Message) {
 			}
 		}
 		ep.cHandled.Inc()
+		ctx.more = m.More
 		(*h)(ctx)
+		if ctx.more {
+			ctx.returned.Store(true)
+		}
 		wire.PutBuf(m.Payload)
 	case kindPing:
 		ep.handlePing(m)

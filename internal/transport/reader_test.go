@@ -149,3 +149,45 @@ func TestReaderWatchdogIdle(t *testing.T) {
 		})
 	}
 }
+
+// More tells a handler that a whole further message on its link is already
+// buffered. A TCP burst read in one piece sets it on every frame but the
+// last; the fabric, which delivers message by message from a channel and
+// buffers no replies, never sets it.
+func TestReaderMore(t *testing.T) {
+	for _, kind := range []string{"fabric", "tcp"} {
+		t.Run(kind, func(t *testing.T) {
+			a, b, _ := readerPair(t, kind)
+			const frames = 64
+			more := make(chan bool, frames)
+			b.SetHandler(func(m Message) { more <- m.More })
+			co := a.(Coalescer)
+			for i := 0; i < frames; i++ {
+				if err := co.SendNoFlush(1, 1, []byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			co.Kick(1)
+			set := 0
+			for i := 0; i < frames; i++ {
+				select {
+				case m := <-more:
+					if m {
+						set++
+					}
+					if m && i == frames-1 {
+						t.Fatal("the last frame of the burst claims a successor")
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("frame not delivered")
+				}
+			}
+			if kind == "fabric" && set != 0 {
+				t.Fatalf("the fabric set More on %d of %d messages", set, frames)
+			}
+			if kind == "tcp" && set == 0 {
+				t.Fatalf("no frame of a %d-frame burst saw its successor buffered", frames)
+			}
+		})
+	}
+}

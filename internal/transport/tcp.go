@@ -50,7 +50,13 @@ type TCP struct {
 	conns   atomic.Pointer[map[gaddr.NodeID]*tcpConn] // copy-on-write under mu
 	inConns map[net.Conn]struct{}
 	h       atomic.Pointer[Handler]
-	closed  atomic.Bool
+	// ready is closed by the first SetHandler (or by Close). No inbound link
+	// reads a frame before it: cluster members start in any order, and a
+	// frame that arrived before the node had a handler would be lost, its
+	// sender waiting for a reply that never comes.
+	ready     chan struct{}
+	readyOnce sync.Once
+	closed    atomic.Bool
 	// wg counts the accept loop and one reader per inbound connection; a
 	// hand-off passes the connection's count on to the fresh reader.
 	wg      sync.WaitGroup
@@ -59,8 +65,8 @@ type TCP struct {
 	faults  atomic.Pointer[Faults]
 
 	// flushHist times each socket write: its count is the number of writes,
-	// which the transport tests and scripts/bench.sh hold against the number
-	// of frames.
+	// which the transport and rpc tests and core's BenchmarkFanInAsync64TCP
+	// hold against the number of frames.
 	flushHist                      *stats.Histogram
 	cMsgsSent, cBytesSent          *stats.Counter
 	cMsgsRecv, cBytesRecv          *stats.Counter
@@ -108,6 +114,7 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		cfg:     cfg,
 		ln:      ln,
 		inConns: make(map[net.Conn]struct{}),
+		ready:   make(chan struct{}),
 		counts:  stats.NewSet(),
 	}
 	t.conns.Store(&map[gaddr.NodeID]*tcpConn{})
@@ -164,7 +171,12 @@ func (t *TCP) Faults() *Faults { return t.faults.Load() }
 
 func (t *TCP) Self() gaddr.NodeID { return t.cfg.Self }
 
-func (t *TCP) SetHandler(h Handler) { t.h.Store(&h) }
+// SetHandler implements Transport. Inbound frames wait in their links until
+// the first call.
+func (t *TCP) SetHandler(h Handler) {
+	t.h.Store(&h)
+	t.readyOnce.Do(func() { close(t.ready) })
+}
 
 // ReleaseReaders implements Transport.
 func (t *TCP) ReleaseReaders() { t.readers.release() }
@@ -187,6 +199,7 @@ func (t *TCP) Close() error {
 	for _, c := range in {
 		c.Close()
 	}
+	t.readyOnce.Do(func() { close(t.ready) }) // readers waiting for a handler find their links closed
 	// A reader inside a handler would hold Close up until its handler
 	// returned; a fresh reader finds the socket closed and ends at once.
 	t.readers.release()
@@ -232,16 +245,32 @@ func (t *TCP) serve(c net.Conn) {
 		return
 	}
 	l := &inLink{c: c, r: r, from: gaddr.NodeID(int32(binary.BigEndian.Uint32(hs[4:])))}
-	l.spawn = func() { go t.readLoop(l) }
+	l.spawn = func() { go t.readLoop(l, true) }
 	t.readers.add(&l.reader)
-	t.readLoop(l)
+	<-t.ready
+	t.readLoop(l, false)
 }
 
 // readLoop delivers l's frames in order, running each handler on this
 // goroutine, until the connection fails or the link is handed to a fresh
 // readLoop while a handler runs.
-func (t *TCP) readLoop(l *inLink) {
+//
+// A frame delivered with More set may leave its reply to l.from in the write
+// buffer, so the reader writes that buffer out (Kick) before it waits for a
+// frame that is not already buffered: a batch of requests read together is
+// answered in one write. A fresh reader (fresh set) Kicks before its first
+// read, for the replies its predecessor left; the predecessor Kicks once the
+// handler it was handed off in returns, for that handler's own reply.
+func (t *TCP) readLoop(l *inLink, fresh bool) {
+	if fresh {
+		t.Kick(l.from)
+	}
+	owed := false // a frame delivered since the last Kick had More set
 	for {
+		if owed && !frameBuffered(l.r) {
+			t.Kick(l.from)
+			owed = false
+		}
 		msg, err := readFrame(l.r, l.from, t.cfg.Self)
 		if err != nil {
 			t.endIn(l.c, &l.reader)
@@ -258,10 +287,17 @@ func (t *TCP) readLoop(l *inLink) {
 		t.cBytesRecv.Add(int64(len(msg.Payload) + frameHdrLen))
 		t.kindCounter(&t.cKindRecvBytes, &kindRecvBytes, msg.Kind).Add(int64(len(msg.Payload)))
 		if h := t.h.Load(); h != nil && *h != nil {
+			msg.More = frameBuffered(l.r)
 			// The handler owns Payload now.
 			if !t.readers.handle(&l.reader, *h, msg) {
-				return // handed off: a fresh reader owns the link
+				// Handed off: a fresh reader owns the link, and its Kick
+				// may have run before this handler left its reply.
+				if msg.More {
+					t.Kick(l.from)
+				}
+				return
 			}
+			owed = owed || msg.More
 		} else {
 			wire.PutBuf(msg.Payload)
 		}
@@ -279,6 +315,16 @@ func (t *TCP) endIn(c net.Conn, r *reader) {
 		t.readers.remove(r)
 	}
 	t.wg.Done()
+}
+
+// frameBuffered reports whether r's buffer holds a whole frame, so that
+// reading it will not wait for the socket.
+func frameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < frameHdrLen {
+		return false
+	}
+	hdr, _ := r.Peek(4)
+	return r.Buffered() >= 4+int(binary.BigEndian.Uint32(hdr))
 }
 
 // Frame layout: length(u32) kind(u8) payload. Length covers kind+payload.

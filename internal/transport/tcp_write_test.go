@@ -281,3 +281,28 @@ func TestSentCountedBeforeDelivery(t *testing.T) {
 		t.Fatalf("%d of %d frames were delivered before the sender counted them", k, frames)
 	}
 }
+
+// A frame that arrives before the receiver has a handler waits in its link
+// until SetHandler, instead of being lost: cluster members start in any
+// order, and a request dropped that way leaves its caller waiting forever.
+func TestTCPHoldsFramesUntilHandler(t *testing.T) {
+	a, b := tcpPair(t)
+	const frames = 3
+	for i := 0; i < frames; i++ {
+		if err := a.Send(1, 1, patterned(64, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Give a reader that does not wait for the handler the time to take the
+	// frames off the socket (and lose them) before the handler exists.
+	for deadline := time.Now().Add(100 * time.Millisecond); b.Stats().Value("msgs_recv") < frames && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	got := make(chan Message, frames)
+	b.SetHandler(func(m Message) { got <- m })
+	for i := 0; i < frames; i++ {
+		if err := checkPattern(recv(t, got).Payload, byte(i), 0); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+}

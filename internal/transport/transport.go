@@ -37,6 +37,13 @@ type Message struct {
 	To      gaddr.NodeID
 	Kind    Kind
 	Payload []byte
+	// More reports that a whole further message on the same link was already
+	// buffered when this one was delivered, so the link's reader will not wait
+	// before its next handler starts. A reply to From may then be left in the
+	// transport's write buffer (Coalescer.SendNoFlush): the reader writes the
+	// batch out before it next waits for the link, and a hand-off writes it
+	// out too (see Coalescer). Only the TCP transport sets it.
+	More bool
 }
 
 // Handler receives inbound messages. It runs on the reader goroutine of the
@@ -63,8 +70,9 @@ type Transport interface {
 	// Send transmits a message. It returns once the message is accepted for
 	// (delayed) delivery, not once it is delivered.
 	Send(to gaddr.NodeID, kind Kind, payload []byte) error
-	// SetHandler installs the inbound message handler. It must be called
-	// before any peer sends to this node.
+	// SetHandler installs the inbound message handler. A message that
+	// arrives before the first call waits for it on TCP; the fabric drops
+	// it, so an in-process node sets its handler before peers send.
 	SetHandler(Handler)
 	// ReleaseReaders hands every inbound link whose reader is inside a
 	// handler to a fresh reader. Any goroutine of the node calls it before
@@ -105,6 +113,16 @@ func init() {
 //   - Kick writes out, on the caller's goroutine, whatever is buffered toward
 //     the peer; a no-op when nothing is buffered or the transport has no
 //     buffer.
+//
+// The rpc layer uses the pair in both directions: a pipelining caller sends a
+// burst of requests with SendNoFlush and one Kick, and a handler whose request
+// arrived with Message.More set answers its sender with SendNoFlush. The TCP
+// reader flushes those replies itself: it Kicks the link's peer before it
+// waits for a frame that is not already buffered, a fresh reader Kicks before
+// its first read, and a handed-off reader whose message had More Kicks once
+// its handler returns. A batch of requests read in one go is thus answered in
+// one write, and a deferred reply waits only for the handlers of the frames
+// already buffered behind it, never past a hand-off.
 //
 // Transports that never buffer (the fabric) implement the interface as
 // Send/no-op so callers need not type-switch per message.

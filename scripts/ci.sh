@@ -57,8 +57,13 @@ echo "== reader hand-off (a handler that waits releases its link; the watchdog c
 # whose wake-up arrives on the waiting handler's own link, over the fabric and
 # over TCP; a missing release point shows as a row that never answers, and a
 # missing watchdog as a busy peer classified down. Interleavings, so 20 runs.
+# A reply to a request read with more behind it waits in the write buffer for
+# the batch (TestReaderMore: who sets More; TestReplyBatch: one write per
+# burst, the release and watchdog bounds, and the replies that never wait); a
+# missing flush point shows as a row that never answers.
 go test -race -count=20 -run 'TestReaderHandoff' ./internal/core/
 go test -race -count=20 -run 'TestReader' ./internal/transport/
+go test -race -count=20 -run 'TestReplyBatch' ./internal/rpc/
 
 echo "== TCP sent counters lead delivery =="
 # A peer may answer a frame before its sender's Send returns, so the sender
