@@ -394,6 +394,33 @@ func BenchmarkMutableLeaseWriteFence(b *testing.B) {
 	}
 }
 
+// BenchmarkMutableLeaseWriteOnReply is the fence's other shape: the lease
+// holder itself writes. Each iteration re-arms node 0's lease with a Get, then
+// writes from node 0 — the owner's fence leaves node 0's revoke to the write's
+// reply, so the write costs one round trip where BenchmarkMutableLeaseWriteFence
+// (the owner writes under node 0's lease) pays a revoke round besides. The
+// write leg's p99 is reported as write-p99-ns, as there.
+func BenchmarkMutableLeaseWriteOnReply(b *testing.B) {
+	_, ctx0, _, ref := benchLeasePair(b)
+	lat := make([]time.Duration, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ctx0.Invoke(ref, "Get"); err != nil { // re-arm the lease
+			b.Fatal(err)
+		}
+		start := time.Now()
+		if _, err := ctx0.Invoke(ref, "Poke"); err != nil { // write, revoke on the reply
+			b.Fatal(err)
+		}
+		lat = append(lat, time.Since(start))
+	}
+	b.StopTimer()
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	if n := len(lat); n > 0 {
+		b.ReportMetric(float64(lat[n*99/100]), "write-p99-ns")
+	}
+}
+
 // BenchmarkLocalInvokeParallel measures local-invocation scalability across
 // goroutines (run with -cpu 1,8: the ns/op ratio is the scaling factor the
 // sharded object space is accountable for). Each goroutine is its own Amber

@@ -122,7 +122,8 @@ func (n *Node) runHere(c *Ctx, d *descriptor, s *ChainStep, prev []any, readOnly
 		// rule weighs remote callers against this lane.
 		n.heatObserve(s.Obj, n.id)
 	}
-	return n.runPinned(c, d, s.Obj, s.Method, substituteChainPrev(s.Args, prev), readOnly)
+	res, _, err := n.runPinned(c, d, s.Obj, s.Method, substituteChainPrev(s.Args, prev), readOnly, gaddr.NoNode)
+	return res, err
 }
 
 // request assembles the routed invocation that carries a journey's remaining
@@ -236,6 +237,11 @@ func (n *Node) acceptReply(obj gaddr.Addr, resp []byte) ([]any, error) {
 	// therefore still resident — under the drain protocol the check cannot
 	// fail, which is exactly why the protocol is safe.
 	n.cReturnChecks.Inc()
+	if ir.Revoked {
+		// The write's fence left this node's lease to its reply: revoke it
+		// before the results reach anyone, exactly as a revoke message would.
+		n.leaseRevoke(obj, ir.Epoch, ir.Node)
+	}
 	n.learnLocation(obj, ir.Node, ir.Epoch)
 	ttl := int64(ir.LeaseNs)
 	if ir.Immutable {
@@ -474,8 +480,14 @@ func (n *Node) executeStep(rc *rpc.Ctx, d *descriptor, msg *routedMsg, prev []an
 			}
 		}
 	}
+	// The last step's reply goes straight to the origin: a write's fence
+	// leaves the origin's own lease revoke to it.
+	replyTo := gaddr.NoNode
+	if len(msg.Cont) == 0 && rc.Origin != n.id {
+		replyTo = rc.Origin
+	}
 	start := time.Now()
-	results, err = n.runPinned(c, d, msg.Obj, msg.Method, args, readOnly)
+	results, revoked, err := n.runPinned(c, d, msg.Obj, msg.Method, args, readOnly, replyTo)
 	wire.PutArgs(scratch)
 	elapsed := time.Since(start)
 	n.histExec.Observe(elapsed)
@@ -511,7 +523,7 @@ func (n *Node) executeStep(rc *rpc.Ctx, d *descriptor, msg *routedMsg, prev []an
 	// the object's state so the origin installs a local copy in the same
 	// round trip — a lease's grant may claim a newer residency epoch, and
 	// its state sits in a pooled buffer until the frame has copied it in.
-	ir := invokeReply{Node: n.id, Epoch: epoch, Immutable: d.Immutable()}
+	ir := invokeReply{Node: n.id, Epoch: epoch, Immutable: d.Immutable(), Revoked: revoked}
 	var pooled []byte
 	if msg.Flags&rmFlagLeaseOK != 0 {
 		pooled = n.offerCopy(d, msg.Obj, rc.Origin, readOnly, &ir)

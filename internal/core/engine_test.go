@@ -532,17 +532,21 @@ func TestEngineSaysItOnce(t *testing.T) {
 		{"records a lease grant", "leaseRecord", []string{"offerCopy"}},
 		{"fills a reply's copy", "SnapState", []string{"offerCopy", "acceptReply", "AppendWire", "DecodeWire", "sizeHint"}},
 		{"installs a copy pulled off a reply", "installCopy", []string{"copyWorker"}},
-		{"drains a copy or an object", "Drain", []string{"evictCopy", "handleLease", "handleInstall",
+		{"drains a copy or an object", "Drain", []string{"evictCopy", "leaseRevoke", "handleInstall",
 			"executeSetCacheable", "executeDelete"}},
 		{"leaves a forwarding address behind a move or a copy", "ForwardTo", []string{"ship", "evictCopy",
-			"handleLease", "handleInstall"}},
+			"leaseRevoke", "handleInstall"}},
+		// One revoke transition, whether the revoke came as a message or rode
+		// the write's reply.
+		{"revokes a lease copy", "leaseRevoke", []string{"handleLease", "acceptReply"}},
+		{"leaves a revoke to the write's reply", "lease_revokes_on_reply", []string{"leaseFence"}},
 		{"decides what a lease copy serves", "leaseRedirect", []string{"resolve"}},
 		// One location rule (DESIGN.md §9.5): one writer of location gossip,
 		// for owned tombstones and advisory hints alike, and one control-op
 		// executor.
 		{"writes a location hint", "HintLearn", []string{"learnLocation"}},
 		{"reads a location hint", "HintGet", []string{"homeFallback"}},
-		{"refreshes a tombstone from gossip", "LearnAt", []string{"learnLocation", "handleLease"}},
+		{"refreshes a tombstone from gossip", "LearnAt", []string{"learnLocation", "leaseRevoke"}},
 		// One residency state machine (DESIGN.md §9.2): core names a
 		// transition, objspace writes its fields. Attach edges are written on
 		// both sides by the two attach executors and by Publish.

@@ -103,7 +103,8 @@ func FuzzInvokeReply(f *testing.F) {
 	lease := invokeReply{Results: res, Node: 2, Epoch: 9, Lease: true, LeaseNs: 2e9,
 		SnapType: "core.Counter", SnapState: []byte{1, 2, 3}}
 	replica := invokeReply{Node: 2, Epoch: 1, Immutable: true, SnapType: "core.Greeter"}
-	fuzzSeeds(f, plain.AppendWire(nil), lease.AppendWire(nil), replica.AppendWire(nil))
+	revoked := invokeReply{Results: res, Node: 2, Epoch: 10, Revoked: true}
+	fuzzSeeds(f, plain.AppendWire(nil), lease.AppendWire(nil), replica.AppendWire(nil), revoked.AppendWire(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got invokeReply
 		if _, err := got.DecodeWire(data); err != nil {

@@ -169,7 +169,11 @@ func (n *Node) homeFallback(obj gaddr.Addr) (action, gaddr.NodeID, error) {
 // captured ONCE: SetCacheable drains pins before flipping it, so it cannot
 // change mid-call, but a single capture keeps the lock/unlock pairing
 // self-evident.
-func (n *Node) runPinned(c *Ctx, d *descriptor, obj gaddr.Addr, method string, args []any, readOnly bool) (res []any, err error) {
+//
+// replyTo is the node a remote execution's reply reaches with the results
+// (the origin, on a journey's last step), or gaddr.NoNode. A write that
+// succeeds leaves that node's lease revoke to the reply: onReply reports it.
+func (n *Node) runPinned(c *Ctx, d *descriptor, obj gaddr.Addr, method string, args []any, readOnly bool, replyTo gaddr.NodeID) (res []any, onReply bool, err error) {
 	c.rec.Pins = append(c.rec.Pins, obj)
 	defer func() {
 		c.rec.Pins = c.rec.Pins[:len(c.rec.Pins)-1]
@@ -186,11 +190,11 @@ func (n *Node) runPinned(c *Ctx, d *descriptor, obj gaddr.Addr, method string, a
 	ti := p.ti
 	checkImmutable := n.cfg.DebugImmutable && d.Immutable()
 	if ti == nil {
-		return nil, fmt.Errorf("%w: %#x has no type", ErrNoSuchObject, uint64(obj))
+		return nil, false, fmt.Errorf("%w: %#x has no type", ErrNoSuchObject, uint64(obj))
 	}
 	mi, err := ti.method(method)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	var before []byte
 	if checkImmutable {
@@ -219,20 +223,24 @@ func (n *Node) runPinned(c *Ctx, d *descriptor, obj gaddr.Addr, method string, a
 			d.Coh.Unlock()
 			// The fence runs even when the method errored: user code may have
 			// mutated state before failing, and a spurious bump only costs a
-			// revoke round. The pin we hold keeps the object resident for the
-			// fence's duration; the thread parks its processor slot while
-			// revokes are in flight.
-			n.leaseWriteFence(c, d, obj)
+			// revoke round. An error reply carries no invokeReply, so only a
+			// success may leave the reply target's revoke to the reply. The
+			// pin we hold keeps the object resident for the fence's duration;
+			// the thread parks its processor slot while revokes are in flight.
+			if err != nil {
+				replyTo = gaddr.NoNode
+			}
+			onReply = n.leaseWriteFence(c, d, obj, replyTo)
 		}
 	}
 	if checkImmutable && err == nil {
 		after, _ := wire.Marshal(p.obj.Elem().Interface())
 		if !bytes.Equal(before, after) {
 			n.counts.Inc("immutable_violations")
-			return nil, fmt.Errorf("%w: %s.%s", ErrImmutableViolated, ti.name, method)
+			return nil, false, fmt.Errorf("%w: %s.%s", ErrImmutableViolated, ti.name, method)
 		}
 	}
-	return res, err
+	return res, onReply, err
 }
 
 // unpin releases one pin; the last pin out of a moving object triggers the

@@ -31,6 +31,13 @@ import (
 //     which time the remote lease has self-expired). Only then is the write's
 //     reply released — so no read anywhere can observe a value older than
 //     the last acknowledged write.
+//   - Revoke on reply: when the write's reply goes straight to a holder (the
+//     journey's last step, a method that did not fail, an origin other than
+//     this node), that holder is dropped from the message round and the
+//     reply carries the revoke instead (irFlagRevoked); the origin applies
+//     it in acceptReply before any caller sees the results. Its grant entry
+//     stays: a lost reply leaves the holder on the hook for the next
+//     acknowledged write's fence, exactly like a lost revoke.
 //   - Degenerate: a revoked or expired lease becomes a forwarding tombstone
 //     aimed at the grantor, with the revoke's (strictly newer) epoch — the
 //     already-tested Fowler forwarding path takes over, and the stale-install
@@ -120,21 +127,31 @@ func (n *Node) leaseCollect(obj gaddr.Addr, epoch uint64) map[gaddr.NodeID]lease
 // coherence lock: bump the residency epoch (the invalidation signal) and
 // fence every older grant. The calling thread blocks — relinquishing its
 // processor slot — until the fence completes, so the write's reply cannot
-// outrun the invalidations.
-func (n *Node) leaseWriteFence(c *Ctx, d *descriptor, obj gaddr.Addr) {
-	n.leaseFence(c, obj, d.BumpEpoch(), n.id)
+// outrun the invalidations. replyTo is the node the write's reply will reach
+// with an invokeReply, or gaddr.NoNode; onReply reports that its grant was
+// left to that reply to revoke.
+func (n *Node) leaseWriteFence(c *Ctx, d *descriptor, obj gaddr.Addr, replyTo gaddr.NodeID) (onReply bool) {
+	return n.leaseFence(c, obj, d.BumpEpoch(), n.id, replyTo)
 }
 
 // leaseFence revokes every grant on obj older than epoch, directing the
 // revoked holders' tombstones at src, and blocks until each peer acks or the
 // TTL-bounded timeout passes (by which point the remote lease has
 // self-expired: its expiry is its receipt time plus TTL, and receipt
-// preceded this fence). c, when non-nil, is the thread to park while
-// waiting; nil callers (move shipment goroutines) block directly.
-func (n *Node) leaseFence(c *Ctx, obj gaddr.Addr, epoch uint64, src gaddr.NodeID) {
+// preceded this fence). A grant held by replyTo gets no message: onReply
+// reports that the caller's reply must carry its revoke. The grant entry is
+// kept all the same — only an ack deletes one — so a reply that never lands
+// is made good by the next fence. c, when non-nil, is the thread to park
+// while waiting; nil callers (move shipment goroutines) block directly.
+func (n *Node) leaseFence(c *Ctx, obj gaddr.Addr, epoch uint64, src, replyTo gaddr.NodeID) (onReply bool) {
 	targets := n.leaseCollect(obj, epoch)
+	if _, ok := targets[replyTo]; ok {
+		delete(targets, replyTo)
+		n.counts.Inc("lease_revokes_on_reply")
+		onReply = true
+	}
 	if len(targets) == 0 {
-		return
+		return onReply
 	}
 	n.counts.Inc("lease_fences")
 	round := func() { n.leaseRevokeRound(obj, epoch, src, targets) }
@@ -143,6 +160,7 @@ func (n *Node) leaseFence(c *Ctx, obj gaddr.Addr, epoch uint64, src gaddr.NodeID
 	} else {
 		round()
 	}
+	return onReply
 }
 
 // leaseRevokeRound sends the revokes in parallel and awaits them all. A peer
@@ -205,21 +223,30 @@ func (n *Node) leaseDropGrants(obj gaddr.Addr) {
 }
 
 // handleLease services procLease: a revoke from a grantor (or its move
-// successor). The descriptor is ALWAYS ensured, even when this node has no
-// resident lease: the grant that prompted this revoke may still be queued in
-// the installer, and only a strictly-newer forwarding tombstone left here
-// makes the stale-install rule drop it. The ack is the fence's
-// synchronization point — after it, no read on this node can return state
-// older than msg.Epoch.
+// successor). The ack is the fence's synchronization point — after it, no
+// read on this node can return state older than msg.Epoch.
 func (n *Node) handleLease(rc *rpc.Ctx) {
 	var msg leaseMsg
 	if err := wire.UnmarshalFrom(rc.Body, &msg); err != nil {
 		rc.Reply(nil, err)
 		return
 	}
+	n.leaseRevoke(msg.Obj, msg.Epoch, msg.Src)
+	rc.Reply(nil, nil)
+}
+
+// leaseRevoke is the holder's revoke transition, whether the revoke came as
+// a message (handleLease) or rode a write's reply (acceptReply): no read on
+// this node returns state of obj older than epoch once it returns, and
+// whatever copy there was now forwards to src. The descriptor is ALWAYS
+// ensured, even when this node has no resident lease: the grant that
+// prompted this revoke may still be queued in the installer, and only a
+// strictly-newer forwarding tombstone left here makes the stale-install rule
+// drop it.
+func (n *Node) leaseRevoke(obj gaddr.Addr, epoch uint64, src gaddr.NodeID) {
 	n.counts.Inc("lease_revokes")
 	dropTracked := false
-	d := n.descEnsure(msg.Obj)
+	d := n.descEnsure(obj)
 	d.Lock()
 	switch d.State() {
 	case stateResident:
@@ -233,10 +260,10 @@ func (n *Node) handleLease(rc *rpc.Ctx) {
 			// racing the revoke) stays resident-but-dead and is torn down
 			// later by the eviction path.
 			d.SetExpiry(0)
-			if msg.Epoch > d.Epoch() {
-				d.SetEpochLocked(msg.Epoch)
+			if epoch > d.Epoch() {
+				d.SetEpochLocked(epoch)
 			}
-			dropTracked = d.Drain(0) && d.ForwardTo(nil, msg.Src, d.Epoch())
+			dropTracked = d.Drain(0) && d.ForwardTo(nil, src, d.Epoch())
 		}
 		// Resident without the copy bit: the real object lives here now
 		// (it moved in after the grant); local truth wins over the revoke.
@@ -244,13 +271,12 @@ func (n *Node) handleLease(rc *rpc.Ctx) {
 		// No resident copy — land/refresh the tombstone that kills any
 		// queued install carrying a pre-revoke snapshot. Moving or deleted:
 		// newer local truth wins, and LearnAt leaves it alone.
-		d.LearnAt(msg.Src, msg.Epoch)
+		d.LearnAt(src, epoch)
 	}
 	d.Unlock()
 	if dropTracked {
-		n.space.ReplicaDrop(msg.Obj)
+		n.space.ReplicaDrop(obj)
 	}
-	rc.Reply(nil, nil)
 }
 
 // leaseRedirect classifies an operation that entered a resident lease copy

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"amber/internal/gaddr"
+	"amber/internal/rpc"
+	"amber/internal/transport"
 )
 
 // LeasedCounter is the mutable-caching fixture: a counter whose Get is
@@ -19,6 +21,14 @@ type LeasedCounter struct{ N int }
 
 func (c *LeasedCounter) Add(n int) int { c.N += n; return c.N }
 func (c *LeasedCounter) Get() int      { return c.N }
+
+// AddAndFail mutates and then fails: a write whose reply is an error.
+func (c *LeasedCounter) AddAndFail(n int) (int, error) {
+	c.N += n
+	return c.N, errAddAndFail
+}
+
+var errAddAndFail = errors.New("add and fail")
 
 // AmberReadOnly declares Get non-mutating.
 func (c *LeasedCounter) AmberReadOnly() []string { return []string{"Get"} }
@@ -676,4 +686,203 @@ func TestChainStepsClassifiedLikeInvokes(t *testing.T) {
 		t.Errorf("a WithReadOnly chain bumped the epoch: %d, was %d", got, ec)
 	}
 	expect("after a WithReadOnly chain", ea+2, eb+1, 2, 2)
+}
+
+// TestLeaseRevokeRidesReply pins the write fence's shortcut: when the write's
+// reply goes straight to a lease holder, that holder's revoke rides the reply
+// (irFlagRevoked) instead of costing a message round of its own — and every
+// path where the reply cannot carry it still runs the message round, while a
+// reply that never lands leaves the holder fenced by the next write.
+//
+// Node 2 owns a cacheable counter (and a plain one, b, for the chain row);
+// the rows name which nodes hold leases and how node 0 writes.
+func TestLeaseRevokeRidesReply(t *testing.T) {
+	type counts struct{ sent, onReply, fences int64 }
+	for _, row := range []struct {
+		name    string
+		holders []int
+		// write performs node 0's write and checks its outcome; the cluster
+		// is quiet before it and the counter reads 0.
+		write func(t *testing.T, cl *Cluster, a, b Ref)
+		// want is the owner's counter movement across the write; revoked
+		// lists the nodes whose lease the write revoked, either way.
+		want    counts
+		revoked []int
+		value   int // the counter after the write
+	}{
+		{
+			name: "the writer is the only holder", holders: []int{0},
+			write:   writeOK,
+			want:    counts{sent: 0, onReply: 1, fences: 0},
+			revoked: []int{0}, value: 1,
+		},
+		{
+			name: "the writer and another holder", holders: []int{0, 1},
+			write:   writeOK,
+			want:    counts{sent: 1, onReply: 1, fences: 1},
+			revoked: []int{0, 1}, value: 1,
+		},
+		{
+			name: "the method returns an error", holders: []int{0},
+			write: func(t *testing.T, cl *Cluster, a, _ Ref) {
+				if _, err := cl.Node(0).Root().Invoke(a, "AddAndFail", 1); err == nil {
+					t.Fatal("AddAndFail succeeded")
+				}
+			},
+			want:    counts{sent: 1, onReply: 0, fences: 1},
+			revoked: []int{0}, value: 1,
+		},
+		{
+			name: "the write is a mid-chain step", holders: []int{0},
+			write: func(t *testing.T, cl *Cluster, a, b Ref) {
+				if _, err := cl.Node(0).Root().InvokeChain([]ChainStep{
+					{Obj: a, Method: "Add", Args: []any{1}},
+					{Obj: b, Method: "Get"},
+				}); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want:    counts{sent: 1, onReply: 0, fences: 1},
+			revoked: []int{0}, value: 1,
+		},
+		{
+			// The first reply is lost; the retry reaches the owner's dedup
+			// window, whose replay of the reply still carries the revoke.
+			name: "WithRetry, the first reply lost", holders: []int{0},
+			write: func(t *testing.T, cl *Cluster, a, _ Ref) {
+				lost := dropFirstReply(cl, 2, 0)
+				hits := cl.Node(2).RPCStats().Value("rpc_dedup_hits")
+				out, err := cl.Node(0).Root().Invoke(a, "Add", 1, WithDeadline(100*time.Millisecond),
+					WithRetry(RetryPolicy{MaxAttempts: 4, Backoff: 10 * time.Millisecond}))
+				if err != nil {
+					t.Fatalf("Add with retry: %v", err)
+				}
+				if out[0].(int) != 1 {
+					t.Fatalf("Add = %v, want 1 (executed once)", out)
+				}
+				if lost.Load() != 1 {
+					t.Fatalf("%d replies lost, want 1", lost.Load())
+				}
+				if got := cl.Node(2).RPCStats().Value("rpc_dedup_hits"); got == hits {
+					t.Fatal("the retry was not answered by the dedup window")
+				}
+			},
+			want:    counts{sent: 0, onReply: 1, fences: 0},
+			revoked: []int{0}, value: 1,
+		},
+		{
+			// The reply — and the revoke riding it — is lost, but the owner
+			// stays up: the write fails with ErrTimeout, and node 0's lease
+			// keeps serving. The owner kept node 0's grant entry, so the next
+			// acknowledged write, node 1's, fences node 0 by message: node 0
+			// must read that write's value afterwards.
+			name: "the reply lost, the owner not down", holders: []int{0},
+			write: func(t *testing.T, cl *Cluster, a, _ Ref) {
+				lost := dropFirstReply(cl, 2, 0)
+				_, err := cl.Node(0).Root().Invoke(a, "Add", 1, WithDeadline(100*time.Millisecond))
+				if !errors.Is(err, rpc.ErrTimeout) {
+					t.Fatalf("Add with its reply lost = %v, want rpc.ErrTimeout", err)
+				}
+				cl.Fabric().SetFault(nil)
+				if lost.Load() != 1 {
+					t.Fatalf("%d replies lost, want 1", lost.Load())
+				}
+				if cl.Node(0).Endpoint().PeerDown(2) {
+					t.Fatal("the owner was marked down: this row needs a lost reply, not a dead peer")
+				}
+				if got := cl.Node(0).Stats().Value("lease_revokes"); got != 0 {
+					t.Fatalf("node 0 applied %d revokes, want 0: the reply was to be lost", got)
+				}
+				sent := cl.Node(2).Stats().Value("lease_invalidations_sent")
+				if out, err := cl.Node(1).Root().Invoke(a, "Add", 1); err != nil || out[0].(int) != 2 {
+					t.Fatalf("node 1's Add = %v, %v; want 2", out, err)
+				}
+				if got := cl.Node(2).Stats().Value("lease_invalidations_sent") - sent; got != 1 {
+					t.Errorf("node 1's write sent %d revokes, want 1 (to node 0)", got)
+				}
+			},
+			want:    counts{sent: 1, onReply: 1, fences: 1},
+			revoked: []int{0}, value: 2,
+		},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cl := newLeaseCluster(t, 3, 30*time.Second)
+			owner := cl.Node(2)
+			a, err := owner.Root().New(&LeasedCounter{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := owner.Root().SetCacheable(a); err != nil {
+				t.Fatal(err)
+			}
+			b, err := owner.Root().New(&LeasedCounter{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range row.holders {
+				readUntilLeaseHit(t, cl, h, a, 0)
+			}
+			stat := func(name string) int64 { return owner.Stats().Value(name) }
+			before := counts{stat("lease_invalidations_sent"), stat("lease_revokes_on_reply"), stat("lease_fences")}
+			row.write(t, cl, a, b)
+			got := counts{stat("lease_invalidations_sent") - before.sent,
+				stat("lease_revokes_on_reply") - before.onReply, stat("lease_fences") - before.fences}
+			if got != row.want {
+				t.Errorf("owner counts across the write = %+v, want %+v", got, row.want)
+			}
+			for n := 0; n < 2; n++ {
+				want := int64(0)
+				for _, r := range row.revoked {
+					if r == n {
+						want = 1
+					}
+				}
+				if got := cl.Node(n).Stats().Value("lease_revokes"); got != want {
+					t.Errorf("node %d applied %d revokes, want %d", n, got, want)
+				}
+			}
+			// No read on a holder may return the old value now: not from
+			// the writing thread, nor from another thread on its node.
+			ctx := cl.Node(0).Root()
+			readers := []*Ctx{ctx, ctx.Spawn()}
+			for _, h := range row.holders[1:] {
+				readers = append(readers, cl.Node(h).Root())
+			}
+			var wg sync.WaitGroup
+			for i, c := range readers {
+				wg.Add(1)
+				go func(i int, c *Ctx) {
+					defer wg.Done()
+					out, err := c.Invoke(a, "Get")
+					if err != nil {
+						t.Errorf("reader %d on node %d: Get: %v", i, c.NodeID(), err)
+					} else if out[0].(int) != row.value {
+						t.Errorf("reader %d on node %d read %v after the write, want %d", i, c.NodeID(), out[0], row.value)
+					}
+				}(i, c)
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// writeOK is the plain row's write: node 0 adds 1 and is acknowledged.
+func writeOK(t *testing.T, cl *Cluster, a, _ Ref) {
+	out, err := cl.Node(0).Root().Invoke(a, "Add", 1)
+	if err != nil {
+		t.Fatalf("Add: %v", err)
+	}
+	if out[0].(int) != 1 {
+		t.Fatalf("Add = %v, want 1", out)
+	}
+}
+
+// dropFirstReply arms the fabric to lose the first message from one node to
+// another other than a health probe, and reports how many it lost.
+func dropFirstReply(cl *Cluster, from, to gaddr.NodeID) *atomic.Int64 {
+	var lost atomic.Int64
+	cl.Fabric().SetFault(func(m transport.Message) bool {
+		return m.From == from && m.To == to && !rpc.IsHealthProbe(m.Kind) && lost.CompareAndSwap(0, 1)
+	})
+	return &lost
 }

@@ -170,7 +170,7 @@ func (op *moveOp) ship() error {
 	// chases a tombstone either way.
 	for i := range op.mems {
 		if leasable[i] {
-			n.leaseFence(nil, op.addrs[i], epochs[i], op.dest)
+			n.leaseFence(nil, op.addrs[i], epochs[i], op.dest, gaddr.NoNode)
 			n.leaseDropGrants(op.addrs[i])
 		}
 	}
@@ -600,7 +600,7 @@ func (n *Node) executeDelete(d *descriptor, msg *routedMsg) error {
 		// object's last value; their tombstones aim here, where the deleted
 		// state answers ErrDeleted. Blocks like a write fence — deletion is
 		// the final write.
-		n.leaseFence(nil, msg.Obj, fenceEpoch, n.id)
+		n.leaseFence(nil, msg.Obj, fenceEpoch, n.id, gaddr.NoNode)
 		n.leaseDropGrants(msg.Obj)
 	}
 	n.counts.Inc("objects_deleted")

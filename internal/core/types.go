@@ -290,6 +290,11 @@ type invokeReply struct {
 	// its own expiry).
 	Lease   bool
 	LeaseNs uint64
+	// Revoked is the executor's write fence handing the origin its own lease
+	// revoke: the origin held a grant on the written object, got no revoke
+	// message, and must apply the revoke (to Epoch, forwarding to Node)
+	// before the results reach the caller. One bit of the flags byte.
+	Revoked bool
 }
 
 // locateReply answers opLocate.
@@ -555,6 +560,7 @@ const (
 	irFlagImmutable = 1 << 0
 	irFlagSnapshot  = 1 << 1
 	irFlagLease     = 1 << 2
+	irFlagRevoked   = 1 << 3
 )
 
 // AppendWire implements wire.Codec.
@@ -570,6 +576,9 @@ func (m *invokeReply) AppendWire(b []byte) []byte {
 	}
 	if m.Lease {
 		flags |= irFlagLease
+	}
+	if m.Revoked {
+		flags |= irFlagRevoked
 	}
 	b = append(b, flags)
 	if m.Lease {
@@ -602,6 +611,7 @@ func (m *invokeReply) DecodeWire(b []byte) ([]byte, error) {
 	flags, b = b[0], b[1:]
 	m.Immutable = flags&irFlagImmutable != 0
 	m.Lease = flags&irFlagLease != 0
+	m.Revoked = flags&irFlagRevoked != 0
 	m.LeaseNs = 0
 	if m.Lease {
 		if m.LeaseNs, b, err = wire.ReadUvarint(b); err != nil {

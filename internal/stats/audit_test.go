@@ -31,7 +31,7 @@ var auditNames = map[string][]string{
 		// reader leases (PR9)
 		"lease_hits", "lease_grants", "lease_installs", "lease_renewals",
 		"lease_stale", "lease_write_forwards", "lease_invalidations_sent",
-		"lease_revokes", "lease_fences", "lease_fence_timeouts",
+		"lease_revokes", "lease_revokes_on_reply", "lease_fences", "lease_fence_timeouts",
 		"lease_purged_down", "lease_grants_dropped_down",
 		"lease_snap_errors", "lease_snaps_oversize",
 		"lease_installs_dropped", "lease_installs_stale",

@@ -62,8 +62,9 @@ var helpText = map[string]string{
 	"node_lease_stale":               "reads that found the local lease expired and forwarded to the owner",
 	"node_lease_write_forwards":      "mutating invokes that arrived at a lease copy and forwarded to the owner",
 	"node_lease_invalidations_sent":  "lease revoke messages sent during write/move/delete fences",
-	"node_lease_revokes":             "lease revoke messages handled (copy dropped or tombstone refreshed)",
-	"node_lease_fences":              "write fences run because outstanding leases predate the new epoch",
+	"node_lease_revokes":             "lease revokes applied, from a message or a write's reply (copy dropped or tombstone refreshed)",
+	"node_lease_revokes_on_reply":    "write fences that left the writer's own lease revoke to the write's reply instead of a message",
+	"node_lease_fences":              "write fences that sent revoke messages because outstanding leases predate the new epoch",
 	"node_lease_fence_timeouts":      "fence rounds that timed out waiting for a revoke ack (lease expired instead)",
 	"node_lease_purged_down":         "lease copies purged because their grantor was declared down",
 	"node_lease_grants_dropped_down": "grant-table entries dropped because the holder was declared down",

@@ -169,8 +169,8 @@ FANIN_RAW=$(go test -run '^$' -bench '^BenchmarkFanIn(Serial|Async)64$' \
 echo "$FANIN_RAW"
 
 echo
-echo "== reader-lease coherence: warm mutable read + write fence (min of 3) =="
-LEASE_RAW=$(go test -run '^$' -bench '^BenchmarkMutableLease(Warm|WriteFence)$' \
+echo "== reader-lease coherence: warm mutable read + write fence + holder's write (min of 3) =="
+LEASE_RAW=$(go test -run '^$' -bench '^BenchmarkMutableLease(Warm|WriteFence|WriteOnReply)$' \
 	-benchmem -benchtime "$BENCHTIME" -count 3 .)
 echo "$LEASE_RAW"
 
@@ -262,6 +262,11 @@ LEASE_FENCE_NS=$(bench_ns "$LEASE_RAW" 'BenchmarkMutableLeaseWriteFence(-[0-9]+)
 # write-p99-ns is a ReportMetric extra on the fence benchmark: take the
 # minimum across the -count runs, same policy as bench_ns.
 LEASE_WP99_NS=$(echo "$LEASE_RAW" | awk '$1 ~ /^BenchmarkMutableLeaseWriteFence(-[0-9]+)?$/ {
+	for (i = 3; i + 1 <= NF; i += 2) if ($(i+1) == "write-p99-ns") { v = $i + 0; if (!m || v < m) m = v }
+} END { if (m) print m }')
+# The holder's own write, its revoke riding the reply: reported, not gated.
+LEASE_ONREPLY_NS=$(bench_ns "$LEASE_RAW" 'BenchmarkMutableLeaseWriteOnReply(-[0-9]+)?')
+LEASE_ONREPLY_P99_NS=$(echo "$LEASE_RAW" | awk '$1 ~ /^BenchmarkMutableLeaseWriteOnReply(-[0-9]+)?$/ {
 	for (i = 3; i + 1 <= NF; i += 2) if ($(i+1) == "write-p99-ns") { v = $i + 0; if (!m || v < m) m = v }
 } END { if (m) print m }')
 # bench_allocs <raw> <bare-name>: extract a benchmark's allocs/op (max over
@@ -409,6 +414,8 @@ fi
 	printf '    "write_fence_ns_op": %s,\n' "$LEASE_FENCE_NS"
 	printf '    "write_fence_p99_ns": %s,\n' "${LEASE_WP99_NS:-null}"
 	printf '    "write_p99_vs_remote_x": %s,\n' "$LEASE_WP99_X"
+	printf '    "write_on_reply_ns_op": %s,\n' "${LEASE_ONREPLY_NS:-null}"
+	printf '    "write_on_reply_p99_ns": %s,\n' "${LEASE_ONREPLY_P99_NS:-null}"
 	printf '    "write_p99_gate_max_x": 25.0\n'
 	printf '  },\n'
 	printf '  "async_pipelining": {\n'
@@ -456,6 +463,7 @@ echo "parallel scaling 1->8 goroutines: ${SCALE}x now vs ${BASE_SCALE}x baseline
 echo "heat placement: skewed workload ${SKEW_HEAT_NS}ns/op with heat vs ${SKEW_STATIC_NS}ns/op static (${SKEW_X}x)"
 echo "pipelined fan-in: async ${FANIN_ASYNC_NS}ns/op vs serial ${FANIN_SERIAL_NS}ns/op (${FANIN_X}x, gate ${FANIN_GATE} >= ${FANIN_MIN}x, nproc=$NPROC)"
 echo "reader leases:  warm mutable read ${LEASE_WARM_NS}ns/op (${LEASE_WARM_X}x of immutable warm ${WARM_NS}ns/op), fenced write ${LEASE_FENCE_NS}ns/op, p99 ${LEASE_WP99_NS:-?}ns (${LEASE_WP99_X}x of remote)"
+echo "holder's own write (revoke on the reply, not gated): ${LEASE_ONREPLY_NS:-?}ns/op, p99 ${LEASE_ONREPLY_P99_NS:-?}ns"
 
 FAIL=0
 if awk -v now="$LOCAL_NS" -v base="$BASE_LOCAL_NS" 'BEGIN { exit !(now > base * 1.05) }'; then

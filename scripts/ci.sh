@@ -52,6 +52,14 @@ echo "== at-most-once on every door (late reply, object moved to the caller) =="
 # the move is an interleaving, so the row runs 20 times under -race.
 go test -race -count=20 -run 'TestEntryPointParity/late_reply' ./internal/core/
 
+echo "== lease revokes: the writer's own revoke rides the write's reply =="
+# A write whose reply goes straight to a lease holder carries that holder's
+# revoke instead of sending it a message; the origin applies it before its
+# caller sees the results. A reply that never lands must leave the holder
+# fenced by the next acknowledged write. Revoke, reply and re-grant race one
+# another, so the rows and the read-your-writes properties run 20 times.
+go test -race -count=20 -run 'TestLeaseRevokeRidesReply|TestLeaseReadYourWritesProperty|TestLeaseWriteFenceInvalidates' ./internal/core/
+
 echo "== reader hand-off (a handler that waits releases its link; the watchdog catches the rest) =="
 # A transport reader runs each inbound handler itself. Every row is a wait
 # whose wake-up arrives on the waiting handler's own link, over the fabric and
