@@ -113,7 +113,10 @@ var (
 //   - ErrTimeout: the request did not complete within its deadline, but the
 //     remote node answered a health probe — it is alive, just slow or behind
 //     a lossy link. Retrying may succeed; the operation may also have
-//     executed (the reply could be what was lost).
+//     executed (the reply could be what was lost). A MoveTo that fails with
+//     ErrTimeout or ErrNodeDown may still complete: the object waits, moving,
+//     until the destination answers the re-sent install, so it is never
+//     live on two nodes at once.
 //   - ErrNodeDown: the remote node failed a health probe — it has crashed or
 //     is unreachable. Whether in-flight operations executed is unknowable
 //     until the node restarts. WithRetry makes retries safe here: each

@@ -72,6 +72,10 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 	// tombstone, or absent, and an operation that reran at once would spin on
 	// it. A copy the installer worker landed between the two steps is found
 	// under the locks, and the teardown runs again.
+	//
+	// A stale snapshot touches nothing, a copy included: it may be a re-sent
+	// install (see resend) reaching a node that has since moved the object on
+	// and holds a lease copy of it from its new residency.
 	for landed := true; landed; {
 		for _, snap := range msg.Objects {
 			d := n.desc(snap.Addr)
@@ -79,7 +83,7 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 				continue
 			}
 			d.Lock()
-			if d.State() != stateResident || !d.Copy() {
+			if d.State() != stateResident || !d.Copy() || snap.staleAt(d) {
 				d.Unlock()
 				continue
 			}
@@ -98,7 +102,7 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 		for _, snap := range msg.Objects {
 			d := n.descEnsure(snap.Addr)
 			d.Lock()
-			landed = landed || !msg.Copy && d.State() == stateResident && d.Copy()
+			landed = landed || !msg.Copy && d.State() == stateResident && d.Copy() && !snap.staleAt(d)
 		}
 		if landed {
 			for _, snap := range msg.Objects {
@@ -108,7 +112,7 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 	}
 	for i, snap := range msg.Objects {
 		d := n.desc(snap.Addr)
-		if !msg.Copy && snap.Epoch != 0 && snap.Epoch <= d.Epoch() {
+		if !msg.Copy && snap.staleAt(d) {
 			// Stale or duplicate install: this node already has newer
 			// information about the object (the residency the snapshot
 			// describes has been and gone). Installing it would wind the
@@ -165,6 +169,12 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 		n.counts.Add("objects_moved_in", int64(len(msg.Objects)))
 	}
 	rc.Reply(nil, nil)
+}
+
+// staleAt reports whether d already has newer information about a migrating
+// snapshot's object than the residency the snapshot describes.
+func (s *snapshot) staleAt(d *descriptor) bool {
+	return s.Epoch != 0 && s.Epoch <= d.Epoch()
 }
 
 // control drives a mobility/control operation initiated locally by thread c:
@@ -283,6 +293,12 @@ func (n *Node) shipControl(c *Ctx, msg *routedMsg, to gaddr.NodeID, ro rpc.CallO
 // object) is deferred: it completes when the thread leaves the object.
 // Options (WithDeadline, WithRetry) bound and retry the shipped request;
 // move retries are idempotency-protected like invokes.
+//
+// A move that fails with ErrTimeout or ErrNodeDown may still complete, as an
+// Invoke that fails with them may have executed: the install may have landed
+// and only its reply been lost. The object then stays moving on the source,
+// which re-sends the install until the destination answers, and operations
+// that reach the source wait meanwhile. It is never live on both nodes.
 func (c *Ctx) MoveTo(obj Ref, node gaddr.NodeID, opts ...CallOption) error {
 	start := time.Now()
 	msg := routedMsg{Op: opMove, Obj: obj, Dest: node}

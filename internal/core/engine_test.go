@@ -534,7 +534,7 @@ func TestEngineSaysItOnce(t *testing.T) {
 		{"installs a copy pulled off a reply", "installCopy", []string{"copyWorker"}},
 		{"drains a copy or an object", "Drain", []string{"evictCopy", "leaseRevoke", "handleInstall",
 			"executeSetCacheable", "executeDelete"}},
-		{"leaves a forwarding address behind a move or a copy", "ForwardTo", []string{"ship", "evictCopy",
+		{"leaves a forwarding address behind a move or a copy", "ForwardTo", []string{"settle", "evictCopy",
 			"leaseRevoke", "handleInstall"}},
 		// One revoke transition, whether the revoke came as a message or rode
 		// the write's reply.

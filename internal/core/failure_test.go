@@ -2,12 +2,15 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"amber/internal/gaddr"
 	"amber/internal/transport"
+	"amber/internal/wire"
 )
 
 // newFailureCluster builds a cluster with a seeded fault injector and
@@ -105,17 +108,19 @@ func TestCrashDuringMove(t *testing.T) {
 	if !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("move into crashed node: %v, want ErrNodeDown", err)
 	}
-	// The failed move reverted: the object is resident, consistent, usable.
+	// The crash dropped the install silently, so the move is in doubt: the
+	// source keeps re-sending it, and the restarted node takes it. The object
+	// then lives on node 1, consistent and usable.
+	fl.Restart(1)
+	awaitSettled(t, cl, ref)
 	out, err := ctx.Invoke(ref, "Get")
 	if err != nil || out[0].(int) != 9 {
-		t.Fatalf("after failed move: %v, %v", out, err)
+		t.Fatalf("after the move in doubt: %v, %v", out, err)
 	}
-	if loc, err := ctx.Locate(ref); err != nil || loc != 0 {
-		t.Fatalf("Locate after failed move = %v, %v", loc, err)
+	if loc, err := ctx.Locate(ref); err != nil || loc != 1 {
+		t.Fatalf("Locate after the move in doubt = %v, %v", loc, err)
 	}
-	fl.Restart(1)
-	// After restart the same move goes through (retry until the down-mark
-	// clears).
+	// Moving it there again goes through (retry until the down-mark clears).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if err := ctx.MoveTo(ref, 1); err == nil {
@@ -129,6 +134,7 @@ func TestCrashDuringMove(t *testing.T) {
 	if loc, _ := ctx.Locate(ref); loc != 1 {
 		t.Fatalf("Locate after healed move = %d", loc)
 	}
+	checkOneResidence(t, cl, ref)
 }
 
 func TestOrphanedThreadUnwindsAtJoin(t *testing.T) {
@@ -477,4 +483,222 @@ func runThreeNodeCrashWorkload(t *testing.T) (retries, dedup int64) {
 		successes[0].Load(), failures[0].Load(), successes[1].Load(), failures[1].Load(),
 		retries, dedup)
 	return retries, dedup
+}
+
+// checkOneResidence asserts the paper's first guarantee for addr at
+// quiescence: exactly one node holds it resident and not as a copy, and no
+// node still holds it moving.
+func checkOneResidence(t *testing.T, cl *Cluster, addr Ref) {
+	t.Helper()
+	var at []int
+	for i := 0; i < cl.NumNodes(); i++ {
+		d := cl.Node(i).desc(addr)
+		if d == nil {
+			continue
+		}
+		switch d.State() {
+		case stateResident:
+			if !d.Copy() {
+				at = append(at, i)
+			}
+		case stateMoving:
+			t.Errorf("%#x still moving on node %d at quiescence", uint64(addr), i)
+		}
+	}
+	if len(at) != 1 {
+		t.Errorf("%#x resident on nodes %v, want exactly one", uint64(addr), at)
+	}
+}
+
+// awaitSettled polls until no node holds addr moving: a move in doubt has
+// been answered one way or the other.
+func awaitSettled(t *testing.T, cl *Cluster, addr Ref) {
+	t.Helper()
+	awaitCond(t, "the move to settle", func() bool {
+		for i := 0; i < cl.NumNodes(); i++ {
+			if d := cl.Node(i).desc(addr); d != nil && d.State() == stateMoving {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// awaitCond polls cond until it holds, failing the test after five seconds.
+func awaitCond(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestMoveKeepsOneResidence loses an install's reply, delays its request past
+// the timeout, or silences the destination, and checks that the move still
+// leaves its object in exactly one place, with no update lost or applied
+// twice: an install whose reply never came may have landed, so the source
+// must not take the object back on silence.
+func TestMoveKeepsOneResidence(t *testing.T) {
+	movedIn := func(cl *Cluster, n int64) func() bool {
+		return func() bool { return cl.Node(1).Stats().Value("objects_moved_in") >= n }
+	}
+	mustFail := func(t *testing.T, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrNodeDown) && !errors.Is(err, ErrTimeout) {
+			t.Fatalf("move under the fault: %v, want ErrNodeDown or ErrTimeout", err)
+		}
+	}
+	rows := []struct {
+		name string
+		// move injects the fault, moves ref from node 0 to node 1 and heals.
+		move func(t *testing.T, cl *Cluster, fl *transport.Faults, ref Ref)
+	}{
+		{"reply cut", func(t *testing.T, cl *Cluster, fl *transport.Faults, ref Ref) {
+			fl.Cut(1, 0)
+			mustFail(t, cl.Node(0).Root().MoveTo(ref, 1))
+			fl.HealAll()
+		}},
+		{"request delayed past the timeout", func(t *testing.T, cl *Cluster, fl *transport.Faults, ref Ref) {
+			fl.SetLink(0, 1, transport.LinkRule{DelayMin: 450 * time.Millisecond, DelayMax: 450 * time.Millisecond})
+			mustFail(t, cl.Node(0).Root().MoveTo(ref, 1))
+			awaitCond(t, "the late install to land", movedIn(cl, 1))
+			fl.HealAll()
+		}},
+		{"reply cut, destination crashes after applying", func(t *testing.T, cl *Cluster, fl *transport.Faults, ref Ref) {
+			fl.Cut(1, 0)
+			mustFail(t, cl.Node(0).Root().MoveTo(ref, 1))
+			awaitCond(t, "the install to land", movedIn(cl, 1))
+			fl.Crash(1)
+			fl.Restart(1)
+			fl.HealAll()
+		}},
+		{"destination crashed before the move", func(t *testing.T, cl *Cluster, fl *transport.Faults, ref Ref) {
+			fl.Crash(1)
+			if err := cl.Node(0).Root().MoveTo(ref, 1); !errors.Is(err, ErrNodeDown) {
+				t.Fatalf("move into crashed node: %v, want ErrNodeDown", err)
+			}
+			fl.Restart(1)
+		}},
+		{"send refused", func(t *testing.T, cl *Cluster, fl *transport.Faults, ref Ref) {
+			// There is no node 2: the fabric refuses the frame, so nothing can
+			// have landed, and the move reverts at once instead of waiting.
+			mustFail(t, cl.Node(0).Root().MoveTo(ref, 2))
+			if got := cl.Node(0).Stats().Value("moves_in_doubt"); got != 0 {
+				t.Errorf("moves_in_doubt = %d after a refused send", got)
+			}
+		}},
+		{"deferred self-move, reply cut", func(t *testing.T, cl *Cluster, fl *transport.Faults, ref Ref) {
+			// The counter rides along attached to an object that moves itself,
+			// so the ship runs from MemberDrained's goroutine.
+			ctx := cl.Node(0).Root()
+			self, _ := ctx.New(&SelfMover{})
+			cl.Node(0).desc(self).Payload.obj.Interface().(*SelfMover).Self = self
+			if err := ctx.Attach(ref, self); err != nil {
+				t.Fatal(err)
+			}
+			fl.Cut(1, 0)
+			if _, err := ctx.Invoke(self, "Relocate", gaddr.NodeID(1)); err != nil {
+				t.Fatal(err)
+			}
+			awaitCond(t, "the install to land", movedIn(cl, 2))
+			awaitCond(t, "the install to go in doubt", func() bool {
+				return cl.Node(0).Stats().Value("moves_in_doubt") >= 1
+			})
+			fl.HealAll()
+			awaitSettled(t, cl, self)
+			checkOneResidence(t, cl, self)
+			if got := cl.Node(0).Stats().Value("deferred_move_failed"); got != 0 {
+				t.Errorf("deferred_move_failed = %d for a move that landed", got)
+			}
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cl, fl := newFailureCluster(t, 2, 7)
+			ctx := cl.Node(0).Root()
+			ref, _ := ctx.New(&Counter{})
+			if _, err := ctx.Invoke(ref, "Add", 7); err != nil {
+				t.Fatal(err)
+			}
+			row.move(t, cl, fl, ref)
+			awaitSettled(t, cl, ref)
+			checkOneResidence(t, cl, ref)
+			for _, step := range []struct{ via, add, want int }{{0, 1, 8}, {1, 100, 108}} {
+				out, err := cl.Node(step.via).Root().Invoke(ref, "Add", step.add)
+				if err != nil {
+					t.Fatalf("Add(%d) via node %d: %v", step.add, step.via, err)
+				}
+				if out[0].(int) != step.want {
+					t.Errorf("Add(%d) via node %d = %v, want %d", step.add, step.via, out[0], step.want)
+				}
+			}
+			checkOneResidence(t, cl, ref)
+		})
+	}
+	t.Run("close while in doubt", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		cl, fl := newFailureCluster(t, 2, 7)
+		ctx := cl.Node(0).Root()
+		ref, _ := ctx.New(&Counter{})
+		fl.Cut(1, 0)
+		mustFail(t, ctx.MoveTo(ref, 1))
+		closed := make(chan struct{})
+		go func() {
+			cl.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close hung with a move in doubt")
+		}
+		awaitCond(t, "the cluster's goroutines to exit", func() bool {
+			return runtime.NumGoroutine() <= before
+		})
+	})
+}
+
+// TestStaleInstallKeepsLeaseCopy delivers a move's install late, after the
+// destination has moved the object on and taken a lease copy of it back: the
+// repeat a move in doubt sends. The stale snapshot must leave that copy alone
+// rather than tear it down into a tombstone aimed at the old source.
+func TestStaleInstallKeepsLeaseCopy(t *testing.T) {
+	cl := newLeaseCluster(t, 3, 5*time.Second)
+	n0 := cl.Node(0)
+	ref, _ := n0.Root().New(&LeasedCounter{N: 7})
+	if err := n0.Root().SetCacheable(ref); err != nil {
+		t.Fatal(err)
+	}
+	// The install of the move to node 1, built as ship builds it.
+	d := n0.desc(ref)
+	d.Lock()
+	frame, err := n0.appendSnapshot(n0.installFrame(false, 1, snapHint(d)), ref, d, d.Epoch()+1)
+	d.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n0.Root().MoveTo(ref, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Node(1).Root().MoveTo(ref, 2); err != nil {
+		t.Fatal(err)
+	}
+	readUntilLeaseHit(t, cl, 1, ref, 7)
+	stale := cl.Node(1).Stats().Value("installs_stale")
+	resp, err := n0.ep.CallWith(1, procInstall, frame, n0.policy(callOpts{}))
+	if err != nil {
+		t.Fatalf("late install: %v", err)
+	}
+	wire.PutBuf(resp)
+	if got := cl.Node(1).Stats().Value("installs_stale"); got != stale+1 {
+		t.Fatalf("installs_stale = %d, want %d", got, stale+1)
+	}
+	if d := cl.Node(1).desc(ref); d.State() != stateResident || !d.Copy() {
+		t.Fatalf("node 1's lease copy torn down by a stale install (state %v)", d.State())
+	}
+	readUntilLeaseHit(t, cl, 1, ref, 7)
+	checkOneResidence(t, cl, ref)
 }

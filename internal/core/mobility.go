@@ -93,12 +93,9 @@ func (op *moveOp) MemberDrained() {
 	}
 	close(op.drained)
 	if deferred {
-		// Nobody is waiting; complete the shipment ourselves.
-		go func() {
-			if err := op.ship(); err != nil {
-				op.node.counts.Inc("deferred_move_failed")
-			}
-		}()
+		// Nobody is waiting; complete the shipment ourselves. A failure is
+		// counted where the move settles (see settle).
+		go op.ship()
 	}
 }
 
@@ -110,8 +107,13 @@ func (op *moveOp) shippedEpoch() uint64 {
 }
 
 // ship serializes the component and installs it on the destination,
-// then leaves forwarding addresses behind (§3.3, §3.4). On failure the
-// objects revert to resident.
+// then leaves forwarding addresses behind (§3.3, §3.4). Only an answer ends
+// the move: a reply carrying an error (the batch applies all-or-nothing), or
+// a send the transport refused before the frame left, reverts the objects to
+// resident. Silence proves nothing — the install may have landed and only its
+// reply been lost — so after a timeout the members stay moving, in doubt,
+// and resend repeats the frame until some attempt is answered. ship returns
+// the first attempt's verdict either way.
 func (op *moveOp) ship() error {
 	n := op.node
 	// The install frame is assembled in place, member by member: each object's
@@ -133,21 +135,72 @@ func (op *moveOp) ship() error {
 		m.Unlock()
 		if err != nil {
 			wire.PutBuf(frame)
-			op.revert()
-			return err
+			return op.settle(err, nil, nil)
 		}
 		frame = next
 	}
 	op.mu.Lock()
 	op.epoch = epochs[0] // addrs[0] is the component root
 	op.mu.Unlock()
-	if err := n.installRemote(op.dest, frame); err != nil {
+	// The bulk-transfer path of §4.2: one network transaction regardless of
+	// the objects' size or layout. The kept copy is what a re-send repeats.
+	keep := rpc.FrameCopy(frame)
+	resp, err := n.ep.CallWith(op.dest, procInstall, frame, n.policy(callOpts{}))
+	wire.PutBuf(resp)
+	if !answered(err) && !errors.Is(err, rpc.ErrRefused) {
+		n.counts.Inc("moves_in_doubt")
+		go op.resend(keep, epochs, leasable)
+		return err
+	}
+	wire.PutBuf(keep)
+	return op.settle(err, epochs, leasable)
+}
+
+// answered reports whether an install's outcome came from the destination:
+// a reply, whether it carries success or an error.
+func answered(err error) bool {
+	var re *rpc.RemoteError
+	return err == nil || errors.As(err, &re)
+}
+
+// resend repeats an in-doubt install until some attempt is answered, then
+// settles the move on that answer. A repeat cannot land twice: handleInstall
+// drops a snapshot whose epoch is not newer than the descriptor's and still
+// answers success — true, since only this move's own install can have raised
+// the destination to these epochs. The only other exit is Close, which leaves
+// the members moving.
+func (op *moveOp) resend(frame []byte, epochs []uint64, leasable []bool) {
+	n := op.node
+	defer wire.PutBuf(frame)
+	for pause := 10 * time.Millisecond; ; pause = min(2*pause, 500*time.Millisecond) {
+		select {
+		case <-n.stopc:
+			return
+		case <-time.After(pause):
+		}
+		resp, err := n.ep.CallWith(op.dest, procInstall, rpc.FrameCopy(frame), n.policy(callOpts{}))
+		wire.PutBuf(resp)
+		if answered(err) {
+			op.settle(err, epochs, leasable)
+			return
+		}
+	}
+}
+
+// settle ends the move on an answer: a failure reverts the members to
+// resident, a success leaves forwarding addresses and hands the leases off.
+func (op *moveOp) settle(err error, epochs []uint64, leasable []bool) error {
+	n := op.node
+	if err != nil {
 		op.revert()
+		if op.deferred {
+			n.counts.Inc("deferred_move_failed")
+		}
 		return err
 	}
 	for i, m := range op.mems {
 		// ForwardTo flips only if our mark is still in effect. Between
-		// installRemote returning and this loop running, the destination can
+		// the install landing and this loop running, the destination can
 		// complete a whole move *back* to this node: handleInstall's Publish
 		// supersedes our mark, and writing the tombstone anyway would destroy
 		// that residency — aiming routing backward in time and clearing a
@@ -177,8 +230,9 @@ func (op *moveOp) ship() error {
 	return nil
 }
 
-// revert returns all members to stateResident after a failed or timed-out
-// move.
+// revert returns all members to stateResident after a move that is known
+// not to have landed: an answered failure, a refused send, or a drain that
+// timed out before anything shipped.
 func (op *moveOp) revert() {
 	for _, m := range op.mems {
 		m.Lock()
@@ -240,15 +294,6 @@ func (n *Node) appendSnapshot(b []byte, a gaddr.Addr, d *descriptor, epoch uint6
 	return b, nil
 }
 
-// installRemote ships an install batch and waits for the acknowledgement.
-// The bulk-transfer path of §4.2: one network transaction regardless of the
-// objects' size or layout.
-func (n *Node) installRemote(dest gaddr.NodeID, frame []byte) error {
-	resp, err := n.call(dest, procInstall, frame)
-	wire.PutBuf(resp)
-	return err
-}
-
 // executeMove performs opMove at the node where the object is resident.
 // Contract: d.mu is held on entry and released by this function. Returns
 // a retryRoute if the state changed under us. With noDefer set, a move
@@ -276,7 +321,9 @@ func (n *Node) executeMove(d *descriptor, msg *routedMsg, noDefer bool) (moveRep
 			wire.PutBuf(frame)
 			return moveReply{}, err
 		}
-		if err := n.installRemote(dest, next); err != nil {
+		resp, err := n.ep.CallWith(dest, procInstall, next, n.policy(callOpts{}))
+		wire.PutBuf(resp)
+		if err != nil {
 			return moveReply{}, err
 		}
 		n.counts.Inc("replicas_sent")
@@ -743,7 +790,7 @@ func (n *Node) locateInternal(obj gaddr.Addr) (gaddr.NodeID, bool, error) {
 		d.Unlock()
 		return node, imm, nil
 	}
-	resp, err := n.call(to, procRouted, msg.frame())
+	resp, err := n.ep.CallWith(to, procRouted, msg.frame(), n.policy(callOpts{}))
 	if err != nil {
 		return gaddr.NoNode, false, mapRemoteError(err)
 	}

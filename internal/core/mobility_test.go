@@ -785,6 +785,9 @@ func TestMigrationStorm(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no progress during storm")
 	}
+	for _, ref := range refs {
+		checkOneResidence(t, cl, ref)
+	}
 }
 
 // spinUntil returns once cond holds, failing the test if the operation that

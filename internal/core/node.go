@@ -534,7 +534,7 @@ func (n *Node) requestRegions(count int) ([]gaddr.Region, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := n.call(n.cfg.ServerNode, procRegion, body)
+	resp, err := n.ep.CallWith(n.cfg.ServerNode, procRegion, body, n.policy(callOpts{}))
 	if err != nil {
 		return nil, err
 	}
@@ -568,7 +568,7 @@ func (n *Node) resolveRegion(r gaddr.Region) gaddr.NodeID {
 	if err != nil {
 		return gaddr.NoNode
 	}
-	resp, err := n.call(n.cfg.ServerNode, procRegion, body)
+	resp, err := n.ep.CallWith(n.cfg.ServerNode, procRegion, body, n.policy(callOpts{}))
 	if err != nil {
 		return gaddr.NoNode
 	}
@@ -600,11 +600,6 @@ func (n *Node) handleRegion(c *rpc.Ctx) {
 	}
 	body, err := wire.MarshalInto(&rr)
 	c.Reply(body, err)
-}
-
-// call performs an internode request honouring the node's RPC timeout.
-func (n *Node) call(to gaddr.NodeID, p rpc.Proc, body []byte) ([]byte, error) {
-	return n.ep.CallTimeout(to, p, body, n.cfg.RPCTimeout)
 }
 
 // --- descriptor table ---

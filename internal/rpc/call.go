@@ -118,8 +118,9 @@ func (ep *Endpoint) Kick(to gaddr.NodeID) {
 // included; recycle with wire.PutBuf when finished) or a classified error.
 // A failed last attempt probes the peer: the error is wrapped ErrNodeDown
 // when the probe fails too, and otherwise ErrTimeout (or, for a refused
-// send, the transport's error). A reply carrying an error is an answer and is
-// never retried.
+// send, the transport's error). A call whose only attempt was refused also
+// matches ErrRefused: nothing reached the callee. A reply carrying an error is
+// an answer and is never retried.
 //
 // done runs on whichever goroutine resolves the call — the reader goroutine
 // of the link the reply arrived on, a timer goroutine for deadlines. It must
@@ -250,9 +251,12 @@ func (c *call) failed(sendErr error) {
 		return
 	}
 	p, to := c.hdr.Proc, c.to
+	if sendErr != nil && c.attempt == 0 {
+		sendErr = fmt.Errorf("%w: %w", ErrRefused, sendErr)
+	}
 	switch {
 	case down && sendErr != nil:
-		pc.done(nil, fmt.Errorf("%w: proc %d to node %d: %v", ErrNodeDown, p, to, sendErr))
+		pc.done(nil, fmt.Errorf("%w: proc %d to node %d: %w", ErrNodeDown, p, to, sendErr))
 	case down:
 		pc.done(nil, fmt.Errorf("%w: proc %d to node %d", ErrNodeDown, p, to))
 	case sendErr != nil:

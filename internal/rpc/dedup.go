@@ -15,9 +15,13 @@ import (
 //     next retry after it completes will replay);
 //   - retry after completion: replay the recorded reply, do not re-execute.
 //
-// The window is a FIFO of the last dedupWindow tokens per endpoint — old
-// entries fall out, which is safe because the origin stops retrying long
-// before the window cycles under any sane retry policy.
+// The window is a FIFO of the last dedupWindow tokens per endpoint, from all
+// origins together: it is bounded by count, not by time. A retry whose token
+// has fallen out — because enough other tokened traffic passed through the
+// callee meanwhile — executes again, so at-most-once holds only while fewer
+// than dedupWindow tokens arrive between a call's first attempt and its last.
+// Moves do not rely on the window: a re-sent install is made harmless by its
+// residency epoch instead (see handleInstall in internal/core).
 
 // dedupWindow bounds remembered tokens (and retained reply bytes) per node.
 const dedupWindow = 1024

@@ -35,8 +35,8 @@ func TestTimeoutClassifiedAliveVsDown(t *testing.T) {
 	// Crash the peer: the same call now classifies as ErrNodeDown.
 	fl.Crash(1)
 	_, err = eps[0].CallWith(1, 5, nil, CallOpts{Timeout: 50 * time.Millisecond, ProbeTimeout: 50 * time.Millisecond})
-	if !errors.Is(err, ErrNodeDown) {
-		t.Fatalf("dead-peer err = %v, want ErrNodeDown", err)
+	if !errors.Is(err, ErrNodeDown) || errors.Is(err, ErrRefused) {
+		t.Fatalf("dead-peer err = %v, want ErrNodeDown and not ErrRefused (the crash ate an accepted frame)", err)
 	}
 	if !eps[0].PeerDown(1) {
 		t.Fatal("dead peer not marked down")
@@ -55,6 +55,23 @@ func TestTimeoutClassifiedAliveVsDown(t *testing.T) {
 	}
 	if eps[0].PeerDown(1) {
 		t.Fatal("down-mark survived live traffic")
+	}
+}
+
+// TestRefusedSendClassified: a call whose only attempt the transport refused
+// matches ErrRefused, with the transport's error still reachable; a call
+// with attempts after a refused first one does not, since any of them may
+// have been accepted.
+func TestRefusedSendClassified(t *testing.T) {
+	eps, _ := testNet(t, 2)
+	_, err := eps[0].CallWith(7, 5, nil, CallOpts{Timeout: 50 * time.Millisecond, ProbeTimeout: 50 * time.Millisecond})
+	if !errors.Is(err, ErrRefused) || !errors.Is(err, transport.ErrUnknownNode) {
+		t.Fatalf("refused send: %v, want ErrRefused wrapping ErrUnknownNode", err)
+	}
+	_, err = eps[0].CallWith(7, 5, nil, CallOpts{Timeout: 50 * time.Millisecond, MaxAttempts: 2,
+		Backoff: time.Millisecond, ProbeTimeout: 50 * time.Millisecond})
+	if err == nil || errors.Is(err, ErrRefused) {
+		t.Fatalf("refused send after a retry: %v, want an error that is not ErrRefused", err)
 	}
 }
 

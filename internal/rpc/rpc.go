@@ -180,6 +180,11 @@ var ErrTimeout = errors.New("rpc: call timed out")
 // (reroute, unwind, give up) differently from "slow peer" (wait, retry).
 var ErrNodeDown = errors.New("rpc: node down")
 
+// ErrRefused wraps the error of a call that ended on its first attempt, which
+// the transport refused: the request never left this node, so the callee
+// cannot have run it.
+var ErrRefused = errors.New("rpc: send refused")
+
 // RemoteError wraps an error string propagated from another node.
 type RemoteError struct {
 	Node gaddr.NodeID

@@ -60,6 +60,10 @@ echo "== lease revokes: the writer's own revoke rides the write's reply =="
 # another, so the rows and the read-your-writes properties run 20 times.
 go test -race -count=20 -run 'TestLeaseRevokeRidesReply|TestLeaseReadYourWritesProperty|TestLeaseWriteFenceInvalidates' ./internal/core/
 
+echo "== one residence: a move ends only on an answer (lost reply, late frame, crash, Close) =="
+# Each row loses or delays an install mid-move and checks one residence after the heal.
+go test -race -count=50 -run 'TestMoveKeepsOneResidence|TestLostMoveLeavesObjectUsable|TestCrashDuringMove' ./internal/core/
+
 echo "== reader hand-off (a handler that waits releases its link; the watchdog catches the rest) =="
 # A transport reader runs each inbound handler itself. Every row is a wait
 # whose wake-up arrives on the waiting handler's own link, over the fabric and
