@@ -225,7 +225,15 @@ func Call(ctx *Ctx, obj Ref, method string, args ...any) (any, error) {
 // registered automatically by Cluster.Register.
 func RegisterWireType(v any) { wire.Register(v) }
 
-// Synchronization classes (§2.2): mobile, remotely-invocable objects.
+// Synchronization classes (§2.2): mobile, remotely-invocable objects. Every
+// blocking operation — Lock.Acquire, Monitor.Enter, RWLock.AcquireRead and
+// AcquireWrite, Semaphore.P, Event.Wait, CondVar.Wait, Barrier.Arrive —
+// returns an error instead of waiting for good: one matching ErrNodeDown when
+// the holder it waits behind (a Lock's, Monitor's or writer's, named by its
+// home node) is marked down or the object's node closes, and ErrOrphaned when
+// the waiting thread's own home is marked down. A holder is known by its
+// home only: one that dies on another node is not seen, and one still running
+// elsewhere when its home dies is taken for dead.
 type (
 	// Lock is a relinquishing mutual-exclusion lock.
 	Lock = amsync.Lock

@@ -6,9 +6,18 @@
 // acquiring a remote lock is one function-shipped invocation, the property
 // §4.1 contrasts with page-DSM lock thrashing.
 //
-// Blocking operations release the calling thread's processor slot through
-// the runtime (ctx.Block), so a blocked Amber thread frees its CPU for other
-// ready threads, as in Presto.
+// Blocking operations wait on a core.WaitQueue, which releases the calling
+// thread's processor slot, so a blocked Amber thread frees its CPU for other
+// ready threads, as in Presto. Every such wait has an exit: Acquire, Enter,
+// P, Event.Wait, CondVar.Wait, Arrive, AcquireRead and AcquireWrite return
+// an error matching core.ErrNodeDown when the node of the thread that would
+// wake them — a lock's, monitor's or writer's holder, by its home node — is
+// marked down, core.ErrOrphaned when the waiting thread's own home is, and an
+// ErrNodeDown-class error when the object's node closes. A holder is known
+// by its home node only, so a holder that dies elsewhere is not seen, and one
+// still running on another node when its home dies is taken for dead: its
+// waiters fail though it will release. A lock whose holder died stays held:
+// every later acquirer gets the same error.
 //
 // The classes guard their own migration (core.MoveGuard): a lock with an
 // owner or queued waiters refuses to move, since its blocked threads cannot
@@ -23,6 +32,7 @@ import (
 	"sync"
 
 	"amber/internal/core"
+	"amber/internal/gaddr"
 )
 
 // ErrNotOwner is returned by Release/Exit when the calling thread does not
@@ -56,22 +66,22 @@ type Lock struct {
 	mu      sync.Mutex
 	held    bool
 	owner   uint64
-	waiters []chan struct{}
+	home    gaddr.NodeID // the owner's home node, which a waiter names
+	waiters core.WaitQueue
 }
 
-// Acquire blocks until the lock is held by the calling thread.
-func (l *Lock) Acquire(ctx *core.Ctx) {
+// Acquire blocks until the lock is held by the calling thread, or fails
+// when the holder's home node or the caller's own is marked down.
+func (l *Lock) Acquire(ctx *core.Ctx) error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	for l.held {
-		ch := make(chan struct{})
-		l.waiters = append(l.waiters, ch)
-		l.mu.Unlock()
-		ctx.Block(func() { <-ch })
-		l.mu.Lock()
+		if err := l.waiters.Wait(ctx, &l.mu, l.home); err != nil {
+			return err
+		}
 	}
-	l.held = true
-	l.owner = ctx.ThreadID()
-	l.mu.Unlock()
+	l.held, l.owner, l.home = true, ctx.ThreadID(), ctx.Home()
+	return nil
 }
 
 // TryAcquire takes the lock if it is free, reporting success.
@@ -81,8 +91,7 @@ func (l *Lock) TryAcquire(ctx *core.Ctx) bool {
 	if l.held {
 		return false
 	}
-	l.held = true
-	l.owner = ctx.ThreadID()
+	l.held, l.owner, l.home = true, ctx.ThreadID(), ctx.Home()
 	return true
 }
 
@@ -95,11 +104,7 @@ func (l *Lock) Release(ctx *core.Ctx) error {
 	}
 	l.held = false
 	l.owner = 0
-	if len(l.waiters) > 0 {
-		ch := l.waiters[0]
-		l.waiters = l.waiters[1:]
-		close(ch)
-	}
+	l.waiters.Signal()
 	return nil
 }
 
@@ -115,7 +120,7 @@ func (l *Lock) Held(ctx *core.Ctx) bool {
 func (l *Lock) CanMove() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.held || len(l.waiters) > 0 {
+	if l.held || l.waiters.Len() > 0 {
 		return fmt.Errorf("%w: lock held or contended", ErrBusy)
 	}
 	return nil
@@ -186,21 +191,22 @@ type Barrier struct {
 	// migrates with the object.
 	Parties int
 
-	mu     sync.Mutex
-	epoch  int64
-	count  int
-	waitCh chan struct{}
+	mu      sync.Mutex
+	epoch   int64
+	count   int
+	waiters core.WaitQueue
 }
 
 // NewBarrier returns a barrier for n parties.
 func NewBarrier(n int) *Barrier { return &Barrier{Parties: n} }
 
 // Arrive blocks until Parties threads have arrived in this epoch; it
-// returns the epoch index that completed.
+// returns the epoch index that completed. A party whose wait fails takes its
+// arrival back.
 func (b *Barrier) Arrive(ctx *core.Ctx) (int64, error) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.Parties <= 0 {
-		b.mu.Unlock()
 		return 0, fmt.Errorf("amsync: barrier with %d parties", b.Parties)
 	}
 	e := b.epoch
@@ -208,19 +214,16 @@ func (b *Barrier) Arrive(ctx *core.Ctx) (int64, error) {
 	if b.count >= b.Parties {
 		b.count = 0
 		b.epoch++
-		if b.waitCh != nil {
-			close(b.waitCh)
-			b.waitCh = nil
+		b.waiters.Broadcast()
+	}
+	for b.epoch == e {
+		if err := b.waiters.Wait(ctx, &b.mu); err != nil {
+			if b.epoch == e {
+				b.count--
+			}
+			return e, err
 		}
-		b.mu.Unlock()
-		return e, nil
 	}
-	if b.waitCh == nil {
-		b.waitCh = make(chan struct{})
-	}
-	ch := b.waitCh
-	b.mu.Unlock()
-	ctx.Block(func() { <-ch })
 	return e, nil
 }
 
@@ -250,22 +253,22 @@ type Monitor struct {
 	mu      sync.Mutex
 	locked  bool
 	owner   uint64
-	waiters []chan struct{}
+	home    gaddr.NodeID // the owner's home node, which a waiter names
+	waiters core.WaitQueue
 }
 
-// Enter blocks until the calling thread holds the monitor.
-func (m *Monitor) Enter(ctx *core.Ctx) {
+// Enter blocks until the calling thread holds the monitor, or fails as
+// Lock.Acquire does.
+func (m *Monitor) Enter(ctx *core.Ctx) error {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	for m.locked {
-		ch := make(chan struct{})
-		m.waiters = append(m.waiters, ch)
-		m.mu.Unlock()
-		ctx.Block(func() { <-ch })
-		m.mu.Lock()
+		if err := m.waiters.Wait(ctx, &m.mu, m.home); err != nil {
+			return err
+		}
 	}
-	m.locked = true
-	m.owner = ctx.ThreadID()
-	m.mu.Unlock()
+	m.locked, m.owner, m.home = true, ctx.ThreadID(), ctx.Home()
+	return nil
 }
 
 // Exit releases the monitor; only the owner may call it.
@@ -277,11 +280,7 @@ func (m *Monitor) Exit(ctx *core.Ctx) error {
 	}
 	m.locked = false
 	m.owner = 0
-	if len(m.waiters) > 0 {
-		ch := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		close(ch)
-	}
+	m.waiters.Signal()
 	return nil
 }
 
@@ -296,7 +295,7 @@ func (m *Monitor) Owner(ctx *core.Ctx) uint64 {
 func (m *Monitor) CanMove() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.locked || len(m.waiters) > 0 {
+	if m.locked || m.waiters.Len() > 0 {
 		return fmt.Errorf("%w: monitor occupied", ErrBusy)
 	}
 	return nil
@@ -306,15 +305,16 @@ func (m *Monitor) CanMove() error {
 
 // CondVar is a condition variable bound to a Monitor by reference. Attach
 // the CondVar to its monitor (ctx.Attach) so the pair stays co-resident and
-// Wait's re-entry is a local invocation. Wait registers the waiter before
-// releasing the monitor, so signals cannot be lost.
+// Wait's exit and re-entry are local invocations. Wait queues the waiter
+// before releasing the monitor, so signals cannot be lost, and a Signal
+// wakes the oldest waiter queued before it.
 type CondVar struct {
 	// Monitor is the owning monitor's reference; it migrates with the
 	// object.
 	Monitor core.Ref
 
 	mu      sync.Mutex
-	waiters []chan struct{}
+	waiters core.WaitQueue
 }
 
 // NewCondVar returns a condition variable for the given monitor object.
@@ -323,55 +323,38 @@ func NewCondVar(mon core.Ref) *CondVar { return &CondVar{Monitor: mon} }
 // Wait atomically releases the monitor and blocks until signalled, then
 // re-enters the monitor before returning. The caller must hold the monitor.
 func (c *CondVar) Wait(ctx *core.Ctx) error {
-	ch := make(chan struct{})
 	c.mu.Lock()
-	c.waiters = append(c.waiters, ch)
+	err := c.waiters.WaitAfter(ctx, &c.mu, func() error {
+		_, err := ctx.Invoke(c.Monitor, "Exit")
+		return err
+	})
 	c.mu.Unlock()
-	if _, err := ctx.Invoke(c.Monitor, "Exit"); err != nil {
-		c.removeWaiter(ch)
+	if err != nil {
 		return err
 	}
-	ctx.Block(func() { <-ch })
-	_, err := ctx.Invoke(c.Monitor, "Enter")
+	_, err = ctx.Invoke(c.Monitor, "Enter")
 	return err
-}
-
-func (c *CondVar) removeWaiter(ch chan struct{}) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, w := range c.waiters {
-		if w == ch {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
-		}
-	}
 }
 
 // Signal wakes one waiting thread, if any.
 func (c *CondVar) Signal(ctx *core.Ctx) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.waiters) > 0 {
-		close(c.waiters[0])
-		c.waiters = c.waiters[1:]
-	}
+	c.waiters.Signal()
+	c.mu.Unlock()
 }
 
 // Broadcast wakes every waiting thread.
 func (c *CondVar) Broadcast(ctx *core.Ctx) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, ch := range c.waiters {
-		close(ch)
-	}
-	c.waiters = nil
+	c.waiters.Broadcast()
+	c.mu.Unlock()
 }
 
 // CanMove vetoes migration while threads wait on the condition.
 func (c *CondVar) CanMove() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.waiters) > 0 {
+	if c.waiters.Len() > 0 {
 		return fmt.Errorf("%w: condition has waiters", ErrBusy)
 	}
 	return nil
@@ -387,34 +370,30 @@ type Semaphore struct {
 	Permits int
 
 	mu      sync.Mutex
-	waiters []chan struct{}
+	waiters core.WaitQueue
 }
 
 // NewSemaphore returns a semaphore with n initial permits.
 func NewSemaphore(n int) *Semaphore { return &Semaphore{Permits: n} }
 
 // P acquires one permit, blocking while none are available.
-func (s *Semaphore) P(ctx *core.Ctx) {
+func (s *Semaphore) P(ctx *core.Ctx) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for s.Permits <= 0 {
-		ch := make(chan struct{})
-		s.waiters = append(s.waiters, ch)
-		s.mu.Unlock()
-		ctx.Block(func() { <-ch })
-		s.mu.Lock()
+		if err := s.waiters.Wait(ctx, &s.mu); err != nil {
+			return err
+		}
 	}
 	s.Permits--
-	s.mu.Unlock()
+	return nil
 }
 
 // V releases one permit.
 func (s *Semaphore) V(ctx *core.Ctx) {
 	s.mu.Lock()
 	s.Permits++
-	if len(s.waiters) > 0 {
-		close(s.waiters[0])
-		s.waiters = s.waiters[1:]
-	}
+	s.waiters.Signal()
 	s.mu.Unlock()
 }
 
@@ -429,7 +408,7 @@ func (s *Semaphore) Available(ctx *core.Ctx) int {
 func (s *Semaphore) CanMove() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.waiters) > 0 {
+	if s.waiters.Len() > 0 {
 		return fmt.Errorf("%w: semaphore has waiters", ErrBusy)
 	}
 	return nil
@@ -443,33 +422,27 @@ type Event struct {
 	Fired bool
 
 	mu      sync.Mutex
-	waiters []chan struct{}
+	waiters core.WaitQueue
 }
 
 // Set fires the event, waking all waiters; idempotent.
 func (e *Event) Set(ctx *core.Ctx) {
 	e.mu.Lock()
-	if !e.Fired {
-		e.Fired = true
-		for _, ch := range e.waiters {
-			close(ch)
-		}
-		e.waiters = nil
-	}
+	e.Fired = true
+	e.waiters.Broadcast()
 	e.mu.Unlock()
 }
 
 // Wait blocks until the event fires.
-func (e *Event) Wait(ctx *core.Ctx) {
+func (e *Event) Wait(ctx *core.Ctx) error {
 	e.mu.Lock()
-	if e.Fired {
-		e.mu.Unlock()
-		return
+	defer e.mu.Unlock()
+	for !e.Fired {
+		if err := e.waiters.Wait(ctx, &e.mu); err != nil {
+			return err
+		}
 	}
-	ch := make(chan struct{})
-	e.waiters = append(e.waiters, ch)
-	e.mu.Unlock()
-	ctx.Block(func() { <-ch })
+	return nil
 }
 
 // IsSet reports whether the event has fired.
@@ -483,7 +456,7 @@ func (e *Event) IsSet(ctx *core.Ctx) bool {
 func (e *Event) CanMove() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.waiters) > 0 {
+	if e.waiters.Len() > 0 {
 		return fmt.Errorf("%w: event has waiters", ErrBusy)
 	}
 	return nil

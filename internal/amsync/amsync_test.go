@@ -497,3 +497,106 @@ func TestLockFIFOWakeup(t *testing.T) {
 		t.Fatalf("balance = %v", out)
 	}
 }
+
+// Waiter is a consumer for TestCondVarSignalWakesOne: under the monitor it
+// waits on the condition once, then leaves.
+type Waiter struct{}
+
+func (w *Waiter) WaitOnce(ctx *core.Ctx, mon, cond core.Ref) error {
+	if _, err := ctx.Invoke(mon, "Enter"); err != nil {
+		return err
+	}
+	if _, err := ctx.Invoke(cond, "Wait"); err != nil {
+		return err
+	}
+	_, err := ctx.Invoke(mon, "Exit")
+	return err
+}
+
+// SignalThenWait signals the condition, then waits on it once as WaitOnce
+// does.
+func (w *Waiter) SignalThenWait(ctx *core.Ctx, mon, cond core.Ref) error {
+	if _, err := ctx.Invoke(cond, "Signal"); err != nil {
+		return err
+	}
+	return w.WaitOnce(ctx, mon, cond)
+}
+
+// Each Signal lets exactly one of the queued waiters through.
+func TestCondVarSignalWakesOne(t *testing.T) {
+	cl := newCluster(t, 1, 4)
+	if err := cl.Register(&Waiter{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := cl.Node(0).Root()
+	mon, _ := ctx.New(&Monitor{})
+	cond, _ := ctx.New(NewCondVar(mon))
+	if err := ctx.Attach(cond, mon); err != nil {
+		t.Fatal(err)
+	}
+	var threads []core.Thread
+	for i := 0; i < 2; i++ {
+		w, _ := ctx.New(&Waiter{})
+		th, _ := ctx.StartThread(w, "WaitOnce", mon, cond)
+		threads = append(threads, th)
+	}
+	awaitBlocked(t, cl, 0, 2)
+	done := func() (n int) {
+		for _, th := range threads {
+			if d, _ := ctx.ThreadDone(th); d {
+				n++
+			}
+		}
+		return n
+	}
+	for want := 1; want <= 2; want++ {
+		if _, err := ctx.Invoke(cond, "Signal"); err != nil {
+			t.Fatal(err)
+		}
+		awaitFor(t, exitBound, "a signalled waiter to finish", func() bool { return done() >= want })
+		if got := done(); got != want {
+			t.Fatalf("%d signals let %d waiters through", want, got)
+		}
+	}
+	for _, th := range threads {
+		if _, err := ctx.Join(th); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A Signal wakes a waiter queued before it, never one that arrives after it.
+// On a one-slot node the signalled thread cannot run until the signaller
+// blocks, so the signaller's own Wait comes first and must not take the
+// wake-up.
+func TestCondVarSignalKeepsOrder(t *testing.T) {
+	cl := newCluster(t, 1, 1)
+	if err := cl.Register(&Waiter{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := cl.Node(0).Root()
+	mon, _ := ctx.New(&Monitor{})
+	cond, _ := ctx.New(NewCondVar(mon))
+	if err := ctx.Attach(cond, mon); err != nil {
+		t.Fatal(err)
+	}
+	w, _ := ctx.New(&Waiter{})
+	first, _ := ctx.StartThread(w, "WaitOnce", mon, cond)
+	awaitBlocked(t, cl, 0, 1)
+	later, _ := ctx.StartThread(w, "SignalThenWait", mon, cond)
+	awaitFor(t, exitBound, "the signalled waiter to finish", func() bool {
+		d, _ := ctx.ThreadDone(first)
+		return d
+	})
+	if d, _ := ctx.ThreadDone(later); d {
+		t.Fatal("the waiter that arrived after the Signal was let through")
+	}
+	if _, err := ctx.Invoke(cond, "Signal"); err != nil {
+		t.Fatal(err)
+	}
+	for _, th := range []core.Thread{first, later} {
+		if _, err := ctx.Join(th); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

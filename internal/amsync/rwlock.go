@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"amber/internal/core"
+	"amber/internal/gaddr"
 )
 
 // RWLock is a writer-preferring readers/writer lock — an example of
@@ -13,27 +14,36 @@ import (
 // hierarchy to define custom mechanisms for concurrency control"). Like all
 // the classes here it is a mobile, remotely-invocable object.
 type RWLock struct {
-	mu       sync.Mutex
-	readers  int
-	writer   bool
-	writerID uint64
-	wWaiters []chan struct{}
-	rWaiters []chan struct{}
+	mu         sync.Mutex
+	readers    int
+	writer     bool
+	writerID   uint64
+	writerHome gaddr.NodeID
+	wWaiters   core.WaitQueue
+	rWaiters   core.WaitQueue
+}
+
+// wakers names the node a waiter waits on: the writer's home while a writer
+// holds the lock. Readers are not named.
+func (l *RWLock) wakers() []gaddr.NodeID {
+	if l.writer {
+		return []gaddr.NodeID{l.writerHome}
+	}
+	return nil
 }
 
 // AcquireRead blocks until the lock is readable (no writer active and no
 // writer queued — writers are preferred to prevent starvation).
-func (l *RWLock) AcquireRead(ctx *core.Ctx) {
+func (l *RWLock) AcquireRead(ctx *core.Ctx) error {
 	l.mu.Lock()
-	for l.writer || len(l.wWaiters) > 0 {
-		ch := make(chan struct{})
-		l.rWaiters = append(l.rWaiters, ch)
-		l.mu.Unlock()
-		ctx.Block(func() { <-ch })
-		l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.writer || l.wWaiters.Len() > 0 {
+		if err := l.rWaiters.Wait(ctx, &l.mu, l.wakers()...); err != nil {
+			return err
+		}
 	}
 	l.readers++
-	l.mu.Unlock()
+	return nil
 }
 
 // ReleaseRead releases a read hold.
@@ -44,26 +54,24 @@ func (l *RWLock) ReleaseRead(ctx *core.Ctx) error {
 		return fmt.Errorf("%w: no readers hold the lock", ErrNotOwner)
 	}
 	l.readers--
-	if l.readers == 0 && len(l.wWaiters) > 0 {
-		close(l.wWaiters[0])
-		l.wWaiters = l.wWaiters[1:]
+	if l.readers == 0 {
+		l.wWaiters.Signal()
 	}
 	return nil
 }
 
 // AcquireWrite blocks until the calling thread holds the lock exclusively.
-func (l *RWLock) AcquireWrite(ctx *core.Ctx) {
+func (l *RWLock) AcquireWrite(ctx *core.Ctx) error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	for l.writer || l.readers > 0 {
-		ch := make(chan struct{})
-		l.wWaiters = append(l.wWaiters, ch)
-		l.mu.Unlock()
-		ctx.Block(func() { <-ch })
-		l.mu.Lock()
+		if err := l.wWaiters.Wait(ctx, &l.mu, l.wakers()...); err != nil {
+			l.rWaiters.Broadcast() // readers queued behind this writer re-check
+			return err
+		}
 	}
-	l.writer = true
-	l.writerID = ctx.ThreadID()
-	l.mu.Unlock()
+	l.writer, l.writerID, l.writerHome = true, ctx.ThreadID(), ctx.Home()
+	return nil
 }
 
 // ReleaseWrite releases exclusive hold; only the owning thread may call it.
@@ -76,15 +84,11 @@ func (l *RWLock) ReleaseWrite(ctx *core.Ctx) error {
 	}
 	l.writer = false
 	l.writerID = 0
-	if len(l.wWaiters) > 0 {
-		close(l.wWaiters[0])
-		l.wWaiters = l.wWaiters[1:]
+	if l.wWaiters.Len() > 0 {
+		l.wWaiters.Signal()
 		return nil
 	}
-	for _, ch := range l.rWaiters {
-		close(ch)
-	}
-	l.rWaiters = nil
+	l.rWaiters.Broadcast()
 	return nil
 }
 
@@ -99,7 +103,7 @@ func (l *RWLock) Readers(ctx *core.Ctx) int {
 func (l *RWLock) CanMove() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.writer || l.readers > 0 || len(l.wWaiters)+len(l.rWaiters) > 0 {
+	if l.writer || l.readers > 0 || l.wWaiters.Len()+l.rWaiters.Len() > 0 {
 		return fmt.Errorf("%w: rwlock held or contended", ErrBusy)
 	}
 	return nil

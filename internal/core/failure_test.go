@@ -702,3 +702,116 @@ func TestStaleInstallKeepsLeaseCopy(t *testing.T) {
 	readUntilLeaseHit(t, cl, 1, ref, 7)
 	checkOneResidence(t, cl, ref)
 }
+
+// TestInDoubtMoveFencesLeases: a move whose install landed but whose reply
+// was lost is in doubt, and the destination already serves writes. A reader
+// lease the source granted before the move must not serve the pre-move value
+// past such a write, so the source fences its leases before the install
+// leaves, not when the move settles.
+func TestInDoubtMoveFencesLeases(t *testing.T) {
+	cl, err := NewCluster(ClusterConfig{
+		Nodes: 3, ProcsPerNode: 2, LeaseTTL: 5 * time.Second,
+		RPCTimeout: 150 * time.Millisecond, ProbeTimeout: 60 * time.Millisecond,
+		FaultSeed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	registerFixtures(t, cl)
+	if err := cl.Register(&LeasedCounter{}); err != nil {
+		t.Fatal(err)
+	}
+	fl := cl.Faults()
+	owner := cl.Node(0).Root()
+	ref, err := owner.New(&LeasedCounter{N: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.SetCacheable(ref); err != nil {
+		t.Fatal(err)
+	}
+	readUntilLeaseHit(t, cl, 2, ref, 7)
+
+	fl.Cut(1, 0) // the install lands on node 1; its reply never comes back
+	if err := owner.MoveTo(ref, 1); err == nil {
+		t.Fatal("move with its reply cut succeeded")
+	}
+	if out, err := cl.Node(1).Root().Invoke(ref, "Add", 1); err != nil || out[0].(int) != 8 {
+		t.Fatalf("Add via node 1 = %v, %v; want 8", out, err)
+	}
+	// The write is acknowledged; node 2 may fail or wait, never read 7.
+	if out, err := cl.Node(2).Root().Invoke(ref, "Get"); err == nil && out[0].(int) == 7 {
+		t.Fatal("node 2 read the pre-move value after a write at the destination")
+	}
+	fl.HealAll()
+	awaitSettled(t, cl, ref)
+	awaitCond(t, "a read via node 2", func() bool {
+		out, err := cl.Node(2).Root().Invoke(ref, "Get")
+		if err == nil && out[0].(int) != 8 {
+			t.Fatalf("Get via node 2 = %v, want 8", out[0])
+		}
+		return err == nil
+	})
+}
+
+// TestRevertedMoveKeepsLeaseHolders: a move fences the source's lease grants
+// before its install leaves, so a move that reverts has already left each
+// holder a tombstone at the move's epoch. The next move must carry a newer
+// epoch, or a holder it ships to would drop the install as stale while the
+// source forwards to it, and the object would be lost.
+func TestRevertedMoveKeepsLeaseHolders(t *testing.T) {
+	cl, err := NewCluster(ClusterConfig{
+		Nodes: 3, ProcsPerNode: 2, LeaseTTL: 5 * time.Second,
+		MoveDrainTimeout: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	registerFixtures(t, cl)
+	if err := cl.Register(&LeasedCounter{}); err != nil {
+		t.Fatal(err)
+	}
+	owner := cl.Node(0).Root()
+	ref, err := owner.New(&LeasedCounter{N: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.SetCacheable(ref); err != nil {
+		t.Fatal(err)
+	}
+	readUntilLeaseHit(t, cl, 1, ref, 7)
+	readUntilLeaseHit(t, cl, 2, ref, 7)
+
+	// Node 1's copy stays pinned past the drain timeout, so it answers the
+	// install with an error and the move reverts; node 2 was fenced all the
+	// same.
+	copy1 := cl.Node(1).desc(ref)
+	if !copy1.TryPin() {
+		t.Fatal("could not pin node 1's lease copy")
+	}
+	if err := owner.MoveTo(ref, 1); !answered(err) || err == nil {
+		t.Fatalf("move over a pinned lease copy: %v, want an answered error", err)
+	}
+	copy1.Unpin()
+	if d := cl.Node(0).desc(ref); d.State() != stateResident || d.Copy() {
+		t.Fatalf("node 0 after the reverted move: state %v", d.State())
+	}
+
+	if err := owner.MoveTo(ref, 2); err != nil {
+		t.Fatalf("move to the fenced holder: %v", err)
+	}
+	awaitSettled(t, cl, ref)
+	checkOneResidence(t, cl, ref)
+	for _, step := range []struct{ via, add, want int }{{0, 1, 8}, {2, 1, 9}, {1, 1, 10}} {
+		out, err := cl.Node(step.via).Root().Invoke(ref, "Add", step.add)
+		if err != nil {
+			t.Fatalf("Add(%d) via node %d: %v", step.add, step.via, err)
+		}
+		if out[0].(int) != step.want {
+			t.Errorf("Add(%d) via node %d = %v, want %d", step.add, step.via, out[0], step.want)
+		}
+	}
+	checkOneResidence(t, cl, ref)
+}

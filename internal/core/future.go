@@ -62,12 +62,7 @@ func (f *Future) complete(res []any, err error) {
 // waiting (like any blocking invoke); nil is allowed for raw goroutines.
 // Join may be called any number of times, from any thread.
 func (f *Future) Join(c *Ctx) ([]any, error) {
-	wait := func() { <-f.done }
-	if c != nil {
-		c.Block(wait)
-	} else {
-		wait()
-	}
+	c.Block(func() { <-f.done })
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.results, f.err
@@ -333,19 +328,14 @@ func (p *peerPipe) enqueue(c *Ctx, j *journey) {
 	}
 	p.mu.Unlock()
 	p.n.counts.Inc("async_backpressure_waits")
-	wait := func() {
+	c.Block(func() {
 		p.mu.Lock()
 		for len(p.q)+p.inflight >= p.depth {
 			p.cond.Wait()
 		}
 		p.push(j)
 		p.mu.Unlock()
-	}
-	if c != nil {
-		c.Block(wait)
-	} else {
-		wait()
-	}
+	})
 }
 
 // push appends and ensures a drainer is running. Caller holds p.mu.

@@ -154,12 +154,7 @@ func (n *Node) leaseFence(c *Ctx, obj gaddr.Addr, epoch uint64, src, replyTo gad
 		return onReply
 	}
 	n.counts.Inc("lease_fences")
-	round := func() { n.leaseRevokeRound(obj, epoch, src, targets) }
-	if c != nil {
-		c.Block(round)
-	} else {
-		round()
-	}
+	c.Block(func() { n.leaseRevokeRound(obj, epoch, src, targets) })
 	return onReply
 }
 

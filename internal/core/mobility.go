@@ -127,17 +127,30 @@ func (op *moveOp) ship() error {
 		m.Unlock()
 	}
 	frame := n.installFrame(false, len(op.mems), hint)
+	// Coherence hand-off for leasable members: the grant table does not
+	// travel with the object, so every lease this node granted is fenced
+	// before the install leaves, at the move's (strictly newer) epoch. The
+	// members are moving, so no write or grant can follow, and no holder
+	// serves the pre-move value while the move is in doubt. The revokes aim
+	// holders here, which stays right either way the move settles: at its
+	// tombstone, or at the object itself if the move reverts. The
+	// destination is left out of the round, as a write's reply-holder is: the
+	// install itself tears its copy down, and a revoke landing first would
+	// leave a tombstone at the install's own epoch, which it cannot replace.
 	for i, m := range op.mems {
 		m.Lock()
 		epochs[i] = m.Epoch() + 1 // the residency version after this move
-		leasable[i] = m.Leasable()
 		next, err := n.appendSnapshot(frame, op.addrs[i], m, epochs[i])
+		leasable[i] = err == nil && m.Leasable()
 		m.Unlock()
 		if err != nil {
 			wire.PutBuf(frame)
-			return op.settle(err, nil, nil)
+			return op.settle(err, epochs, leasable)
 		}
 		frame = next
+		if leasable[i] {
+			n.leaseFence(nil, op.addrs[i], epochs[i], n.id, op.dest)
+		}
 	}
 	op.mu.Lock()
 	op.epoch = epochs[0] // addrs[0] is the component root
@@ -192,7 +205,7 @@ func (op *moveOp) resend(frame []byte, epochs []uint64, leasable []bool) {
 func (op *moveOp) settle(err error, epochs []uint64, leasable []bool) error {
 	n := op.node
 	if err != nil {
-		op.revert()
+		op.revert(epochs, leasable)
 		if op.deferred {
 			n.counts.Inc("deferred_move_failed")
 		}
@@ -212,30 +225,28 @@ func (op *moveOp) settle(err error, epochs []uint64, leasable []bool) error {
 			n.counts.Inc("move_flips_superseded")
 		}
 		m.Unlock()
-	}
-	n.counts.Add("objects_moved_out", int64(len(op.mems)))
-	// Coherence hand-off for leasable members: the grant table does not
-	// travel with the object, so every lease this node granted is fenced now,
-	// with revokes pointing holders at the destination (where the tombstones
-	// above already point). The move's epoch is strictly newer than every
-	// grant, so each holder degenerates to the forwarding path and re-pulls
-	// from the new residency. Runs after the flips: a reader racing the fence
-	// chases a tombstone either way.
-	for i := range op.mems {
+		// ship fenced the grants before the install left; what is left of
+		// them belongs to an object that no longer lives here.
 		if leasable[i] {
-			n.leaseFence(nil, op.addrs[i], epochs[i], op.dest, gaddr.NoNode)
 			n.leaseDropGrants(op.addrs[i])
 		}
 	}
+	n.counts.Add("objects_moved_out", int64(len(op.mems)))
 	return nil
 }
 
 // revert returns all members to stateResident after a move that is known
 // not to have landed: an answered failure, a refused send, or a drain that
-// timed out before anything shipped.
-func (op *moveOp) revert() {
-	for _, m := range op.mems {
+// timed out before anything shipped. A member whose leases ship fenced
+// resumes at the move's epoch: each revoked holder keeps a tombstone there,
+// so the member's next move must carry a newer epoch, or a holder it ships
+// to would drop the install as stale while this node forwards to it.
+func (op *moveOp) revert(epochs []uint64, fenced []bool) {
+	for i, m := range op.mems {
 		m.Lock()
+		if i < len(fenced) && fenced[i] {
+			m.SetEpochLocked(epochs[i])
+		}
 		m.Resume(op)
 		m.Unlock()
 	}
@@ -401,7 +412,7 @@ func (n *Node) executeMove(d *descriptor, msg *routedMsg, noDefer bool) (moveRep
 		if !ok {
 			op.aborted = true
 			op.mu.Unlock()
-			op.revert()
+			op.revert(nil, nil)
 			n.space.UnlockMove(shards)
 			return moveReply{}, &retryRoute{m}
 		}
@@ -451,7 +462,7 @@ func (n *Node) executeMove(d *descriptor, msg *routedMsg, noDefer bool) (moveRep
 		}
 		op.aborted = true
 		op.mu.Unlock()
-		op.revert()
+		op.revert(nil, nil)
 		n.counts.Inc("moves_timed_out")
 		return moveReply{}, fmt.Errorf("%w: %#x to node %d", ErrMoveTimeout, uint64(msg.Obj), dest)
 	}

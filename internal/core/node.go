@@ -228,6 +228,9 @@ type Node struct {
 	// Close.
 	installq chan copyInstall
 	stopc    chan struct{}
+	// downc is closed and replaced each time a peer is marked down, waking
+	// every WaitQueue wait to look at the marks.
+	downc atomic.Value // chan struct{}
 
 	// space is the node's sharded object-space table: descriptors and
 	// location hints for the global addresses this node has touched, lock-
@@ -269,6 +272,7 @@ func NewNode(cfg NodeConfig, reg *Registry, tr transport.Transport, server *gadd
 		pipes:  make(map[gaddr.NodeID]*peerPipe),
 	}
 	n.stopc = make(chan struct{})
+	n.downc.Store(make(chan struct{}))
 	if cfg.ReplicaCache >= 0 {
 		n.installq = make(chan copyInstall, 128)
 		go n.copyWorker()
@@ -326,8 +330,10 @@ func NewNode(cfg NodeConfig, reg *Registry, tr transport.Transport, server *gadd
 	})
 	// A peer marked down gets the same purge immediately rather than at
 	// restart detection: its leases can no longer be revoked (the fence would
-	// time out) and its replicas' forward target is unreachable anyway.
+	// time out) and its replicas' forward target is unreachable anyway. Every
+	// waiting thread then checks whether it waits on that peer.
 	n.ep.OnPeerDown(func(peer gaddr.NodeID) {
+		close(n.downc.Swap(make(chan struct{})).(chan struct{}))
 		n.purgePeer(peer)
 	})
 	n.ep.HandleProc(procRouted, n.handleRouted)

@@ -52,6 +52,9 @@ func (c *Ctx) NodeID() gaddr.NodeID { return c.node.id }
 // ThreadID reports the Amber thread's global identity.
 func (c *Ctx) ThreadID() uint64 { return c.rec.ID }
 
+// Home reports the node the thread started on, where its caller waits.
+func (c *Ctx) Home() gaddr.NodeID { return c.rec.Home }
+
 // Priority returns the thread's scheduling priority.
 func (c *Ctx) Priority() int { return c.rec.Priority }
 
@@ -109,20 +112,23 @@ func (c *Ctx) WithSlot(f func()) {
 	f()
 }
 
-// Block releases the thread's processor slot, runs wait (which should block
-// on a channel or condition), and re-acquires a slot afterwards. It is the
-// hook the synchronization classes use so that a blocked Amber thread frees
-// its CPU (§2.1/§2.2).
+// Block releases the thread's processor slot and this node's link readers,
+// runs wait (which should block on a channel or condition), and re-acquires
+// a slot afterwards, so a blocked Amber thread frees its CPU (§2.1/§2.2). A
+// nil Ctx — a raw goroutine — just runs wait. wait has no exit of its own:
+// a wait for another thread belongs on a WaitQueue, which adds them.
 func (c *Ctx) Block(wait func()) {
-	c.node.ep.ReleaseReaders()
-	if c.slotDepth > 0 {
-		c.node.sch.Block(c.task, wait)
-		if c.node.cfg.Quantum > 0 {
-			c.quantumStart = time.Now()
-		}
+	if c != nil {
+		c.node.ep.ReleaseReaders()
+	}
+	if c == nil || c.slotDepth == 0 {
+		wait()
 		return
 	}
-	wait()
+	c.node.sch.Block(c.task, wait)
+	if c.node.cfg.Quantum > 0 {
+		c.quantumStart = time.Now()
+	}
 }
 
 // Yield gives up the processor to the next ready thread (cooperative
@@ -164,7 +170,7 @@ type threadObject struct {
 	done    bool
 	results []any
 	errMsg  string
-	waitCh  chan struct{}
+	joiners WaitQueue
 }
 
 // CanMove pins thread objects at their birth node.
@@ -177,22 +183,13 @@ func (t *threadObject) CanMove() error {
 // callers elsewhere function-ship to it like any other invocation.
 func (t *threadObject) Join(ctx *Ctx) ([]any, string) {
 	t.mu.Lock()
-	if t.done {
-		res, errMsg := t.results, t.errMsg
-		t.mu.Unlock()
-		return res, errMsg
+	defer t.mu.Unlock()
+	for !t.done {
+		if err := t.joiners.Wait(ctx, &t.mu); err != nil {
+			return nil, err.Error()
+		}
 	}
-	ch := t.waitCh
-	if ch == nil {
-		ch = make(chan struct{})
-		t.waitCh = ch
-	}
-	t.mu.Unlock()
-	ctx.Block(func() { <-ch })
-	t.mu.Lock()
-	res, errMsg := t.results, t.errMsg
-	t.mu.Unlock()
-	return res, errMsg
+	return t.results, t.errMsg
 }
 
 // Done reports (without blocking) whether the thread has terminated.
@@ -211,12 +208,8 @@ func (t *threadObject) complete(results []any, err error) {
 	if err != nil {
 		t.errMsg = err.Error()
 	}
-	ch := t.waitCh
-	t.waitCh = nil
+	t.joiners.Broadcast()
 	t.mu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
 }
 
 // Thread is a handle on a started thread.

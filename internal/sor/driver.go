@@ -102,6 +102,10 @@ func RunDistributedCtx(ctx *core.Ctx, numNodes int, cfg Config) (*Result, error)
 		refs[i] = ref
 		start += n
 	}
+	// Section i goes to node i*N/S, giving contiguous sections to the same
+	// node when S > N (adjacent sections share a node and their edge
+	// exchange stays local).
+	nodeOf := func(i int) gaddr.NodeID { return gaddr.NodeID(i * numNodes / sections) }
 	// Wire neighbours.
 	for i, ref := range refs {
 		up, down := core.NilRef, core.NilRef
@@ -111,16 +115,13 @@ func RunDistributedCtx(ctx *core.Ctx, numNodes int, cfg Config) (*Result, error)
 		if i < sections-1 {
 			down = refs[i+1]
 		}
-		if _, err := ctx.Invoke(ref, "SetNeighbors", up, down); err != nil {
+		if _, err := ctx.Invoke(ref, "SetNeighbors", up, down, nodeOf(i-1), nodeOf(i+1)); err != nil {
 			return nil, err
 		}
 	}
-	// Distribute: section i to node i*N/S, giving contiguous sections to
-	// the same node when S > N (adjacent sections share a node and their
-	// edge exchange stays local).
+	// Distribute.
 	for i, ref := range refs {
-		dest := gaddr.NodeID(i * numNodes / sections)
-		if err := ctx.MoveTo(ref, dest); err != nil {
+		if err := ctx.MoveTo(ref, nodeOf(i)); err != nil {
 			return nil, err
 		}
 	}

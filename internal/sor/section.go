@@ -1,10 +1,12 @@
 package sor
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
 	"amber/internal/core"
+	"amber/internal/gaddr"
 )
 
 // Section is one horizontal strip of the grid — the unit of distribution the
@@ -24,18 +26,20 @@ type Section struct {
 	// U holds N+2 rows × Cols: U[0] and U[N+1] are ghosts.
 	U [][]float64
 	// Up and Down are the neighbouring sections (NilRef at the plate
-	// boundary).
+	// boundary), and Near the nodes they run on: a ghost wait names them.
 	Up, Down core.Ref
+	Near     []gaddr.NodeID
 
 	// ghostMu guards the ghost-arrival ledger and the residual table:
 	// arrived[c] counts the neighbour pushes of color c installed so far,
-	// wake, when non-nil, is closed on the next arrival to release the
-	// waiting controller, and resid[k] is the largest change of iteration k
-	// this section has heard of, its own included.
+	// each arrival wakes the controller waiting on ghosts, resid[k] is the
+	// largest change of iteration k this section has heard of, its own
+	// included, and aborted, when set, is why a neighbour stopped.
 	ghostMu sync.Mutex
 	arrived [2]int
-	wake    chan struct{}
+	ghosts  core.WaitQueue
 	resid   []float64
+	aborted string
 }
 
 // ownedRows reports N, the number of interior rows this section owns.
@@ -44,7 +48,7 @@ func (s *Section) ownedRows() int { return len(s.U) - 2 }
 // Dispatch implements core.AmberDispatch for the section's hot operations —
 // the ghost-row install, edge-row read, and relaxation kernel that dominate
 // an SOR iteration — with direct type switches instead of reflection. Cold
-// control-plane operations (SetNeighbors, Run, Rows) and any call
+// control-plane operations (SetNeighbors, Run, Rows, Abort) and any call
 // whose arguments need coercion fall back to the runtime's reflective plan
 // via ErrNotDispatched, which keeps the lenient argument rules intact. The
 // args vector is runtime-owned scratch; nothing here retains it.
@@ -79,11 +83,28 @@ func (s *Section) Dispatch(c *core.Ctx, method string, args []any) ([]any, error
 	return nil, core.ErrNotDispatched
 }
 
-// SetNeighbors wires the section to its neighbours; called once by the
-// master before the computation starts.
-func (s *Section) SetNeighbors(up, down core.Ref) {
-	s.Up = up
-	s.Down = down
+// SetNeighbors wires the section to its neighbours, which will run on
+// nodes upNode and downNode; called once by the master before the
+// computation starts.
+func (s *Section) SetNeighbors(up, down core.Ref, upNode, downNode gaddr.NodeID) {
+	s.Up, s.Down, s.Near = up, down, nil
+	if up != core.NilRef {
+		s.Near = append(s.Near, upNode)
+	}
+	if down != core.NilRef {
+		s.Near = append(s.Near, downNode)
+	}
+}
+
+// Abort tells the section that neighbour from stopped for reason, so the
+// ghosts it owes will never come: the waiting controller fails.
+func (s *Section) Abort(from int, reason string) {
+	s.ghostMu.Lock()
+	if s.aborted == "" {
+		s.aborted = fmt.Sprintf("section %d stopped: %s", from, reason)
+	}
+	s.ghosts.Broadcast()
+	s.ghostMu.Unlock()
 }
 
 // SetGhostColor installs the cells of one color from a neighbour's edge row
@@ -122,28 +143,26 @@ func (s *Section) SetGhostColor(which int, color int, vals []float64) {
 		}
 	}
 	s.arrived[color]++
-	if s.wake != nil {
-		close(s.wake)
-		s.wake = nil
-	}
+	s.ghosts.Broadcast()
 	s.ghostMu.Unlock()
 }
 
 // awaitGhosts blocks the controller until want pushes of color have arrived
 // from the neighbours. The counts run over the whole solve, so the k-th
-// half-step of a color waits for k pushes per neighbour.
-func (s *Section) awaitGhosts(ctx *core.Ctx, color, want int) {
+// half-step of a color waits for k pushes per neighbour. It fails when a
+// neighbour aborts or its node is marked down.
+func (s *Section) awaitGhosts(ctx *core.Ctx, color, want int) error {
 	s.ghostMu.Lock()
-	for s.arrived[color] < want {
-		if s.wake == nil {
-			s.wake = make(chan struct{})
+	defer s.ghostMu.Unlock()
+	for s.arrived[color] < want && s.aborted == "" {
+		if err := s.ghosts.Wait(ctx, &s.ghostMu, s.Near...); err != nil {
+			return err
 		}
-		ch := s.wake
-		s.ghostMu.Unlock()
-		ctx.Block(func() { <-ch })
-		s.ghostMu.Lock()
 	}
-	s.ghostMu.Unlock()
+	if s.aborted != "" {
+		return fmt.Errorf("sor: %s", s.aborted)
+	}
+	return nil
 }
 
 // noteResidual maxes r into the table entry of iteration k. ghostMu must be
@@ -311,11 +330,7 @@ func (s *Section) computeParallel(ctx *core.Ctx, color, from, to, computeThreads
 	if computeThreads <= 1 || n < 2*computeThreads {
 		return s.ComputeColorRange(color, from, to)
 	}
-	type result struct {
-		delta float64
-		err   error
-	}
-	results := make(chan result, computeThreads)
+	results := make(chan float64, computeThreads)
 	chunk := (n + computeThreads - 1) / computeThreads
 	workers := 0
 	for lo := from; lo <= to; lo += chunk {
@@ -331,16 +346,13 @@ func (s *Section) computeParallel(ctx *core.Ctx, color, from, to, computeThreads
 			// Amber thread.
 			var d float64
 			c.WithSlot(func() { d = s.ComputeColorRange(color, lo, hi) })
-			results <- result{delta: d}
+			results <- d
 		}()
 	}
 	maxDelta := 0.0
 	ctx.Block(func() {
 		for i := 0; i < workers; i++ {
-			r := <-results
-			if r.delta > maxDelta {
-				maxDelta = r.delta
-			}
+			maxDelta = max(maxDelta, <-results)
 		}
 	})
 	return maxDelta
@@ -363,22 +375,30 @@ func (s *Section) computeParallel(ctx *core.Ctx, color, from, to, computeThreads
 // iterations past the one it reports. It keeps the owned rows of the last
 // L iterations to restore the reported one. Without convergence it runs to
 // maxIters+L and restores maxIters.
-func (s *Section) Run(ctx *core.Ctx, eps float64, maxIters int, overlap bool, computeThreads int) (int, error) {
+//
+// A section that fails sends each neighbour an abort mark and does not wait
+// for it to land, so no neighbour waits for good on ghosts that will never
+// come; a neighbour whose node is marked down fails the ghost wait itself.
+func (s *Section) Run(ctx *core.Ctx, eps float64, maxIters int, overlap bool, computeThreads int) (iters int, err error) {
 	if maxIters < 1 {
 		return maxIters, nil
 	}
-	neighbours := 0
-	for _, r := range []core.Ref{s.Up, s.Down} {
-		if r != core.NilRef {
-			neighbours++
+	defer func() {
+		for _, r := range []core.Ref{s.Up, s.Down} {
+			if err != nil && r != core.NilRef {
+				ctx.AsyncInvoke(r, "Abort", s.Index, err.Error())
+			}
 		}
-	}
+	}()
+	neighbours := len(s.Near)
 	lag := lag(s.Sections)
 	slabs := make([][][]float64, lag) // owned rows after iteration j, at j%lag
 	var red []*core.Future
 	for m := 1; ; m++ {
 		dB, black := s.phase(ctx, Black, s.residuals(m, lag), overlap, computeThreads)
-		s.awaitGhosts(ctx, Black, m*neighbours)
+		if err := s.awaitGhosts(ctx, Black, m*neighbours); err != nil {
+			return m, err
+		}
 		// The previous iteration's red pushes are joined only now, so their
 		// replies return while this section relaxes black.
 		err := joinPushes(ctx, red)
@@ -395,7 +415,9 @@ func (s *Section) Run(ctx *core.Ctx, eps float64, maxIters int, overlap bool, co
 		s.ghostMu.Unlock()
 		// The wait the next iteration would begin with: the neighbours' red
 		// pushes complete what this section hears of iteration m-L.
-		s.awaitGhosts(ctx, Red, m*neighbours)
+		if err := s.awaitGhosts(ctx, Red, m*neighbours); err != nil {
+			return m, err
+		}
 		if k := m - lag; k >= 1 && (k == maxIters || s.residual(k) < eps) {
 			if k < m {
 				s.restoreRows(slabs[k%lag])

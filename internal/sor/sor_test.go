@@ -209,11 +209,11 @@ func ledgerSolve(t *testing.T, nodes, iters int) (int64, map[string]int) {
 // The per-iteration message ledger, exactly: each section pushes one edge
 // per neighbour per color, a request and a reply each, and the convergence
 // residuals ride those pushes. Nothing else crosses the network inside the
-// iteration loop — no barrier and no reduction. With Eps 0 a solve never
-// converges and runs MaxIters+L iterations before it restores iteration
-// MaxIters (L = lag(S): 1 on three sections, 2 on four), so each solve
-// carries a fixed tail of L iterations, 16·L messages on three sections and
-// 24·L on four; the difference of two solves cancels it.
+// iteration loop — no barrier, no reduction and, fault-free, no abort. With
+// Eps 0 a solve never converges and runs MaxIters+L iterations before it
+// restores iteration MaxIters (L = lag(S): 1 on three sections, 2 on four),
+// so each solve carries a fixed tail of L iterations, 16·L messages on three
+// sections and 24·L on four; the difference of two solves cancels it.
 func TestSORMessageLedger(t *testing.T) {
 	for _, tc := range []struct {
 		nodes   int
@@ -228,7 +228,7 @@ func TestSORMessageLedger(t *testing.T) {
 			t.Errorf("%d nodes: 10 more iterations sent %d msgs, want %d (%d per iteration)",
 				tc.nodes, got, 10*tc.perIter, tc.perIter)
 		}
-		for _, m := range []string{"Arrive", "ReduceMax"} {
+		for _, m := range []string{"Arrive", "ReduceMax", "Abort"} {
 			if n := shortMethods[m]; n != 0 {
 				t.Errorf("%d nodes: %d %s invocations executed", tc.nodes, n, m)
 			}

@@ -89,6 +89,10 @@ echo "== SOR ghost exchange (no barrier, no reduction: waits on neighbour pushes
 # here with fresh state instead of surfacing as a stalled benchmark.
 go test -race -count=10 -run 'TestDistributed|TestMoreSections|TestQuickRandom|TestSORMessageLedger|TestGhostsUnderJitter|TestSpeculativeStopMatchesSequential' ./internal/sor/
 
+echo "== every wait has an exit (dead holder, neighbour or home, Close; in-doubt and reverted moves keep leases right; CondVar order) =="
+# Each row ends on a fault within a bound; a wait without an exit shows here as a hang.
+go test -race -count=20 -run 'TestWaitsHaveExits|TestSORFailsLoudly|TestInDoubtMoveFencesLeases|TestRevertedMoveKeepsLeaseHolders|TestCondVarSignalKeepsOrder' ./internal/amsync ./internal/sor ./internal/core
+
 echo "== one invocation engine, one cached copy, one location rule, one state machine (structure check, transition table, wait tests, protocol fuzzing) =="
 # Invoke, AsyncInvoke, InvokeChain and AsyncInvokeChain are one engine
 # (DESIGN.md §13), immutable replicas and reader leases are one copy
